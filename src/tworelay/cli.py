@@ -27,6 +27,9 @@ from .rates import T1Rates, eval_theorem1, eval_theorem2
 
 LN2 = math.log(2.0)
 
+# every sweep point is a full covering experiment
+MAX_SWEEP_POINTS = 1000
+
 
 def _report_in_nats(report: dict) -> dict:
     out = dict(report)
@@ -144,6 +147,8 @@ def cmd_fm(args) -> int:
                 "numeric check needs a builtin tag (t1 or t2) as the system "
                 "or the --check-against target to know which laws to sample"
             )
+        if args.bindings < 1:
+            raise ValidationError(f"--bindings must be at least 1, got {args.bindings}")
         target = _target_from(args.check_against)
         bindings = fm.sample_bindings(tags[0], args.bindings, args.seed)
         verdict = fm.numeric_equiv(reduced, target, bindings).verdict
@@ -161,17 +166,20 @@ def _parse_sweep_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"sweep range {text!r} has a non-numeric part") from None
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValidationError(f"sweep range {text!r} has a non-finite part")
     if step <= 0:
         raise ValidationError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise ValidationError(f"sweep range {text!r} runs backwards")
     values = []
     k = 0
-    while True:
-        v = start + k * step
-        if v > stop + 1e-12:
-            break
-        values.append(v)
+    while start + k * step <= stop + 1e-12:
+        if k == MAX_SWEEP_POINTS:
+            raise ValidationError(
+                f"sweep range {text!r} has more than {MAX_SWEEP_POINTS} points"
+            )
+        values.append(start + k * step)
         k += 1
     return values
 

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .info import InfoQuery, _EntropyCache, mutual_info
+from .info import InfoQuery
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from .prob import (
     ValidationError,
@@ -33,7 +33,7 @@ from .prob import (
     random_t1_law,
     random_t2_law,
 )
-from .rates import T1_QUERIES, T2_QUERIES
+from .rates import T1_QUERIES, T2_QUERIES, term_values
 
 EQUIV_TOL = 1e-6
 
@@ -412,8 +412,8 @@ def binding_of(joint, which: str) -> dict[str, Fraction]:
         queries = T2_QUERIES
     else:
         raise ValidationError(f"unknown binding family {which!r}")
-    cache = _EntropyCache(joint)
-    return {str(q): Fraction(mutual_info(joint, q, cache)) for q in queries.values()}
+    values = term_values(joint, queries)
+    return {str(q): Fraction(values[name]) for name, q in queries.items()}
 
 
 def sample_bindings(
@@ -520,7 +520,12 @@ def numeric_equiv(
     bindings: Sequence[Mapping[str, Fraction]],
     objective: str = "RB",
 ) -> EquivReport:
-    """Compare two systems by their exact max rate on each binding."""
+    """Compare two systems by their exact max rate on each binding.
+
+    An empty binding list is an error: agreement over no bindings says nothing.
+    """
+    if not bindings:
+        raise ValidationError("numeric equivalence needs at least one binding")
     comparisons = []
     for binding in bindings:
         ra = max_rate(sys_a, binding, objective)

@@ -58,34 +58,18 @@ def entropy(pmf: JointPmf) -> float:
     return 0.0 if abs(h) <= ZERO_CLAMP else h
 
 
-class _EntropyCache:
-    """Entropies of marginals of one joint, keyed by the variable subset."""
-
-    def __init__(self, joint: JointPmf):
-        self.joint = joint
-        self._cache: dict[tuple[str, ...], float] = {}
-
-    def h(self, ids: tuple[str, ...]) -> float:
-        if not ids:
-            return 0.0
-        key = canonical_sorted(ids)
-        if key not in self._cache:
-            self._cache[key] = entropy(marginalize(self.joint, key))
-        return self._cache[key]
-
-
-def mutual_info(joint: JointPmf, query: InfoQuery, cache: _EntropyCache | None = None) -> float:
+def mutual_info(joint: JointPmf, query: InfoQuery) -> float:
     """Conditional mutual information of ``query`` under ``joint``, in bits."""
     have = set(joint.ids)
     need = set(query.left) | set(query.right) | set(query.given)
     missing = sorted(need - have, key=lambda v: v)
     if missing:
         raise ValidationError(f"query {query} references {missing}, absent from joint {joint.ids}")
-    c = cache if cache is not None and cache.joint is joint else _EntropyCache(joint)
-    lg = c.h(query.left + query.given)
-    rg = c.h(query.right + query.given)
-    lrg = c.h(query.left + query.right + query.given)
-    g = c.h(query.given)
+    h = lambda ids: entropy(marginalize(joint, ids)) if ids else 0.0
+    lg = h(query.left + query.given)
+    rg = h(query.right + query.given)
+    lrg = h(query.left + query.right + query.given)
+    g = h(query.given)
     value = lg + rg - lrg - g
     if value < -ZERO_CLAMP:
         raise ValidationError(f"mutual information {value} below -{ZERO_CLAMP} for {query}")

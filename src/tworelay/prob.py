@@ -79,7 +79,13 @@ class Alphabet:
 
 
 def _clamp_tiny_negatives(mass: np.ndarray) -> np.ndarray:
-    """Zero out negativity within the clamp tolerance; larger negativity errors."""
+    """Zero out negativity within the clamp tolerance; larger negativity errors.
+
+    NaN and infinite entries error too: every comparison with NaN is false, so
+    the sign and normalization checks alone would let them through.
+    """
+    if not np.isfinite(mass).all():
+        raise ValidationError("tensor has non-finite entries (NaN or infinity)")
     worst = float(mass.min()) if mass.size else 0.0
     if worst < -NEGATIVITY_CLAMP:
         raise ValidationError(f"tensor entry {worst} below -{NEGATIVITY_CLAMP}")
@@ -209,7 +215,7 @@ class PmfDiagnostics:
 
 
 def validate(pmf: JointPmf | CondPmf) -> PmfDiagnostics:
-    """Report negativity and normalization health of a (possibly raw) tensor."""
+    """Report finiteness, negativity and normalization health of a (possibly raw) tensor."""
     mass = np.asarray(pmf.mass, dtype=float)
     max_neg = float(max(0.0, -mass.min())) if mass.size else 0.0
     effective = np.where((mass < 0.0) & (mass >= -NEGATIVITY_CLAMP), 0.0, mass)
@@ -219,7 +225,8 @@ def validate(pmf: JointPmf | CondPmf) -> PmfDiagnostics:
     else:
         totals = np.array([effective.sum()])
     max_dev = float(np.abs(totals - 1.0).max())
-    passed = max_neg <= NEGATIVITY_CLAMP and max_dev <= NORMALIZATION_TOL
+    finite = bool(np.isfinite(mass).all())
+    passed = finite and max_neg <= NEGATIVITY_CLAMP and max_dev <= NORMALIZATION_TOL
     return PmfDiagnostics(max_neg, max_dev, passed)
 
 

@@ -24,12 +24,14 @@ supremum-closure values with no epsilon backoff.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import InfoQuery, _EntropyCache, mutual_info
+from .info import ZERO_CLAMP, InfoQuery
 from .prob import (
     Alphabet,
     CondPmf,
@@ -89,10 +91,93 @@ T2_QUERIES: dict[str, InfoQuery] = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class _TermPlan:
+    """A query table compiled against one joint shape, in the entropy basis.
+
+    Every query is written as I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G) over
+    the distinct nonempty variable subsets.  ``steps[k] = (parent, axes)``
+    gets the marginal of subset k by summing ``axes`` out of the marginal of
+    subset ``parent`` (the joint itself when ``parent`` is -1), the smallest
+    superset computed before it, so no array larger than the joint is built.
+    ``offsets`` delimit each marginal in their flat concatenation and
+    ``signs`` maps the subset entropies to the queries.
+    """
+
+    names: tuple[str, ...]
+    queries: tuple[InfoQuery, ...]
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    offsets: np.ndarray
+    signs: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_terms(
+    items: tuple[tuple[str, InfoQuery], ...], ids: tuple[str, ...], shape: tuple[int, ...]
+) -> _TermPlan:
+    size = dict(zip(ids, shape))
+    subset = lambda *groups: tuple(v for v in ids if any(v in g for g in groups))
+    rows = []
+    for _, q in items:
+        missing = sorted(set(q.left + q.right + q.given) - set(ids))
+        if missing:
+            raise ValidationError(f"query {q} references {missing}, absent from joint {ids}")
+        rows.append(
+            (
+                (subset(q.left, q.given), 1.0),
+                (subset(q.right, q.given), 1.0),
+                (subset(q.left, q.right, q.given), -1.0),
+                (subset(q.given), -1.0),
+            )
+        )
+    subsets = sorted(
+        {s for row in rows for s, _ in row if s}, key=lambda s: (-len(s), [ids.index(v) for v in s])
+    )
+    cells = [math.prod(size[v] for v in s) for s in subsets]
+    steps = []
+    for k, s in enumerate(subsets):
+        supersets = [j for j in range(k) if set(s) <= set(subsets[j])]
+        parent = min(supersets, key=cells.__getitem__, default=-1)
+        source = ids if parent < 0 else subsets[parent]
+        steps.append((parent, tuple(i for i, v in enumerate(source) if v not in s)))
+    column = {s: k for k, s in enumerate(subsets)}
+    signs = np.zeros((len(items), len(subsets)))
+    for r, row in enumerate(rows):
+        for s, sign in row:
+            if s:
+                signs[r, column[s]] += sign
+    offsets = np.cumsum([0] + cells[:-1])
+    offsets.setflags(write=False)
+    signs.setflags(write=False)
+    return _TermPlan(
+        tuple(name for name, _ in items), tuple(q for _, q in items), tuple(steps), offsets, signs
+    )
+
+
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
-    """Evaluate a table of information terms on one joint, sharing marginals."""
-    cache = _EntropyCache(joint)
-    return {name: mutual_info(joint, q, cache) for name, q in queries.items()}
+    """Evaluate a table of information terms on one joint, sharing marginals.
+
+    Agrees with :func:`tworelay.info.mutual_info` query by query, including
+    its clamps and its negative check, up to floating-point summation order.
+    """
+    plan = _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
+    marginals: list[np.ndarray] = []
+    for parent, axes in plan.steps:
+        source = joint.mass if parent < 0 else marginals[parent]
+        marginals.append(np.add.reduce(source, axis=axes) if axes else source)
+    p = np.concatenate([m.ravel() for m in marginals])
+    p = np.where(p > 0.0, p, 1.0)  # cells outside the support contribute 1*log2(1) = 0
+    h = -np.add.reduceat(p * np.log2(p), plan.offsets)
+    h[np.abs(h) <= ZERO_CLAMP] = 0.0
+    values = plan.signs @ h
+    low = np.flatnonzero(values < -ZERO_CLAMP)
+    if low.size:
+        k = low[0]
+        raise ValidationError(
+            f"mutual information {values[k]} below -{ZERO_CLAMP} for {plan.queries[k]}"
+        )
+    values[np.abs(values) <= ZERO_CLAMP] = 0.0
+    return dict(zip(plan.names, values.tolist()))
 
 
 # ---------------------------------------------------------------------------

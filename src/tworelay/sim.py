@@ -113,7 +113,10 @@ class SimConfig:
         if self.trials < 1:
             raise ValidationError(f"trials {self.trials} < 1")
         for name in ("rbar", "rh1", "rh2", "rs1", "rs2"):
-            if getattr(self.rates, name) < 0:
+            rate = getattr(self.rates, name)
+            if not math.isfinite(rate):
+                raise ValidationError(f"rate {name} is {rate}, not a finite number")
+            if rate < 0:
                 raise ValidationError(f"rate {name} is negative")
         total = self.total_codewords()
         if total > MAX_TOTAL_CODEWORDS:
@@ -543,6 +546,8 @@ def covering_experiment(
         raise ValidationError(f"block length {n} < 1")
     if trials < 1:
         raise ValidationError(f"trials {trials} < 1")
+    if not math.isfinite(rh1):
+        raise ValidationError(f"rate {rh1} is not a finite number")
     if rh1 < 0:
         raise ValidationError(f"negative rate {rh1}")
     eps = TypicalityParams(epsilon).epsilon

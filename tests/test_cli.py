@@ -236,6 +236,14 @@ class TestFm:
         assert code == 2
         assert "needs a builtin tag" in err
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_check_needs_a_binding(self, count, capsys):
+        code, _, err = run_cli(
+            ["fm", "t1", "--check-against", "t1", "--bindings", count], capsys)
+        assert code == 2
+        assert "--bindings must be at least 1" in err
+        assert "equivalent" not in err
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(["fm", "no-such-system.txt"], capsys)
         assert code == 2
@@ -328,6 +336,35 @@ class TestSim:
             code, _, err = run_cli(base + tail, capsys)
             assert code == 2
             assert fragment in err
+
+    def test_sweep_point_cap(self, files, capsys):
+        # looked up first: without a cap the non-finite ranges below never end
+        cap = cli.MAX_SWEEP_POINTS
+        assert len(cli._parse_sweep_range(f"0:{cap - 1}:1")) == cap
+        base = ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
+                "--n", "1", "--trials", "1", "--seed", "0", "--sweep", "rh1"]
+        for text, fragment in (
+            # just above the cap, with one-letter blocks so each point is cheap
+            (f"0:{cap}:1", f"more than {cap} points"),
+            ("0:inf:0.1", "non-finite"),
+            ("nan:1:0.1", "non-finite"),
+            ("0:1:inf", "non-finite"),
+        ):
+            code, out, err = run_cli(base + [text], capsys)
+            assert code == 2
+            assert fragment in err
+            assert out == ""
+
+    @pytest.mark.parametrize("flag", ["--rbar", "--rh1", "--rh2", "--rs1", "--rs2", "--eps"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_numbers_exit_2(self, files, capsys, flag, value):
+        code, out, err = run_cli(
+            ["sim", "--channel", files["chan_noiseless"], "--law",
+             files["law_pinned"], "--n", "4", "--trials", "1", "--seed", "0",
+             f"{flag}={value}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert out == ""
 
 
 def _entry_point_wrapper(bindir):

@@ -372,6 +372,11 @@ class TestNumericEquiv:
                 fm.target_system("t1"), fm.target_system("t1"), [{}]
             )
 
+    def test_empty_binding_list_rejected(self):
+        tgt = fm.target_system("t1")
+        with pytest.raises(ValidationError, match="at least one binding"):
+            fm.numeric_equiv(tgt, tgt, [])
+
     def test_missing_objective_rejected(self):
         nob = system([fm.Inequality(expr({"R21": 1}, {A: -1}), True, "r")], ("R21",))
         with pytest.raises(ValidationError):

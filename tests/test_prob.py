@@ -241,6 +241,25 @@ class TestValidation:
         assert not diag.passed
         assert diag.max_normalization_deviation == pytest.approx(1e-3, rel=1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_joint_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            JointPmf((Alphabet("X1", 2),), np.array([bad, 0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cond_non_finite_rejected(self, bad):
+        x = Alphabet("X1", 2)
+        y = Alphabet("Y1", 2)
+        with pytest.raises(ValidationError, match="non-finite"):
+            CondPmf((x,), (y,), np.array([[0.5, 0.5], [bad, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_validate_reports_non_finite(self, bad):
+        x = Alphabet("X1", 2)
+        y = Alphabet("Y1", 2)
+        assert not validate(JointPmf.raw((x,), np.array([bad, 0.5]))).passed
+        assert not validate(CondPmf.raw((x,), (y,), np.array([[0.5, 0.5], [bad, 0.5]]))).passed
+
     def test_validate_passes_clean_uniform(self):
         diag = validate(uniform_pmf((Alphabet("X0", 4),)))
         assert diag.passed
