@@ -147,8 +147,6 @@ def cmd_fm(args) -> int:
                 "numeric check needs a builtin tag (t1 or t2) as the system "
                 "or the --check-against target to know which laws to sample"
             )
-        if args.bindings < 1:
-            raise ValidationError(f"--bindings must be at least 1, got {args.bindings}")
         target = _target_from(args.check_against)
         bindings = fm.sample_bindings(tags[0], args.bindings, args.seed)
         verdict = fm.numeric_equiv(reduced, target, bindings).verdict

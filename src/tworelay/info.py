@@ -50,12 +50,25 @@ class InfoQuery:
         return f"I({body})"
 
 
-def entropy(pmf: JointPmf) -> float:
-    """Shannon entropy of a joint pmf in bits."""
-    p = pmf.mass.reshape(-1)
-    nz = p[p > 0.0]
-    h = float(-(nz * np.log2(nz)).sum())
-    return 0.0 if abs(h) <= ZERO_CLAMP else h
+def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> float | np.ndarray:
+    """Shannon entropy in bits, clamped to exactly 0 within ``ZERO_CLAMP``.
+
+    ``pmf`` is a joint pmf and the result a float.  With ``offsets``, ``pmf``
+    is instead a flat array that concatenates several pmfs, each starting at
+    its offset, and the result is the array of their entropies from one
+    vectorized pass; :func:`tworelay.rates.term_values` computes every subset
+    entropy of a query table this way.  Cells that are not positive are left
+    out either way.
+    """
+    if offsets is None:
+        p = pmf.mass.reshape(-1)
+        nz = p[p > 0.0]
+        h = float(-(nz * np.log2(nz)).sum())
+        return 0.0 if abs(h) <= ZERO_CLAMP else h
+    p = np.where(pmf > 0.0, pmf, 1.0)  # 1 * log2(1) = 0
+    h = -np.add.reduceat(p * np.log2(p), offsets)
+    h[np.abs(h) <= ZERO_CLAMP] = 0.0
+    return h
 
 
 def mutual_info(joint: JointPmf, query: InfoQuery) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import ZERO_CLAMP, InfoQuery
+from .info import ZERO_CLAMP, InfoQuery, entropy
 from .prob import (
     Alphabet,
     CondPmf,
@@ -157,18 +157,20 @@ def _compile_terms(
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
     """Evaluate a table of information terms on one joint, sharing marginals.
 
-    Agrees with :func:`tworelay.info.mutual_info` query by query, including
-    its clamps and its negative check, up to floating-point summation order.
+    ``joint`` must be a validated :class:`JointPmf`, whose entries are finite
+    and non-negative; then the result agrees with
+    :func:`tworelay.info.mutual_info` query by query, including its clamps and
+    its negative check, up to floating-point summation order.  A
+    ``JointPmf.raw`` joint skips that validation: ``mutual_info`` rejects its
+    bad cells in ``marginalize``, while here cells that are not positive are
+    left out of the entropies.
     """
     plan = _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
     marginals: list[np.ndarray] = []
     for parent, axes in plan.steps:
         source = joint.mass if parent < 0 else marginals[parent]
         marginals.append(np.add.reduce(source, axis=axes) if axes else source)
-    p = np.concatenate([m.ravel() for m in marginals])
-    p = np.where(p > 0.0, p, 1.0)  # cells outside the support contribute 1*log2(1) = 0
-    h = -np.add.reduceat(p * np.log2(p), plan.offsets)
-    h[np.abs(h) <= ZERO_CLAMP] = 0.0
+    h = entropy(np.concatenate([m.ravel() for m in marginals]), plan.offsets)
     values = plan.signs @ h
     low = np.flatnonzero(values < -ZERO_CLAMP)
     if low.size:

@@ -50,6 +50,19 @@ class TestEntropy:
             assert entropy(pmf) == pytest.approx(expect, abs=1e-12)
             assert binary_entropy(p) == pytest.approx(expect, abs=1e-12)
 
+    def test_segments_match_single_pmfs(self):
+        pmfs = [
+            uniform_pmf((Alphabet("X0", 4),)),
+            JointPmf((Alphabet("X0", 3),), np.array([0.0, 1.0, 0.0])),
+            JointPmf((Alphabet("X0", 2),), np.array([0.11, 0.89])),
+            JointPmf((Alphabet("X0", 1),), np.array([1.0])),
+        ]
+        flat = np.concatenate([p.mass for p in pmfs])
+        offsets = np.cumsum([0] + [p.mass.size for p in pmfs[:-1]])
+        got = entropy(flat, offsets)
+        assert got.tolist() == pytest.approx([entropy(p) for p in pmfs], abs=1e-12)
+        assert got[1] == got[3] == 0.0
+
 
 class TestMutualInfo:
     def test_independent_pair_is_zero(self):
