@@ -5,7 +5,8 @@ transmitter side.
 The public surface is re-exported here; submodules hold the implementation:
 
 * :mod:`tworelay.prob`: joint and conditional pmfs over a fixed variable
-  order, network channels, input laws, and exact joint assembly.
+  order, network channels, the two input-law families declared as factor
+  tables, and exact joint assembly (``assemble_joint``).
 * :mod:`tworelay.info`: entropies and conditional mutual information.
 * :mod:`tworelay.rates`: the two achievable-rate evaluators, the inner
   partial-rate maximization, and the per-stage proof systems.
@@ -45,6 +46,7 @@ from .prob import (
     T1Law,
     T2Law,
     ValidationError,
+    assemble_joint,
     assemble_joint_t1,
     assemble_joint_t2,
     conditional,
@@ -109,6 +111,7 @@ __all__ = [
     "T2Rates",
     "TypicalityParams",
     "ValidationError",
+    "assemble_joint",
     "assemble_joint_t1",
     "assemble_joint_t2",
     "binary_entropy",

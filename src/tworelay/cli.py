@@ -16,13 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from . import fm, io, sim
 from .optimize import SearchConfig, optimize_t1, optimize_t2
-from .prob import (
-    InvariantError,
-    ResourceLimitError,
-    T1Law,
-    T2Law,
-    ValidationError,
-)
+from .prob import InvariantError, ResourceLimitError, ValidationError
 from .rates import T1Rates, eval_theorem1, eval_theorem2
 
 LN2 = math.log(2.0)
@@ -54,11 +48,9 @@ def _opt_in_nats(result: dict) -> dict:
 def _load_pair(args, theorem: str):
     channel = io.load_channel(args.channel)
     law = io.load_law(args.law)
-    expected = T1Law if theorem == "t1" else T2Law
-    if not isinstance(law, expected):
+    if law.theorem != theorem:
         raise ValidationError(
-            f"law file {args.law} holds a "
-            f"{'t2' if isinstance(law, T2Law) else 't1'} law, "
+            f"law file {args.law} holds a {law.theorem} law, "
             f"but the requested theorem is {theorem}"
         )
     return channel, law

@@ -25,14 +25,7 @@ import numpy as np
 
 from .info import InfoQuery
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
-from .prob import (
-    ValidationError,
-    assemble_joint_t1,
-    assemble_joint_t2,
-    random_channel,
-    random_t1_law,
-    random_t2_law,
-)
+from .prob import LAW_FAMILIES, ValidationError, assemble_joint, random_channel, random_law
 from .rates import T1_QUERIES, T2_QUERIES, term_values
 
 EQUIV_TOL = 1e-6
@@ -423,20 +416,15 @@ def sample_bindings(
 
     Returns one mapping from symbol name to exact rational value per draw.
     """
+    if which not in LAW_FAMILIES:
+        raise ValidationError(f"unknown binding family {which!r}")
     sizes = dict(sizes or dict(X0=2, X1=2, X2=2, Y0=2, Y1=2, Y2=2))
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
         channel = random_channel(rng, sizes)
-        if which == "t1":
-            law = random_t1_law(rng, channel)
-            joint = assemble_joint_t1(channel, law)
-        elif which == "t2":
-            law = random_t2_law(rng, channel)
-            joint = assemble_joint_t2(channel, law)
-        else:
-            raise ValidationError(f"unknown binding family {which!r}")
-        out.append(binding_of(joint, which))
+        law = random_law(LAW_FAMILIES[which], rng, channel, {})
+        out.append(binding_of(assemble_joint(channel, law), which))
     return out
 
 

@@ -14,6 +14,9 @@ from typing import Any
 import numpy as np
 
 from .prob import (
+    CHANNEL_INPUTS,
+    CHANNEL_OUTPUTS,
+    LAW_FAMILIES,
     Alphabet,
     CondPmf,
     JointPmf,
@@ -24,17 +27,6 @@ from .prob import (
 )
 
 FORMAT_VERSION = 1
-
-T1_COMPONENTS = ("px1", "px2", "px0_given_x1x2", "pyh1_given_x1y1", "pyh2_given_x2y2")
-T2_COMPONENTS = (
-    "px1",
-    "px2",
-    "pv1_given_x1",
-    "pv2_given_x2",
-    "px0_given_x1x2v1v2",
-    "pyh1_given_x1v1y1",
-    "pyh2_given_x2v2y2",
-)
 
 
 def dumps(payload: dict) -> str:
@@ -52,8 +44,27 @@ def _axes_from_meta(meta: Any, where: str) -> tuple[Alphabet, ...]:
         raise ValidationError(f"{where}: malformed axis list {meta!r}") from None
 
 
+def _convert(convert, value: Any, where: str) -> Any:
+    """``convert(value)``, with a malformed value reported as a ValidationError
+    naming ``where`` instead of a TypeError or ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _floats(value: Any) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _require(payload: dict, key: str, where: str) -> Any:
-    if key not in payload:
+    if key not in _object(payload, where):
         raise ValidationError(f"{where}: missing field {key!r}")
     return payload[key]
 
@@ -75,7 +86,7 @@ def cond_to_dict(pmf: CondPmf) -> dict:
 def cond_from_dict(payload: dict, where: str) -> CondPmf:
     given = _axes_from_meta(_require(payload, "given", where), where)
     target = _axes_from_meta(_require(payload, "target", where), where)
-    data = np.asarray(_require(payload, "data", where), dtype=float)
+    data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
     try:
         return CondPmf(given, target, data)
     except ValidationError as exc:
@@ -88,7 +99,7 @@ def joint_to_dict(pmf: JointPmf) -> dict:
 
 def joint_from_dict(payload: dict, where: str) -> JointPmf:
     axes = _axes_from_meta(_require(payload, "axes", where), where)
-    data = np.asarray(_require(payload, "data", where), dtype=float)
+    data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
     try:
         return JointPmf(axes, data)
     except ValidationError as exc:
@@ -117,13 +128,14 @@ def channel_from_dict(payload: dict) -> NetworkChannel:
         options = {k: v for k, v in payload.items()
                    if k not in ("preset", "format_version", "kind")}
         return channel_preset(name, **options)
-    sizes = _require(payload, "sizes", "channel")
-    for var in ("X0", "X1", "X2", "Y0", "Y1", "Y2"):
+    sizes = _object(_require(payload, "sizes", "channel"), "channel.sizes")
+    for var in CHANNEL_INPUTS + CHANNEL_OUTPUTS:
         if var not in sizes:
             raise ValidationError(f"channel: sizes is missing {var!r}")
-    given = tuple(Alphabet(v, int(sizes[v])) for v in ("X0", "X1", "X2"))
-    target = tuple(Alphabet(v, int(sizes[v])) for v in ("Y0", "Y1", "Y2"))
-    data = np.asarray(_require(payload, "transition", "channel"), dtype=float)
+    alphabet = lambda v: Alphabet(v, _convert(int, sizes[v], f"channel.sizes.{v}"))
+    given = tuple(map(alphabet, CHANNEL_INPUTS))
+    target = tuple(map(alphabet, CHANNEL_OUTPUTS))
+    data = _convert(_floats, _require(payload, "transition", "channel"), "channel.transition")
     try:
         return NetworkChannel(CondPmf(given, target, data))
     except ValidationError as exc:
@@ -159,14 +171,14 @@ def channel_preset(name: str, **options) -> NetworkChannel:
         mass = np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)
         return NetworkChannel(CondPmf(given, target, mass))
     if name == "binary-symmetric-links":
-        crossover = dict(options.pop("crossover", {}))
+        crossover = _convert(dict, options.pop("crossover", {}), "crossover")
         if options:
             raise ValidationError(
                 f"binary-symmetric-links options: {sorted(options)} not understood"
             )
         flips = {}
         for var in ("Y0", "Y1", "Y2"):
-            p = float(crossover.pop(var, 0.1))
+            p = _convert(float, crossover.pop(var, 0.1), f"crossover for {var}")
             if not 0.0 <= p <= 0.5:
                 raise ValidationError(f"crossover for {var} must be in [0, 1/2], got {p}")
             flips[var] = p
@@ -191,23 +203,16 @@ def channel_preset(name: str, **options) -> NetworkChannel:
 
 
 def law_to_dict(law: T1Law | T2Law) -> dict:
-    if isinstance(law, T1Law):
-        theorem, names = "t1", T1_COMPONENTS
-    elif isinstance(law, T2Law):
-        theorem, names = "t2", T2_COMPONENTS
-    else:
+    if type(law) not in LAW_FAMILIES.values():
         raise ValidationError(f"not a law: {type(law).__name__}")
     components = {}
-    for name in names:
-        pmf = getattr(law, name)
-        if isinstance(pmf, JointPmf):
-            components[name] = joint_to_dict(pmf)
-        else:
-            components[name] = cond_to_dict(pmf)
+    for f in law.factors:
+        pmf = getattr(law, f.name)
+        components[f.name] = cond_to_dict(pmf) if f.given else joint_to_dict(pmf)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "law",
-        "theorem": theorem,
+        "theorem": law.theorem,
         "components": components,
     }
 
@@ -215,24 +220,17 @@ def law_to_dict(law: T1Law | T2Law) -> dict:
 def law_from_dict(payload: dict) -> T1Law | T2Law:
     _check_version(payload, "law")
     theorem = _require(payload, "theorem", "law")
-    if theorem == "t1":
-        cls, names = T1Law, T1_COMPONENTS
-    elif theorem == "t2":
-        cls, names = T2Law, T2_COMPONENTS
-    else:
+    if not isinstance(theorem, str) or theorem not in LAW_FAMILIES:
         raise ValidationError(f"law: unknown theorem tag {theorem!r}")
-    components = _require(payload, "components", "law")
+    family = LAW_FAMILIES[theorem]
+    components = _object(_require(payload, "components", "law"), "law.components")
     kwargs = {}
-    for name in names:
-        if name not in components:
-            raise ValidationError(f"law: components is missing {name!r}")
-        where = f"law.components.{name}"
-        entry = components[name]
-        if "axes" in entry:
-            kwargs[name] = joint_from_dict(entry, where)
-        else:
-            kwargs[name] = cond_from_dict(entry, where)
-    return cls(**kwargs)
+    for f in family.factors:
+        if f.name not in components:
+            raise ValidationError(f"law: components is missing {f.name!r}")
+        read = cond_from_dict if f.given else joint_from_dict
+        kwargs[f.name] = read(components[f.name], f"law.components.{f.name}")
+    return family(**kwargs)
 
 
 def load_channel(path: str) -> NetworkChannel:

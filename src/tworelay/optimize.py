@@ -32,17 +32,14 @@ import numpy as np
 
 from . import io
 from .prob import (
-    CondPmf,
+    LAW_FAMILIES,
     InvariantError,
-    JointPmf,
     NetworkChannel,
     T1Law,
     T2Law,
     ValidationError,
-    random_t1_law,
-    random_t2_law,
-    uniform_t1_law,
-    uniform_t2_law,
+    random_law,
+    uniform_law,
 )
 from .rates import RateReport, eval_theorem1, eval_theorem2
 
@@ -115,40 +112,26 @@ class OptResult:
 # slice plumbing
 # ---------------------------------------------------------------------------
 
-_COMPONENTS = {"t1": io.T1_COMPONENTS, "t2": io.T2_COMPONENTS}
-
-
 def _slice_index(law) -> list[tuple[str, tuple[int, ...], int]]:
-    """Every (component, conditioning cell, alphabet size) of a law."""
+    """Every (factor, conditioning cell, alphabet size) of a law."""
     out = []
-    for name in _COMPONENTS["t1" if isinstance(law, T1Law) else "t2"]:
-        pmf = getattr(law, name)
-        if isinstance(pmf, JointPmf):
-            out.append((name, (), pmf.mass.shape[-1]))
-        else:
-            k = int(np.prod([a.size for a in pmf.target], dtype=np.int64))
-            for cell in np.ndindex(tuple(a.size for a in pmf.given)):
-                out.append((name, cell, k))
+    for f in law.factors:
+        pmf = getattr(law, f.name)
+        k = math.prod(a.size for a in pmf.target)
+        for cell in np.ndindex(tuple(a.size for a in pmf.given)):
+            out.append((f.name, cell, k))
     return out
 
 
 def _get_slice(law, name: str, cell: tuple[int, ...]) -> np.ndarray:
-    pmf = getattr(law, name)
-    if isinstance(pmf, JointPmf):
-        return pmf.mass.reshape(-1).copy()
-    n_target = int(np.prod([a.size for a in pmf.target], dtype=np.int64))
-    return pmf.mass[cell].reshape(n_target).copy()
+    return getattr(law, name).mass[cell].reshape(-1).copy()
 
 
 def _set_slice(law, name: str, cell: tuple[int, ...], vec: np.ndarray):
     pmf = getattr(law, name)
-    if isinstance(pmf, JointPmf):
-        new = JointPmf(pmf.axes, np.asarray(vec, dtype=float).reshape(pmf.mass.shape))
-    else:
-        mass = pmf.mass.copy()
-        mass[cell] = np.asarray(vec, dtype=float).reshape(mass[cell].shape)
-        new = CondPmf(pmf.given, pmf.target, mass)
-    return replace(law, **{name: new})
+    mass = pmf.mass.copy()
+    mass[cell] = np.asarray(vec, dtype=float).reshape(mass[cell].shape)
+    return replace(law, **{name: replace(pmf, mass=mass)})
 
 
 def _compositions(total: int, parts: int):
@@ -276,20 +259,12 @@ def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
 
 def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig, jobs: int = 1) -> OptResult:
     score = _scorer(theorem, channel)
-
-    def start_uniform():
-        if theorem == "t1":
-            return uniform_t1_law(channel, cfg.yh1_size, cfg.yh2_size)
-        return uniform_t2_law(channel, cfg.v1_size, cfg.v2_size, cfg.yh1_size, cfg.yh2_size)
-
-    def draw(i: int):
-        rng = np.random.default_rng([cfg.seed, i])
-        if theorem == "t1":
-            return random_t1_law(rng, channel, cfg.yh1_size, cfg.yh2_size)
-        return random_t2_law(rng, channel, cfg.v1_size, cfg.v2_size, cfg.yh1_size, cfg.yh2_size)
+    family = LAW_FAMILIES[theorem]
+    sizes = {"V1": cfg.v1_size, "V2": cfg.v2_size, "Yh1": cfg.yh1_size, "Yh2": cfg.yh2_size}
 
     if cfg.mode == "grid":
-        law, report, best, evals, trace = _grid_search(channel, start_uniform(), score, cfg)
+        start = uniform_law(family, channel, sizes)
+        law, report, best, evals, trace = _grid_search(channel, start, score, cfg)
         if best == -math.inf:
             return OptResult(theorem, law, report, evals, (), True)
         return OptResult(theorem, law, report, evals, tuple(trace), False)
@@ -297,7 +272,8 @@ def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig, jobs: in
     # random-restart: refine each seeded draw independently, merge by value
     # with ties to the lower index, so worker count cannot change the result
     def run_one(i: int):
-        return _refine(draw(i), channel, theorem, cfg)
+        law = random_law(family, np.random.default_rng([cfg.seed, i]), channel, sizes)
+        return _refine(law, channel, theorem, cfg)
 
     indices = list(range(max(cfg.restarts, 1)))
     if jobs > 1:

@@ -17,13 +17,16 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+import functools
+from dataclasses import dataclass, field, fields
+from typing import Any, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 CANONICAL_ORDER = ("X0", "X1", "X2", "V1", "V2", "Y0", "Y1", "Y2", "Yh1", "Yh2")
 _CANON_INDEX = {vid: k for k, vid in enumerate(CANONICAL_ORDER)}
+CHANNEL_INPUTS = ("X0", "X1", "X2")
+CHANNEL_OUTPUTS = ("Y0", "Y1", "Y2")
 
 # einsum letter per canonical variable, fixed once
 _EINSUM_LETTER = dict(zip(CANONICAL_ORDER, "abcdefghij"))
@@ -141,6 +144,15 @@ class JointPmf:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.axes)
+
+    # a joint pmf is the conditional pmf of its axes given nothing
+    @property
+    def given(self) -> tuple[Alphabet, ...]:
+        return ()
+
+    @property
+    def target(self) -> tuple[Alphabet, ...]:
+        return self.axes
 
     def alphabet(self, var_id: str) -> Alphabet:
         for a in self.axes:
@@ -278,11 +290,11 @@ class NetworkChannel:
     transition: CondPmf
 
     def __post_init__(self):
-        if self.transition.given_ids != ("X0", "X1", "X2"):
+        if self.transition.given_ids != CHANNEL_INPUTS:
             raise ValidationError(
                 f"channel conditioning axes {self.transition.given_ids}, expected (X0, X1, X2)"
             )
-        if self.transition.target_ids != ("Y0", "Y1", "Y2"):
+        if self.transition.target_ids != CHANNEL_OUTPUTS:
             raise ValidationError(
                 f"channel target axes {self.transition.target_ids}, expected (Y0, Y1, Y2)"
             )
@@ -302,8 +314,49 @@ class NetworkChannel:
         return tuple(a.size for a in self.transition.target)
 
 
-@dataclass(frozen=True, eq=False)
-class T1Law:
+class Factor(NamedTuple):
+    """One factor p(target | given) of a law family, by variable ids."""
+
+    name: str
+    given: tuple[str, ...]
+    target: tuple[str, ...]
+
+
+def _factor(*target: str, given: tuple[str, ...] = ()) -> Any:
+    """Declare a law field as the factor p(target | given); with no given ids
+    the field holds a :class:`JointPmf`, otherwise a :class:`CondPmf`."""
+    return field(metadata={"factor": (given, target)})
+
+
+class _Law:
+    """A law family: a frozen dataclass whose fields are declared with
+    :func:`_factor`, in factorization order, and listed in ``factors``."""
+
+    theorem: ClassVar[str]
+    factors: ClassVar[tuple[Factor, ...]]
+
+    def __post_init__(self):
+        for f in self.factors:
+            pmf = getattr(self, f.name)
+            kind = CondPmf if f.given else JointPmf
+            if not isinstance(pmf, kind):
+                raise ValidationError(f"{f.name}: a {type(pmf).__name__}, expected a {kind.__name__}")
+            got = (tuple([a.id for a in pmf.given]), tuple([a.id for a in pmf.target]))
+            if got != (f.given, f.target):
+                raise ValidationError(
+                    f"{f.name}: axes ({got[0]} -> {got[1]}), expected ({f.given} -> {f.target})"
+                )
+
+
+def _law_family(cls: type) -> type:
+    """Make ``cls`` a law family: a frozen dataclass with its ``factors`` listed."""
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls.factors = tuple(Factor(f.name, *f.metadata["factor"]) for f in fields(cls))
+    return cls
+
+
+@_law_family
+class T1Law(_Law):
     """Input law of the compress-and-forward scheme (theorem 1 family).
 
     Factorization: p(x1) p(x2) p(x0|x1,x2) p(yh1|x1,y1) p(yh2|x2,y2).
@@ -311,22 +364,16 @@ class T1Law:
     depends only on the local observation and the local input.
     """
 
-    px1: JointPmf
-    px2: JointPmf
-    px0_given_x1x2: CondPmf
-    pyh1_given_x1y1: CondPmf
-    pyh2_given_x2y2: CondPmf
-
-    def __post_init__(self):
-        _expect_axes(self.px1, ("X1",), "px1")
-        _expect_axes(self.px2, ("X2",), "px2")
-        _expect_cond(self.px0_given_x1x2, ("X1", "X2"), ("X0",), "px0_given_x1x2")
-        _expect_cond(self.pyh1_given_x1y1, ("X1", "Y1"), ("Yh1",), "pyh1_given_x1y1")
-        _expect_cond(self.pyh2_given_x2y2, ("X2", "Y2"), ("Yh2",), "pyh2_given_x2y2")
+    theorem: ClassVar[str] = "t1"
+    px1: JointPmf = _factor("X1")
+    px2: JointPmf = _factor("X2")
+    px0_given_x1x2: CondPmf = _factor("X0", given=("X1", "X2"))
+    pyh1_given_x1y1: CondPmf = _factor("Yh1", given=("X1", "Y1"))
+    pyh2_given_x2y2: CondPmf = _factor("Yh2", given=("X2", "Y2"))
 
 
-@dataclass(frozen=True, eq=False)
-class T2Law:
+@_law_family
+class T2Law(_Law):
     """Input law of the hybrid scheme with decode-and-forward auxiliaries
     (theorem 2 family).
 
@@ -334,159 +381,61 @@ class T2Law:
     p(yh1|x1,v1,y1) p(yh2|x2,v2,y2).
     """
 
-    px1: JointPmf
-    px2: JointPmf
-    pv1_given_x1: CondPmf
-    pv2_given_x2: CondPmf
-    px0_given_x1x2v1v2: CondPmf
-    pyh1_given_x1v1y1: CondPmf
-    pyh2_given_x2v2y2: CondPmf
-
-    def __post_init__(self):
-        _expect_axes(self.px1, ("X1",), "px1")
-        _expect_axes(self.px2, ("X2",), "px2")
-        _expect_cond(self.pv1_given_x1, ("X1",), ("V1",), "pv1_given_x1")
-        _expect_cond(self.pv2_given_x2, ("X2",), ("V2",), "pv2_given_x2")
-        _expect_cond(
-            self.px0_given_x1x2v1v2, ("X1", "X2", "V1", "V2"), ("X0",), "px0_given_x1x2v1v2"
-        )
-        _expect_cond(self.pyh1_given_x1v1y1, ("X1", "V1", "Y1"), ("Yh1",), "pyh1_given_x1v1y1")
-        _expect_cond(self.pyh2_given_x2v2y2, ("X2", "V2", "Y2"), ("Yh2",), "pyh2_given_x2v2y2")
+    theorem: ClassVar[str] = "t2"
+    px1: JointPmf = _factor("X1")
+    px2: JointPmf = _factor("X2")
+    pv1_given_x1: CondPmf = _factor("V1", given=("X1",))
+    pv2_given_x2: CondPmf = _factor("V2", given=("X2",))
+    px0_given_x1x2v1v2: CondPmf = _factor("X0", given=("X1", "X2", "V1", "V2"))
+    pyh1_given_x1v1y1: CondPmf = _factor("Yh1", given=("X1", "V1", "Y1"))
+    pyh2_given_x2v2y2: CondPmf = _factor("Yh2", given=("X2", "V2", "Y2"))
 
 
-def _expect_axes(pmf: JointPmf, ids: tuple[str, ...], field: str) -> None:
-    if pmf.ids != ids:
-        raise ValidationError(f"{field}: axes {pmf.ids}, expected {ids}")
+LAW_FAMILIES = {family.theorem: family for family in (T1Law, T2Law)}
 
 
-def _expect_cond(pmf: CondPmf, given: tuple[str, ...], target: tuple[str, ...], field: str) -> None:
-    if pmf.given_ids != given or pmf.target_ids != target:
-        raise ValidationError(
-            f"{field}: axes ({pmf.given_ids} -> {pmf.target_ids}), "
-            f"expected ({given} -> {target})"
-        )
+@functools.cache
+def _einsum_plan(family: type) -> tuple[str, tuple[str, ...], int]:
+    """einsum spec, output ids and channel operand position of a law family.
+
+    The operands are the factors in field order with the channel transition
+    right after p(x0|.); the order fixes einsum's multiplication order, and
+    with it the last bits of the joint.
+    """
+    terms = [f.given + f.target for f in family.factors]
+    channel_at = 1 + next(k for k, f in enumerate(family.factors) if "X0" in f.target)
+    terms.insert(channel_at, CHANNEL_INPUTS + CHANNEL_OUTPUTS)
+    out_ids = canonical_sorted({v for ids in terms for v in ids})
+    letters = lambda ids: "".join(_EINSUM_LETTER[v] for v in ids)
+    return ",".join(map(letters, terms)) + "->" + letters(out_ids), out_ids, channel_at
 
 
-def _sizes_must_match(pairs: list[tuple[str, int, int]]) -> None:
-    for vid, lhs, rhs in pairs:
-        if lhs != rhs:
-            raise ValidationError(f"alphabet mismatch on {vid}: law has {lhs}, channel has {rhs}")
+def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
+    """Joint pmf of the channel and the law over every variable of the law's family.
+
+    Alphabet sizes are checked by variable id, against the channel and across
+    the law's own factors.
+    """
+    spec, out_ids, channel_at = _einsum_plan(type(law))
+    transition = channel.transition
+    seen = {a.id: (a, "channel") for a in transition.given + transition.target}
+    operands = []
+    for f in law.factors:
+        pmf = getattr(law, f.name)
+        for a in pmf.given + pmf.target:
+            first, owner = seen.setdefault(a.id, (a, f.name))
+            if first.size != a.size:
+                raise ValidationError(
+                    f"alphabet mismatch on {a.id}: law has {a.size}, {owner} has {first.size}"
+                )
+        operands.append(pmf.mass)
+    operands.insert(channel_at, transition.mass)
+    return JointPmf(tuple(seen[v][0] for v in out_ids), np.einsum(spec, *operands))
 
 
-def _einsum_term(ids: Sequence[str]) -> str:
-    return "".join(_EINSUM_LETTER[vid] for vid in ids)
-
-
-def assemble_joint_t1(channel: NetworkChannel, law: T1Law) -> JointPmf:
-    """Joint pmf over (X0, X1, X2, Y0, Y1, Y2, Yh1, Yh2) under a T1 law."""
-    sx0, sx1, sx2 = channel.input_sizes
-    sy0, sy1, sy2 = channel.output_sizes
-    _sizes_must_match(
-        [
-            ("X1", law.px1.axes[0].size, sx1),
-            ("X2", law.px2.axes[0].size, sx2),
-            ("X0", law.px0_given_x1x2.target[0].size, sx0),
-            ("X1", law.px0_given_x1x2.given[0].size, sx1),
-            ("X2", law.px0_given_x1x2.given[1].size, sx2),
-            ("Y1", law.pyh1_given_x1y1.given[1].size, sy1),
-            ("X1", law.pyh1_given_x1y1.given[0].size, sx1),
-            ("Y2", law.pyh2_given_x2y2.given[1].size, sy2),
-            ("X2", law.pyh2_given_x2y2.given[0].size, sx2),
-        ]
-    )
-    out_ids = ("X0", "X1", "X2", "Y0", "Y1", "Y2", "Yh1", "Yh2")
-    spec = "{},{},{},{},{},{}->{}".format(
-        _einsum_term(("X1",)),
-        _einsum_term(("X2",)),
-        _einsum_term(("X1", "X2", "X0")),
-        _einsum_term(("X0", "X1", "X2", "Y0", "Y1", "Y2")),
-        _einsum_term(("X1", "Y1", "Yh1")),
-        _einsum_term(("X2", "Y2", "Yh2")),
-        _einsum_term(out_ids),
-    )
-    mass = np.einsum(
-        spec,
-        law.px1.mass,
-        law.px2.mass,
-        law.px0_given_x1x2.mass,
-        channel.transition.mass,
-        law.pyh1_given_x1y1.mass,
-        law.pyh2_given_x2y2.mass,
-    )
-    axes = (
-        channel.alphabet("X0"),
-        channel.alphabet("X1"),
-        channel.alphabet("X2"),
-        channel.alphabet("Y0"),
-        channel.alphabet("Y1"),
-        channel.alphabet("Y2"),
-        law.pyh1_given_x1y1.target[0],
-        law.pyh2_given_x2y2.target[0],
-    )
-    return JointPmf(axes, mass)
-
-
-def assemble_joint_t2(channel: NetworkChannel, law: T2Law) -> JointPmf:
-    """Joint pmf over all ten variables under a T2 law."""
-    sx0, sx1, sx2 = channel.input_sizes
-    sy0, sy1, sy2 = channel.output_sizes
-    sv1 = law.pv1_given_x1.target[0].size
-    sv2 = law.pv2_given_x2.target[0].size
-    _sizes_must_match(
-        [
-            ("X1", law.px1.axes[0].size, sx1),
-            ("X2", law.px2.axes[0].size, sx2),
-            ("X1", law.pv1_given_x1.given[0].size, sx1),
-            ("X2", law.pv2_given_x2.given[0].size, sx2),
-            ("X0", law.px0_given_x1x2v1v2.target[0].size, sx0),
-            ("X1", law.px0_given_x1x2v1v2.given[0].size, sx1),
-            ("X2", law.px0_given_x1x2v1v2.given[1].size, sx2),
-            ("V1", law.px0_given_x1x2v1v2.given[2].size, sv1),
-            ("V2", law.px0_given_x1x2v1v2.given[3].size, sv2),
-            ("X1", law.pyh1_given_x1v1y1.given[0].size, sx1),
-            ("V1", law.pyh1_given_x1v1y1.given[1].size, sv1),
-            ("Y1", law.pyh1_given_x1v1y1.given[2].size, sy1),
-            ("X2", law.pyh2_given_x2v2y2.given[0].size, sx2),
-            ("V2", law.pyh2_given_x2v2y2.given[1].size, sv2),
-            ("Y2", law.pyh2_given_x2v2y2.given[2].size, sy2),
-        ]
-    )
-    out_ids = ("X0", "X1", "X2", "V1", "V2", "Y0", "Y1", "Y2", "Yh1", "Yh2")
-    spec = "{},{},{},{},{},{},{},{}->{}".format(
-        _einsum_term(("X1",)),
-        _einsum_term(("X2",)),
-        _einsum_term(("X1", "V1")),
-        _einsum_term(("X2", "V2")),
-        _einsum_term(("X1", "X2", "V1", "V2", "X0")),
-        _einsum_term(("X0", "X1", "X2", "Y0", "Y1", "Y2")),
-        _einsum_term(("X1", "V1", "Y1", "Yh1")),
-        _einsum_term(("X2", "V2", "Y2", "Yh2")),
-        _einsum_term(out_ids),
-    )
-    mass = np.einsum(
-        spec,
-        law.px1.mass,
-        law.px2.mass,
-        law.pv1_given_x1.mass,
-        law.pv2_given_x2.mass,
-        law.px0_given_x1x2v1v2.mass,
-        channel.transition.mass,
-        law.pyh1_given_x1v1y1.mass,
-        law.pyh2_given_x2v2y2.mass,
-    )
-    axes = (
-        channel.alphabet("X0"),
-        channel.alphabet("X1"),
-        channel.alphabet("X2"),
-        law.pv1_given_x1.target[0],
-        law.pv2_given_x2.target[0],
-        channel.alphabet("Y0"),
-        channel.alphabet("Y1"),
-        channel.alphabet("Y2"),
-        law.pyh1_given_x1v1y1.target[0],
-        law.pyh2_given_x2v2y2.target[0],
-    )
-    return JointPmf(axes, mass)
+# per-family names, for callers that name the family they assemble
+assemble_joint_t1 = assemble_joint
+assemble_joint_t2 = assemble_joint
 
 
 # ---------------------------------------------------------------------------
@@ -558,26 +507,47 @@ def random_channel(rng: np.random.Generator, sizes: dict[str, int] | None = None
     return NetworkChannel(random_cond(rng, given, target))
 
 
+def _law(family: type, channel: NetworkChannel, sizes: Mapping[str, int], make):
+    """A law of ``family`` whose factor p(target | given) is ``make(given, target)``.
+
+    Factors are made in field order, which fixes the draw order of a random
+    law.  Variables outside the channel take their alphabet size from
+    ``sizes``, 2 when absent.
+    """
+
+    def alphabet(vid: str) -> Alphabet:
+        if vid in CHANNEL_INPUTS + CHANNEL_OUTPUTS:
+            return channel.alphabet(vid)
+        return Alphabet(vid, sizes.get(vid, 2))
+
+    parts = {}
+    for f in family.factors:
+        given = tuple(map(alphabet, f.given))
+        target = tuple(map(alphabet, f.target))
+        pmf = make(given, target)
+        parts[f.name] = pmf if given else JointPmf(target, pmf.mass)
+    return family(**parts)
+
+
+def random_law(
+    family: type, rng: np.random.Generator, channel: NetworkChannel, sizes: Mapping[str, int]
+):
+    """Law of ``family`` with every conditional slice drawn from Dirichlet(1, ..., 1)."""
+    return _law(family, channel, sizes, lambda given, target: random_cond(rng, given, target))
+
+
+def uniform_law(family: type, channel: NetworkChannel, sizes: Mapping[str, int]):
+    """Law of ``family`` with every conditional slice uniform."""
+    return _law(family, channel, sizes, uniform_cond)
+
+
 def random_t1_law(
     rng: np.random.Generator,
     channel: NetworkChannel,
     yh1_size: int = 2,
     yh2_size: int = 2,
 ) -> T1Law:
-    x1 = channel.alphabet("X1")
-    x2 = channel.alphabet("X2")
-    x0 = channel.alphabet("X0")
-    y1 = channel.alphabet("Y1")
-    y2 = channel.alphabet("Y2")
-    yh1 = Alphabet("Yh1", yh1_size)
-    yh2 = Alphabet("Yh2", yh2_size)
-    return T1Law(
-        px1=JointPmf((x1,), rng.dirichlet(np.ones(x1.size))),
-        px2=JointPmf((x2,), rng.dirichlet(np.ones(x2.size))),
-        px0_given_x1x2=random_cond(rng, (x1, x2), (x0,)),
-        pyh1_given_x1y1=random_cond(rng, (x1, y1), (yh1,)),
-        pyh2_given_x2y2=random_cond(rng, (x2, y2), (yh2,)),
-    )
+    return random_law(T1Law, rng, channel, {"Yh1": yh1_size, "Yh2": yh2_size})
 
 
 def random_t2_law(
@@ -588,41 +558,12 @@ def random_t2_law(
     yh1_size: int = 2,
     yh2_size: int = 2,
 ) -> T2Law:
-    x1 = channel.alphabet("X1")
-    x2 = channel.alphabet("X2")
-    x0 = channel.alphabet("X0")
-    y1 = channel.alphabet("Y1")
-    y2 = channel.alphabet("Y2")
-    v1 = Alphabet("V1", v1_size)
-    v2 = Alphabet("V2", v2_size)
-    yh1 = Alphabet("Yh1", yh1_size)
-    yh2 = Alphabet("Yh2", yh2_size)
-    return T2Law(
-        px1=JointPmf((x1,), rng.dirichlet(np.ones(x1.size))),
-        px2=JointPmf((x2,), rng.dirichlet(np.ones(x2.size))),
-        pv1_given_x1=random_cond(rng, (x1,), (v1,)),
-        pv2_given_x2=random_cond(rng, (x2,), (v2,)),
-        px0_given_x1x2v1v2=random_cond(rng, (x1, x2, v1, v2), (x0,)),
-        pyh1_given_x1v1y1=random_cond(rng, (x1, v1, y1), (yh1,)),
-        pyh2_given_x2v2y2=random_cond(rng, (x2, v2, y2), (yh2,)),
-    )
+    sizes = {"V1": v1_size, "V2": v2_size, "Yh1": yh1_size, "Yh2": yh2_size}
+    return random_law(T2Law, rng, channel, sizes)
 
 
 def uniform_t1_law(channel: NetworkChannel, yh1_size: int = 2, yh2_size: int = 2) -> T1Law:
-    x1 = channel.alphabet("X1")
-    x2 = channel.alphabet("X2")
-    x0 = channel.alphabet("X0")
-    y1 = channel.alphabet("Y1")
-    y2 = channel.alphabet("Y2")
-    yh1 = Alphabet("Yh1", yh1_size)
-    yh2 = Alphabet("Yh2", yh2_size)
-    return T1Law(
-        px1=uniform_pmf(x1),
-        px2=uniform_pmf(x2),
-        px0_given_x1x2=uniform_cond((x1, x2), (x0,)),
-        pyh1_given_x1y1=uniform_cond((x1, y1), (yh1,)),
-        pyh2_given_x2y2=uniform_cond((x2, y2), (yh2,)),
-    )
+    return uniform_law(T1Law, channel, {"Yh1": yh1_size, "Yh2": yh2_size})
 
 
 def uniform_t2_law(
@@ -632,21 +573,5 @@ def uniform_t2_law(
     yh1_size: int = 2,
     yh2_size: int = 2,
 ) -> T2Law:
-    x1 = channel.alphabet("X1")
-    x2 = channel.alphabet("X2")
-    x0 = channel.alphabet("X0")
-    y1 = channel.alphabet("Y1")
-    y2 = channel.alphabet("Y2")
-    v1 = Alphabet("V1", v1_size)
-    v2 = Alphabet("V2", v2_size)
-    yh1 = Alphabet("Yh1", yh1_size)
-    yh2 = Alphabet("Yh2", yh2_size)
-    return T2Law(
-        px1=uniform_pmf(x1),
-        px2=uniform_pmf(x2),
-        pv1_given_x1=uniform_cond((x1,), (v1,)),
-        pv2_given_x2=uniform_cond((x2,), (v2,)),
-        px0_given_x1x2v1v2=uniform_cond((x1, x2, v1, v2), (x0,)),
-        pyh1_given_x1v1y1=uniform_cond((x1, v1, y1), (yh1,)),
-        pyh2_given_x2v2y2=uniform_cond((x2, v2, y2), (yh2,)),
-    )
+    sizes = {"V1": v1_size, "V2": v2_size, "Yh1": yh1_size, "Yh2": yh2_size}
+    return uniform_law(T2Law, channel, sizes)

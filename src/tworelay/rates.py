@@ -40,8 +40,7 @@ from .prob import (
     T1Law,
     T2Law,
     ValidationError,
-    assemble_joint_t1,
-    assemble_joint_t2,
+    assemble_joint,
 )
 
 STRICT_MARGIN = 1e-9
@@ -261,25 +260,7 @@ def channel_hash(channel: NetworkChannel) -> str:
 
 
 def law_hash(law: T1Law | T2Law) -> str:
-    if isinstance(law, T1Law):
-        parts = [
-            law.px1.mass,
-            law.px2.mass,
-            law.px0_given_x1x2.mass,
-            law.pyh1_given_x1y1.mass,
-            law.pyh2_given_x2y2.mass,
-        ]
-    else:
-        parts = [
-            law.px1.mass,
-            law.px2.mass,
-            law.pv1_given_x1.mass,
-            law.pv2_given_x2.mass,
-            law.px0_given_x1x2v1v2.mass,
-            law.pyh1_given_x1v1y1.mass,
-            law.pyh2_given_x2v2y2.mass,
-        ]
-    return _hash_arrays(parts)
+    return _hash_arrays([getattr(law, f.name).mass for f in law.factors])
 
 
 def _strict(label: str, lhs: float, rhs: float) -> ConstraintCheck:
@@ -297,7 +278,7 @@ def _closure(label: str, lhs: float, rhs: float) -> ConstraintCheck:
 
 def eval_theorem1(channel: NetworkChannel, law: T1Law) -> RateReport:
     """Compress-and-forward rate and its existence conditions for one law."""
-    joint = assemble_joint_t1(channel, law)
+    joint = assemble_joint(channel, law)
     t = term_values(joint, T1_QUERIES)
     checks = (
         _strict("(2)", t["cover1"] + t["side1"], t["dec1"] + t["res1"]),
@@ -363,7 +344,7 @@ def eval_theorem2(
     inner maximization; forcing (0, 0) reduces the scheme to pure
     compress-and-forward on the embedded family.
     """
-    joint = assemble_joint_t2(channel, law)
+    joint = assemble_joint(channel, law)
     t = term_values(joint, T2_QUERIES)
     b1 = min(t["df_relay1"], t["df_direct1"] + t["dec1"] + t["res1"] - t["sender1"])
     b2 = min(t["df_relay2"], t["df_direct2"] + t["dec2"] + t["res2"] - t["sender2"])
@@ -427,7 +408,7 @@ def eval_proof_system_t1(
     channel: NetworkChannel, law: T1Law, rates: T1Rates
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage compress-and-forward system."""
-    joint = assemble_joint_t1(channel, law)
+    joint = assemble_joint(channel, law)
     t = term_values(joint, T1_QUERIES)
     return (
         _point("(9)", ">", rates.rh1, t["cover1"]),
@@ -448,7 +429,7 @@ def eval_proof_system_t2(
     channel: NetworkChannel, law: T2Law, rates: T2Rates
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage hybrid system."""
-    joint = assemble_joint_t2(channel, law)
+    joint = assemble_joint(channel, law)
     t = term_values(joint, T2_QUERIES)
     return (
         _point("(20)", "<", rates.r21, t["df_relay1"]),
@@ -483,40 +464,22 @@ def embed_t1_in_t2(law: T1Law) -> T2Law:
     V2 = X2) and every other factor ignores them.  With the partial rates
     forced to zero the hybrid evaluation degenerates to the original scheme.
     """
-    x1 = law.px1.axes[0]
-    x2 = law.px2.axes[0]
-    v1 = Alphabet("V1", x1.size)
-    v2 = Alphabet("V2", x2.size)
-
-    ident1 = np.eye(x1.size)
-    ident2 = np.eye(x2.size)
-
-    base0 = law.px0_given_x1x2.mass  # (x1, x2, x0)
-    x0_size = base0.shape[-1]
-    widened0 = np.broadcast_to(
-        base0[:, :, None, None, :], (x1.size, x2.size, v1.size, v2.size, x0_size)
-    )
-
-    q1 = law.pyh1_given_x1y1.mass  # (x1, y1, yh1)
-    y1_ax = law.pyh1_given_x1y1.given[1]
-    yh1_ax = law.pyh1_given_x1y1.target[0]
-    widened1 = np.broadcast_to(
-        q1[:, None, :, :], (x1.size, v1.size, y1_ax.size, yh1_ax.size)
-    )
-
-    q2 = law.pyh2_given_x2y2.mass
-    y2_ax = law.pyh2_given_x2y2.given[1]
-    yh2_ax = law.pyh2_given_x2y2.target[0]
-    widened2 = np.broadcast_to(
-        q2[:, None, :, :], (x2.size, v2.size, y2_ax.size, yh2_ax.size)
-    )
-
-    return T2Law(
-        px1=law.px1,
-        px2=law.px2,
-        pv1_given_x1=CondPmf((x1,), (v1,), ident1),
-        pv2_given_x2=CondPmf((x2,), (v2,), ident2),
-        px0_given_x1x2v1v2=CondPmf((x1, x2, v1, v2), (Alphabet("X0", x0_size),), np.array(widened0)),
-        pyh1_given_x1v1y1=CondPmf((x1, v1, y1_ax), (yh1_ax,), np.array(widened1)),
-        pyh2_given_x2v2y2=CondPmf((x2, v2, y2_ax), (yh2_ax,), np.array(widened2)),
-    )
+    t1 = {f.target: getattr(law, f.name) for f in law.factors}
+    alphabet = {a.id: a for pmf in t1.values() for a in pmf.given + pmf.target}
+    alphabet["V1"] = Alphabet("V1", alphabet["X1"].size)
+    alphabet["V2"] = Alphabet("V2", alphabet["X2"].size)
+    parts = {}
+    for f in T2Law.factors:
+        given = tuple(alphabet[v] for v in f.given)
+        target = tuple(alphabet[v] for v in f.target)
+        if f.target not in t1:  # p(v|x): the auxiliary copies its relay input
+            parts[f.name] = CondPmf(given, target, np.eye(given[0].size))
+        elif f.given:  # the T1 factor, constant along the auxiliary axes
+            pmf = t1[f.target]
+            own = {a.id for a in pmf.given}
+            index = tuple(slice(None) if v in own else None for v in f.given)
+            shape = tuple(a.size for a in given + target)
+            parts[f.name] = CondPmf(given, target, np.broadcast_to(pmf.mass[index], shape))
+        else:
+            parts[f.name] = t1[f.target]
+    return T2Law(**parts)

@@ -36,7 +36,7 @@ from .prob import (
     ResourceLimitError,
     T1Law,
     ValidationError,
-    assemble_joint_t1,
+    assemble_joint,
     conditional,
     marginalize,
 )
@@ -93,6 +93,12 @@ def quantize_rate(rate: float, n: int) -> float:
 
 
 def _book_size(rate: float, n: int) -> int:
+    # every book size is a factor of the codeword total, so one book past the
+    # cap is refused before 1 << exponent builds an arbitrarily large integer
+    if rate * n >= MAX_TOTAL_CODEWORDS.bit_length():
+        raise ResourceLimitError(
+            f"a book of 2^{rate * n:.6g} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS}"
+        )
     return 1 << round(rate * n)
 
 
@@ -259,7 +265,7 @@ def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebook
         raise ResourceLimitError("codebook cap exceeded")
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
-    joint = assemble_joint_t1(channel, law)
+    joint = assemble_joint(channel, law)
 
     x1 = np.stack([_draw_joint(rng, law.px1, n)[0] for _ in range(sizes["s1"])])
     x2 = np.stack([_draw_joint(rng, law.px2, n)[0] for _ in range(sizes["s2"])])
@@ -317,7 +323,7 @@ def _unique_typical(candidates, eps):
 
 def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     books, bins = build(channel, law, cfg)
-    joint = assemble_joint_t1(channel, law)
+    joint = assemble_joint(channel, law)
     eps = cfg.typicality
 
     m_cover1 = marginalize(joint, ("X1", "Y1", "Yh1"))
@@ -550,18 +556,21 @@ def covering_experiment(
         raise ValidationError(f"rate {rh1} is not a finite number")
     if rh1 < 0:
         raise ValidationError(f"negative rate {rh1}")
+    if not math.isfinite(rh1 * n):
+        raise ValidationError(f"rate {rh1} at block length {n} overflows the book exponent")
     eps = TypicalityParams(epsilon).epsilon
-    joint = assemble_joint_t1(channel, law)
+    joint = assemble_joint(channel, law)
     p_pair = marginalize(joint, ("X1", "Y1"))
     p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
     p_book = conditional(joint, ("Yh1",), ("X1",))
+    # compare exponents, so a huge book never becomes a huge integer:
+    # 2^e <= c exactly when e < c.bit_length()
     exponent = round(rh1 * n)
-    size = 1 << exponent
     binary_book = p_triple.axes[-1].size == 2
-    literal = size <= SMALL_BOOK_CUTOFF or not binary_book
-    if literal and size > MAX_TOTAL_CODEWORDS:
+    literal = exponent < SMALL_BOOK_CUTOFF.bit_length() or not binary_book
+    if literal and exponent >= MAX_TOTAL_CODEWORDS.bit_length():
         raise ResourceLimitError(
-            f"book of {size} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS} "
+            f"book of 2^{exponent} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS} "
             "and no analytic path exists for this quantization alphabet"
         )
 
@@ -571,7 +580,7 @@ def covering_experiment(
         x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
         if literal:
             hit = False
-            for _ in range(size):
+            for _ in range(1 << exponent):
                 (yh_seq,) = _draw_cond(rng, p_book, (x1_seq,))
                 if typical((x1_seq, y1_seq, yh_seq), p_triple, eps):
                     hit = True
@@ -585,7 +594,7 @@ def covering_experiment(
             if ln_mean > 36.0:
                 prob = 1.0
             elif log_q > -30.0 and exponent < 50:
-                prob = -math.expm1(size * math.log1p(-math.exp(log_q)))
+                prob = -math.expm1((1 << exponent) * math.log1p(-math.exp(log_q)))
             else:
                 prob = -math.expm1(-math.exp(ln_mean))
             successes += rng.random() < prob

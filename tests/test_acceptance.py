@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import tworelay
 from tworelay import cli, fm, sim
 from tworelay import io as tio
 from tworelay.info import InfoQuery, entropy, mutual_info
@@ -349,3 +350,10 @@ def test_reruns_are_byte_identical_under_any_jobs(tmp_path, capsys):
             for _ in range(2)]
     assert runs[0] == runs[1]
     print("PASS determinism: all rerun surfaces byte-identical")
+
+
+def test_public_names_resolve():
+    # tests, demos and the benchmark import these names; a refactor must keep them
+    missing = [name for name in tworelay.__all__ if not hasattr(tworelay, name)]
+    assert missing == []
+    print(f"PASS public API: all {len(tworelay.__all__)} names resolve")

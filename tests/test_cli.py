@@ -24,6 +24,7 @@ from tworelay.prob import (
     T1Law,
     deterministic_cond,
     point_mass,
+    uniform_cond,
     uniform_pmf,
     uniform_t1_law,
     uniform_t2_law,
@@ -93,6 +94,14 @@ def files(tmp_path_factory):
     put("chan", {"format_version": 1, "kind": "channel", "preset": "identity-direct"})
     put("law_t1", tio.law_to_dict(uniform_t1_law(ident)))
     put("law_t2", tio.law_to_dict(uniform_t2_law(ident)))
+    bad_data = tio.law_to_dict(uniform_t1_law(ident))
+    bad_data["components"]["px1"]["data"] = [0.5, "x"]
+    put("law_bad_data", bad_data)
+    # built for a three-letter X1, while the identity-direct channel has two
+    wide = NetworkChannel(uniform_cond(
+        tuple(Alphabet(v, 3 if v == "X1" else 2) for v in ("X0", "X1", "X2")),
+        tuple(Alphabet(v, 2) for v in ("Y0", "Y1", "Y2"))))
+    put("law_wide_x1", tio.law_to_dict(uniform_t1_law(wide)))
     put("chan_noiseless", tio.channel_to_dict(broadcast_channel()))
     put("law_pinned", tio.law_to_dict(pinned_law()))
     cov_channel, cov_law = covering_pair()
@@ -157,11 +166,18 @@ class TestEval:
         assert "holds a t1 law" in err
 
     def test_broken_file_exits_2(self, files, capsys):
-        code, _, err = run_cli(
-            ["eval", "--channel", files["truncated"], "--law", files["law_t1"],
-             "--theorem", "t1"], capsys)
-        assert code == 2
-        assert "invalid JSON" in err
+        for channel, law, fragment in (
+            ("truncated", "law_t1", "invalid JSON"),
+            ("chan", "law_bad_data", "px1.data: could not convert string to float"),
+            ("chan", "law_wide_x1", "alphabet mismatch on X1: law has 3, channel has 2"),
+        ):
+            code, out, err = run_cli(
+                ["eval", "--channel", files[channel], "--law", files[law],
+                 "--theorem", "t1"], capsys)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert fragment in err
 
 
 class TestOptimize:
@@ -292,13 +308,17 @@ class TestSim:
         assert "holds a t2 law" in err
 
     def test_codeword_cap_exits_3(self, files, capsys):
-        code, _, err = run_cli(
-            ["sim", "--channel", files["chan_noiseless"], "--law",
-             files["law_pinned"], "--n", "20", "--seed", "0",
-             "--rbar", "1", "--rh1", "0.5", "--rh2", "0.5",
-             "--rs1", "1", "--rs2", "1"], capsys)
-        assert code == 3
-        assert err.startswith("resource limit: ")
+        for rates in (
+            ["--n", "20", "--rbar", "1", "--rh1", "0.5", "--rh2", "0.5",
+             "--rs1", "1", "--rs2", "1"],
+            # a book of 2^(8 * 10^12) entries, refused before it is sized
+            ["--n", "8", "--rh1", "1e12"],
+        ):
+            code, _, err = run_cli(
+                ["sim", "--channel", files["chan_noiseless"], "--law",
+                 files["law_pinned"], "--seed", "0", *rates], capsys)
+            assert code == 3
+            assert err.startswith("resource limit: ")
 
     def test_sweep_csv_monotone(self, files, capsys):
         code, out, err = run_cli(

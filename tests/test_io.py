@@ -1,5 +1,6 @@
 """File format round-trips, channel presets, and loader error reporting."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -59,9 +60,14 @@ class TestCondJointRoundTrip:
             tio.joint_from_dict({"axes": [["X1", 2]]}, "spot")
 
     def test_bad_mass_wrapped_with_location(self):
-        entry = {"axes": [["X1", 2]], "data": [0.7, 0.7]}
-        with pytest.raises(ValidationError, match="^spot: "):
-            tio.joint_from_dict(entry, "spot")
+        for data, pattern in (
+            ([0.7, 0.7], "^spot: "),
+            ([0.5, "x"], "^spot.data: could not convert string to float"),
+            ([[0.5], [0.25, 0.25]], "^spot.data: "),
+        ):
+            entry = {"axes": [["X1", 2]], "data": data}
+            with pytest.raises(ValidationError, match=pattern):
+                tio.joint_from_dict(entry, "spot")
 
 
 class TestChannelFiles:
@@ -93,6 +99,13 @@ class TestChannelFiles:
         payload = tio.channel_to_dict(noisy_channel())
         del payload["sizes"]["Y2"]
         with pytest.raises(ValidationError, match="channel: sizes is missing 'Y2'"):
+            tio.channel_from_dict(payload)
+        for size in ("two", None, [2]):
+            payload["sizes"]["Y2"] = size
+            with pytest.raises(ValidationError, match="^channel.sizes.Y2: "):
+                tio.channel_from_dict(payload)
+        payload["sizes"] = 5
+        with pytest.raises(ValidationError, match="^channel.sizes: expected an object"):
             tio.channel_from_dict(payload)
 
     def test_bad_transition_wrapped(self):
@@ -146,6 +159,14 @@ class TestPresets:
             channel_preset("binary-symmetric-links", crossover={"Y1": 0.6})
         with pytest.raises(ValidationError, match="crossover for Y0 must be in"):
             channel_preset("binary-symmetric-links", crossover={"Y0": -0.01})
+        with pytest.raises(ValidationError, match="^crossover: "):
+            channel_preset("binary-symmetric-links", crossover=[1, 2])
+        with pytest.raises(ValidationError, match="^crossover for Y2: "):
+            channel_preset("binary-symmetric-links", crossover={"Y2": [0.1]})
+        payload = {"format_version": 1, "kind": "channel",
+                   "preset": "binary-symmetric-links", "crossover": [1, 2]}
+        with pytest.raises(ValidationError, match="^crossover: "):
+            tio.channel_from_dict(payload)
 
     def test_unknown_crossover_keys(self):
         with pytest.raises(ValidationError, match="unknown crossover keys \\['Yh1'\\]"):
@@ -186,7 +207,7 @@ class TestLawFiles:
         payload = json.loads(tio.dumps(tio.law_to_dict(law)))
         back = tio.law_from_dict(payload)
         assert isinstance(back, T1Law)
-        for name in tio.T1_COMPONENTS:
+        for name in (f.name for f in dataclasses.fields(law)):
             assert np.array_equal(getattr(back, name).mass, getattr(law, name).mass), name
 
     def test_t2_round_trip_exact(self):
@@ -194,7 +215,7 @@ class TestLawFiles:
         back = tio.law_from_dict(tio.law_to_dict(law))
         assert isinstance(back, T2Law)
         assert back.pv1_given_x1.target[0].size == 3
-        for name in tio.T2_COMPONENTS:
+        for name in (f.name for f in dataclasses.fields(law)):
             assert np.array_equal(getattr(back, name).mass, getattr(law, name).mass), name
 
     def test_component_kinds_distinguished(self):
@@ -217,11 +238,20 @@ class TestLawFiles:
         del payload["components"]["px1"]
         with pytest.raises(ValidationError, match="law: components is missing 'px1'"):
             tio.law_from_dict(payload)
+        payload["components"]["px1"] = 3
+        with pytest.raises(ValidationError, match="^law.components.px1: expected an object"):
+            tio.law_from_dict(payload)
+        payload["components"] = 5
+        with pytest.raises(ValidationError, match="^law.components: expected an object"):
+            tio.law_from_dict(payload)
 
     def test_bad_component_carries_path(self):
         payload = tio.law_to_dict(uniform_t2_law(channel_preset("all-noise")))
         payload["components"]["pyh2_given_x2v2y2"]["data"] = [[0.0]]
         with pytest.raises(ValidationError, match="^law.components.pyh2_given_x2v2y2: "):
+            tio.law_from_dict(payload)
+        payload["components"]["pyh2_given_x2v2y2"]["data"] = [0.5, "x"]
+        with pytest.raises(ValidationError, match="^law.components.pyh2_given_x2v2y2.data: "):
             tio.law_from_dict(payload)
 
     def test_not_a_law(self):

@@ -5,6 +5,8 @@ index tuple, multiplying the factors one scalar at a time.  The production
 path goes through einsum, so agreement is meaningful.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from tworelay.prob import (
     ResourceLimitError,
     T1Law,
     ValidationError,
+    assemble_joint,
     assemble_joint_t1,
     assemble_joint_t2,
     conditional,
@@ -54,6 +57,30 @@ def brute_force_joint_t1(channel, law):
                                         * law.pyh1_given_x1y1.mass[x1, y1, yh1]
                                         * law.pyh2_given_x2y2.mass[x2, y2, yh2]
                                     )
+    return out
+
+
+def brute_force_joint_t2(channel, law):
+    """Scalar-loop product of the seven law factors and the channel factor."""
+    shape = (
+        channel.input_sizes
+        + (law.pv1_given_x1.target[0].size, law.pv2_given_x2.target[0].size)
+        + channel.output_sizes
+        + (law.pyh1_given_x1v1y1.target[0].size, law.pyh2_given_x2v2y2.target[0].size)
+    )
+    out = np.zeros(shape)
+    for idx in np.ndindex(shape):
+        x0, x1, x2, v1, v2, y0, y1, y2, yh1, yh2 = idx
+        out[idx] = (
+            law.px1.mass[x1]
+            * law.px2.mass[x2]
+            * law.pv1_given_x1.mass[x1, v1]
+            * law.pv2_given_x2.mass[x2, v2]
+            * law.px0_given_x1x2v1v2.mass[x1, x2, v1, v2, x0]
+            * channel.transition.mass[x0, x1, x2, y0, y1, y2]
+            * law.pyh1_given_x1v1y1.mass[x1, v1, y1, yh1]
+            * law.pyh2_given_x2v2y2.mass[x2, v2, y2, yh2]
+        )
     return out
 
 
@@ -125,6 +152,46 @@ def test_assemble_t2_normalizes_and_projects_onto_t1():
         * law2.pyh2_given_x2v2y2.mass[x2, v2, y2, yh2]
     )
     assert joint.mass[idx] == pytest.approx(expected, abs=1e-15)
+
+
+def test_assemble_t2_matches_scalar_loop_oracle():
+    rng = np.random.default_rng(43)
+    ch = random_channel(rng, dict(BINARY_SIZES, X0=3, Y1=3))
+    law = random_t2_law(rng, ch, v1_size=3, v2_size=2, yh1_size=2, yh2_size=1)
+    joint = assemble_joint_t2(ch, law)
+    assert joint.ids == ("X0", "X1", "X2", "V1", "V2", "Y0", "Y1", "Y2", "Yh1", "Yh2")
+    np.testing.assert_allclose(joint.mass, brute_force_joint_t2(ch, law), atol=1e-14)
+
+
+@pytest.mark.parametrize("draw", [random_t1_law, random_t2_law])
+def test_assemble_rejects_a_law_built_for_another_channel(draw):
+    rng = np.random.default_rng(29)
+    law = draw(rng, random_channel(rng, dict(BINARY_SIZES, X1=3)))
+    with pytest.raises(ValidationError, match="alphabet mismatch on X1: law has 3, channel has 2"):
+        assemble_joint(random_channel(rng, BINARY_SIZES), law)
+
+
+def test_assemble_rejects_factors_that_disagree_on_a_size():
+    rng = np.random.default_rng(31)
+    ch = random_channel(rng, BINARY_SIZES)
+    law = random_t2_law(rng, ch, v1_size=3)
+    # p(v1|x1) over two letters, the other V1 factors over three
+    mixed = dataclasses.replace(law, pv1_given_x1=random_t2_law(rng, ch).pv1_given_x1)
+    with pytest.raises(ValidationError, match="alphabet mismatch on V1: law has 3, pv1_given_x1 has 2"):
+        assemble_joint(ch, mixed)
+
+
+@pytest.mark.parametrize("draw", [random_t1_law, random_t2_law])
+def test_law_factors_checked_against_their_declaration(draw):
+    rng = np.random.default_rng(37)
+    law = draw(rng, random_channel(rng, BINARY_SIZES))
+    with pytest.raises(ValidationError, match=r"^px1: axes \(\(\) -> \('X2',\)\)"):
+        dataclasses.replace(law, px1=law.px2)
+    with pytest.raises(ValidationError, match="^px1: a CondPmf, expected a JointPmf"):
+        dataclasses.replace(law, px1=uniform_cond((), Alphabet("X1", 2)))
+    x0 = next(f.name for f in law.factors if f.target == ("X0",))
+    with pytest.raises(ValidationError, match=f"^{x0}: a JointPmf, expected a CondPmf"):
+        dataclasses.replace(law, **{x0: law.px1})
 
 
 def test_marginalize_matches_nested_loop_oracle():

@@ -398,9 +398,11 @@ class TestCoveringExperiment:
         base = mutual_info(joint, InfoQuery(("Yh1",), ("Y1",), ("X1",)))
         fracs = [
             covering_experiment(law, ch, base + d, n=1000, trials=60, seed=4, epsilon=0.2)
-            for d in (-0.1, -0.05, 0.0, 0.05, 0.1)
+            for d in (-0.1, -0.05, 0.0, 0.05, 0.1, 1e9)
         ]
         assert fracs == sorted(fracs)
+        # a book of about 2^(10^12) entries takes the analytic path
+        assert fracs[-1] == 1.0
 
     def test_literal_path_matches_analytic_probability(self):
         # small books run the literal entry-by-entry search; its success
