@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fm, io, sim
 from .optimize import SearchConfig, optimize_t1, optimize_t2
@@ -87,7 +86,7 @@ def cmd_optimize(args) -> int:
         v2_size=args.v2_size,
     )
     run = optimize_t1 if args.theorem == "t1" else optimize_t2
-    result = run(channel, cfg, jobs=args.jobs)
+    result = run(channel, cfg)
     payload = result.to_dict()
     if args.nats:
         payload = _opt_in_nats(payload)
@@ -186,16 +185,10 @@ def cmd_sim(args) -> int:
             raise ValidationError(f"only the rh1 rate can be swept, not {name!r}")
         rates = _parse_sweep_range(ranges)
 
-        def run_one(r: float) -> float:
-            return sim.covering_experiment(
-                law, channel, r, args.n, args.trials, args.seed, epsilon=args.eps
-            )
-
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                fractions = list(pool.map(run_one, rates))
-        else:
-            fractions = [run_one(r) for r in rates]
+        fractions = [
+            sim.covering_experiment(law, channel, r, args.n, args.trials, args.seed, args.eps)
+            for r in rates
+        ]
         sys.stdout.write("rh1,success_fraction\n")
         for r, frac in zip(rates, fractions):
             sys.stdout.write(f"{r:.10g},{frac:.10g}\n")
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--v1-size", type=int, default=2)
     p_opt.add_argument("--v2-size", type=int, default=2)
     p_opt.add_argument("--jobs", type=int, default=1,
-                       help="worker cap for restart batches")
+                       help="accepted for compatibility; restarts run serially")
     p_opt.add_argument("--nats", action="store_true",
                        help="report information values in nats instead of bits")
     p_opt.set_defaults(func=cmd_optimize)
@@ -285,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar=("RATE", "START:STOP:STEP"),
                        help="covering-success sweep over the rh1 book rate")
     p_sim.add_argument("--jobs", type=int, default=1,
-                       help="worker cap for sweep points")
+                       help="accepted for compatibility; sweep points run serially")
     p_sim.set_defaults(func=cmd_sim)
     return parser
 

@@ -24,7 +24,6 @@ but treated the same way when it happens.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -257,7 +256,7 @@ def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
     return refined
 
 
-def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig, jobs: int = 1) -> OptResult:
+def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig) -> OptResult:
     score = _scorer(theorem, channel)
     family = LAW_FAMILIES[theorem]
     sizes = {"V1": cfg.v1_size, "V2": cfg.v2_size, "Yh1": cfg.yh1_size, "Yh2": cfg.yh2_size}
@@ -270,17 +269,12 @@ def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig, jobs: in
         return OptResult(theorem, law, report, evals, tuple(trace), False)
 
     # random-restart: refine each seeded draw independently, merge by value
-    # with ties to the lower index, so worker count cannot change the result
-    def run_one(i: int):
-        law = random_law(family, np.random.default_rng([cfg.seed, i]), channel, sizes)
-        return _refine(law, channel, theorem, cfg)
-
-    indices = list(range(max(cfg.restarts, 1)))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, indices))
-    else:
-        outcomes = [run_one(i) for i in indices]
+    # with ties to the lower index
+    starts = (
+        random_law(family, np.random.default_rng([cfg.seed, i]), channel, sizes)
+        for i in range(max(cfg.restarts, 1))
+    )
+    outcomes = [_refine(law, channel, theorem, cfg) for law in starts]
 
     best_i = max(range(len(outcomes)), key=lambda i: (outcomes[i][2], -i))
     law, report, best, _ = outcomes[best_i]
@@ -298,10 +292,10 @@ def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig, jobs: in
 
 
 def optimize_t1(channel: NetworkChannel, cfg: SearchConfig, jobs: int = 1) -> OptResult:
-    """Best first-theorem law found for this channel under the config."""
-    return _optimize("t1", channel, cfg, jobs)
+    """Best first-theorem law found for this channel; ``jobs`` is unused, runs are serial."""
+    return _optimize("t1", channel, cfg)
 
 
 def optimize_t2(channel: NetworkChannel, cfg: SearchConfig, jobs: int = 1) -> OptResult:
-    """Best second-theorem law found for this channel under the config."""
-    return _optimize("t2", channel, cfg, jobs)
+    """Best second-theorem law found for this channel; ``jobs`` is unused, runs are serial."""
+    return _optimize("t2", channel, cfg)

@@ -11,11 +11,12 @@ Error accounting is first-failure-per-message: the seven stages are checked
 in pipeline order with ground-truth inputs (a failed stage does not corrupt
 the later blocks), so every failure is attributed to exactly one stage.
 
-Codebooks are materialized, so ``SimConfig`` enforces a hard cap on the
-total codeword count.  The covering experiment alone also has an analytic
-path for books far past the cap: conditioned on the drawn observation pair,
-the number of typical book entries is binomial, so the hit probability of
-an astronomically large book is computable without building it.
+Codebooks are materialized, so ``SimConfig`` caps their codewords and the
+symbols they and the sender's candidate pairs hold.  The covering experiment
+alone also has an analytic path for books far past the cap: conditioned on
+the drawn observation pair, the number of typical book entries is binomial,
+so the hit probability of an astronomically large book is computable
+without building it.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ from .prob import (
 from .rates import T1Rates
 
 MAX_TOTAL_CODEWORDS = 1_000_000
+# cap on codewords x n over all books, and on sender candidate pairs x n
+MAX_SYMBOLS = 1 << 24
+
+# symbols per slice in the sampler and the typicality kernel, so their
+# temporaries do not grow with a book or a candidate set
+_SLICE = 1 << 16
 
 STAGES = (
     "relay1-covering",
@@ -64,6 +71,34 @@ class TypicalityParams:
             raise ValidationError(f"epsilon must be in (0, 1), got {self.epsilon}")
 
 
+def _typical_mask(sequences, joint: JointPmf, eps: float) -> np.ndarray:
+    """Robust joint typicality of every candidate in a stack of sequences.
+
+    ``sequences`` holds one integer array per joint axis, shaped ``(..., n)``;
+    the leading axes broadcast to the candidate shape that the bool result
+    takes.  Each slice of candidates is counted with one ``bincount`` over
+    cell indices offset by the candidate's position in the slice.
+    """
+    seqs = [np.asarray(s) for s in sequences]
+    n = seqs[0].shape[-1]
+    batch = np.broadcast_shapes(*(s.shape[:-1] for s in seqs))
+    views = [np.broadcast_to(s, batch + (n,)) for s in seqs]
+    shape = tuple(a.size for a in joint.axes)
+    p = joint.mass.reshape(-1)
+    total = math.prod(batch)
+    step = max(1, _SLICE // max(n, p.size))
+    mask = np.empty(total, dtype=bool)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        at = np.unravel_index(np.arange(start, stop), batch)
+        flat = np.ravel_multi_index([v[at] for v in views], shape)
+        flat += np.arange(stop - start)[:, None] * p.size
+        counts = np.bincount(flat.reshape(-1), minlength=(stop - start) * p.size)
+        freq = counts.reshape(-1, p.size) / n
+        mask[start:stop] = np.all(np.abs(freq - p) <= eps * p, axis=1)
+    return mask.reshape(batch)
+
+
 def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> bool:
     """Robust joint typicality of aligned symbol sequences.
 
@@ -80,11 +115,7 @@ def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> boo
     n = len(seqs[0])
     if any(len(s) != n for s in seqs):
         raise ValidationError("sequences differ in length")
-    shape = tuple(a.size for a in joint.axes)
-    flat = np.ravel_multi_index(seqs, shape)
-    freq = np.bincount(flat, minlength=joint.mass.size) / n
-    p = joint.mass.reshape(-1)
-    return bool(np.all(np.abs(freq - p) <= eps * p))
+    return bool(_typical_mask([s[None] for s in seqs], joint, eps)[0])
 
 
 def quantize_rate(rate: float, n: int) -> float:
@@ -128,6 +159,12 @@ class SimConfig:
         if total > MAX_TOTAL_CODEWORDS:
             raise ResourceLimitError(
                 f"{total} codewords exceed the cap of {MAX_TOTAL_CODEWORDS}"
+            )
+        pairs = self.book_sizes()["z1"] * self.book_sizes()["z2"]
+        if max(total, pairs) * self.n > MAX_SYMBOLS:
+            raise ResourceLimitError(
+                f"{total} codewords or {pairs} sender candidate pairs of length {self.n} "
+                f"exceed the cap of {MAX_SYMBOLS} symbols"
             )
 
     def quantized_rates(self) -> T1Rates:
@@ -230,53 +267,62 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 
-def _draw_joint(rng, pmf: JointPmf, n: int) -> tuple[np.ndarray, ...]:
-    flat = pmf.mass.reshape(-1)
-    idx = rng.choice(flat.size, size=n, p=flat)
-    return tuple(np.asarray(a) for a in np.unravel_index(idx, pmf.mass.shape))
+def _sample(rng, rows: np.ndarray, cells: np.ndarray, count: int | None = None) -> np.ndarray:
+    """Inverse-CDF draw of a target index per position from the row its cell selects.
 
-
-def _draw_cond(rng, cond: CondPmf, given_seqs) -> tuple[np.ndarray, ...]:
-    """Per-position draw of the target tuple from the row its givens select.
-
-    Positions are grouped by conditioning cell and cells visited in index
-    order, so the draw sequence is a pure function of rng state and inputs.
+    ``rows`` is a (cells, targets) table of pmfs and ``cells`` the row index
+    of each of the n positions.  Returns (count, n) indices, or (n,) when no
+    count is given.  Uniforms are consumed codeword by codeword, then cell by
+    cell in index order, then by position: the order of one
+    ``rng.choice(targets, size, p=row)`` call per codeword and cell.
     """
-    n = len(given_seqs[0]) if given_seqs else None
-    if n is None:
-        raise ValidationError("need at least one conditioning sequence")
+    cdf = rows.cumsum(1)
+    cdf /= cdf[:, -1:]
+    order = np.argsort(cells, kind="stable")
+    bounds = np.searchsorted(cells[order], np.arange(len(rows) + 1))
+    n = len(cells)
+    out = np.empty((1 if count is None else count, n), dtype=np.int64)
+    step = max(1, _SLICE // n)
+    for start in range(0, len(out), step):
+        u = rng.random((min(step, len(out) - start), n))
+        drawn = np.empty(u.shape, dtype=np.int64)
+        for cell, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            drawn[:, lo:hi] = cdf[cell].searchsorted(u[:, lo:hi], side="right")
+        out[start : start + len(u), order] = drawn
+    return out[0] if count is None else out
+
+
+def _draw_joint(rng, pmf: JointPmf, n: int, count: int | None = None) -> tuple[np.ndarray, ...]:
+    idx = _sample(rng, pmf.mass.reshape(1, -1), np.zeros(n, dtype=np.int64), count)
+    return np.unravel_index(idx, pmf.mass.shape)
+
+
+def _draw_cond(rng, cond: CondPmf, given_seqs, count: int | None = None) -> tuple[np.ndarray, ...]:
+    """Per-position draw of the target tuple from the row its givens select,
+    for one codeword or, given ``count``, a (count, n) stack of them."""
     g_shape = tuple(a.size for a in cond.given)
     t_shape = tuple(a.size for a in cond.target)
     rows = cond.mass.reshape(int(np.prod(g_shape)), int(np.prod(t_shape)))
     cells = np.ravel_multi_index([np.asarray(s) for s in given_seqs], g_shape)
-    out = np.empty(n, dtype=np.int64)
-    for cell in range(rows.shape[0]):
-        mask = cells == cell
-        count = int(mask.sum())
-        if count:
-            out[mask] = rng.choice(rows.shape[1], size=count, p=rows[cell])
-    return tuple(np.asarray(a) for a in np.unravel_index(out, t_shape))
+    return np.unravel_index(_sample(rng, rows, cells, count), t_shape)
 
 
 def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMaps]:
     """Draw every codebook and both bin maps from one seeded stream."""
     sizes = cfg.book_sizes()
-    if cfg.total_codewords() > MAX_TOTAL_CODEWORDS:
-        raise ResourceLimitError("codebook cap exceeded")
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
     joint = assemble_joint(channel, law)
 
-    x1 = np.stack([_draw_joint(rng, law.px1, n)[0] for _ in range(sizes["s1"])])
-    x2 = np.stack([_draw_joint(rng, law.px2, n)[0] for _ in range(sizes["s2"])])
+    (x1,) = _draw_joint(rng, law.px1, n, sizes["s1"])
+    (x2,) = _draw_joint(rng, law.px2, n, sizes["s2"])
 
     x0 = np.empty((sizes["w"], sizes["s1"], sizes["s2"], n), dtype=np.int64)
     for s1 in range(sizes["s1"]):
         for s2 in range(sizes["s2"]):
-            for w in range(sizes["w"]):
-                (x0[w, s1, s2],) = _draw_cond(
-                    rng, law.px0_given_x1x2, (x1[s1], x2[s2])
-                )
+            (x0[:, s1, s2],) = _draw_cond(
+                rng, law.px0_given_x1x2, (x1[s1], x2[s2]), sizes["w"]
+            )
 
     # quantization books follow the compression variable's law given the
     # relay input, i.e. the exact conditional of the assembled joint
@@ -284,12 +330,10 @@ def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebook
     p_yh2 = conditional(joint, ("Yh2",), ("X2",))
     yh1 = np.empty((sizes["z1"], sizes["s1"], n), dtype=np.int64)
     for s1 in range(sizes["s1"]):
-        for z1 in range(sizes["z1"]):
-            (yh1[z1, s1],) = _draw_cond(rng, p_yh1, (x1[s1],))
+        (yh1[:, s1],) = _draw_cond(rng, p_yh1, (x1[s1],), sizes["z1"])
     yh2 = np.empty((sizes["z2"], sizes["s2"], n), dtype=np.int64)
     for s2 in range(sizes["s2"]):
-        for z2 in range(sizes["z2"]):
-            (yh2[z2, s2],) = _draw_cond(rng, p_yh2, (x2[s2],))
+        (yh2[:, s2],) = _draw_cond(rng, p_yh2, (x2[s2],), sizes["z2"])
 
     bins = BinMaps(
         bin1=rng.integers(0, sizes["s1"], size=sizes["z1"]),
@@ -303,28 +347,19 @@ def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebook
 # ---------------------------------------------------------------------------
 
 
-def _first_typical(candidates, eps) -> int | None:
-    for index, seqs, joint in candidates:
-        if typical(seqs, joint, eps):
-            return index
-    return None
+def _first(mask: np.ndarray) -> int | None:
+    return int(mask.argmax()) if mask.any() else None
 
 
-def _unique_typical(candidates, eps):
-    """The only typical index, or None when there are zero or several."""
-    found = None
-    for index, seqs, joint in candidates:
-        if typical(seqs, joint, eps):
-            if found is not None:
-                return None
-            found = index
-    return found
+def _only(mask: np.ndarray, index) -> bool:
+    """True when ``index`` is the one typical candidate; ties are errors."""
+    return bool(mask[index]) and np.count_nonzero(mask) == 1
 
 
 def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     books, bins = build(channel, law, cfg)
     joint = assemble_joint(channel, law)
-    eps = cfg.typicality
+    eps = cfg.typicality.epsilon
 
     m_cover1 = marginalize(joint, ("X1", "Y1", "Yh1"))
     m_cover2 = marginalize(joint, ("X2", "Y2", "Yh2"))
@@ -349,23 +384,9 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
             x0_seq = books.x0[w, s1_cur, s2_cur]
             x1_seq = books.x1[s1_cur]
             x2_seq = books.x2[s2_cur]
-            y0, y1, y2 = _draw_cond(
-                rng, channel.transition, (x0_seq, x1_seq, x2_seq)
-            )
-            z1 = _first_typical(
-                (
-                    (z, (x1_seq, y1, books.yh1[z, s1_cur]), m_cover1)
-                    for z in range(sizes["z1"])
-                ),
-                eps,
-            )
-            z2 = _first_typical(
-                (
-                    (z, (x2_seq, y2, books.yh2[z, s2_cur]), m_cover2)
-                    for z in range(sizes["z2"])
-                ),
-                eps,
-            )
+            y0, y1, y2 = _draw_cond(rng, channel.transition, (x0_seq, x1_seq, x2_seq))
+            z1 = _first(_typical_mask((x1_seq, y1, books.yh1[:, s1_cur]), m_cover1, eps))
+            z2 = _first(_typical_mask((x2_seq, y2, books.yh2[:, s2_cur]), m_cover2, eps))
             blocks.append(
                 dict(w=w, s1=s1_cur, s2=s2_cur, z1=z1, z2=z2,
                      y0=y0, y1=y1, y2=y2, x1=x1_seq, x2=x2_seq)
@@ -384,87 +405,36 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
                 counts["relay2-covering"] += 1
                 continue
 
-            pair = _unique_typical(
-                (
-                    (
-                        (za, zb),
-                        (
-                            cur["x1"],
-                            cur["x2"],
-                            cur["y1"],
-                            cur["y2"],
-                            books.yh1[za, cur["s1"]],
-                            books.yh2[zb, cur["s2"]],
-                        ),
-                        m_sender,
-                    )
-                    for za in range(sizes["z1"])
-                    for zb in range(sizes["z2"])
-                ),
-                eps,
+            # every (z1, z2) pair: a (z1, 1, n) stack against a (z2, n) one
+            pairs = _typical_mask(
+                (cur["x1"], cur["x2"], cur["y1"], cur["y2"],
+                 books.yh1[:, cur["s1"], None], books.yh2[:, cur["s2"]]),
+                m_sender, eps,
             )
-            if pair != (cur["z1"], cur["z2"]):
+            if not _only(pairs, (cur["z1"], cur["z2"])):
                 counts["sender-joint-covering"] += 1
                 continue
 
-            cells = _unique_typical(
-                (
-                    (
-                        (sa, sb),
-                        (books.x1[sa], books.x2[sb], nxt["y0"]),
-                        m_pair,
-                    )
-                    for sa in range(sizes["s1"])
-                    for sb in range(sizes["s2"])
-                ),
-                eps,
-            )
-            if cells != (nxt["s1"], nxt["s2"]):
+            cells = _typical_mask((books.x1[:, None], books.x2, nxt["y0"]), m_pair, eps)
+            if not _only(cells, (nxt["s1"], nxt["s2"])):
                 counts["receiver-(s1,s2)"] += 1
                 continue
 
-            hits1 = [
-                z
-                for z in range(sizes["z1"])
-                if bins.bin1[z] == nxt["s1"]
-                and typical(
-                    (cur["x1"], cur["y0"], books.yh1[z, cur["s1"]]), m_list1, eps
-                )
-            ]
-            if hits1 != [cur["z1"]]:
+            hits1 = _typical_mask((cur["x1"], cur["y0"], books.yh1[:, cur["s1"]]), m_list1, eps)
+            if not _only(hits1 & (bins.bin1 == nxt["s1"]), cur["z1"]):
                 counts["receiver-bin-intersection-1"] += 1
                 continue
-            hits2 = [
-                z
-                for z in range(sizes["z2"])
-                if bins.bin2[z] == nxt["s2"]
-                and typical(
-                    (cur["x2"], cur["y0"], books.yh2[z, cur["s2"]]), m_list2, eps
-                )
-            ]
-            if hits2 != [cur["z2"]]:
+            hits2 = _typical_mask((cur["x2"], cur["y0"], books.yh2[:, cur["s2"]]), m_list2, eps)
+            if not _only(hits2 & (bins.bin2 == nxt["s2"]), cur["z2"]):
                 counts["receiver-bin-intersection-2"] += 1
                 continue
 
-            w_hat = _unique_typical(
-                (
-                    (
-                        w,
-                        (
-                            books.x0[w, cur["s1"], cur["s2"]],
-                            cur["x1"],
-                            cur["x2"],
-                            cur["y0"],
-                            books.yh1[cur["z1"], cur["s1"]],
-                            books.yh2[cur["z2"], cur["s2"]],
-                        ),
-                        m_msg,
-                    )
-                    for w in range(sizes["w"])
-                ),
-                eps,
+            messages = _typical_mask(
+                (books.x0[:, cur["s1"], cur["s2"]], cur["x1"], cur["x2"], cur["y0"],
+                 books.yh1[cur["z1"], cur["s1"]], books.yh2[cur["z2"], cur["s2"]]),
+                m_msg, eps,
             )
-            if w_hat != cur["w"]:
+            if not _only(messages, cur["w"]):
                 counts["receiver-message"] += 1
 
     return SimStats(
@@ -579,13 +549,14 @@ def covering_experiment(
         rng = np.random.default_rng([seed, trial])
         x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
         if literal:
-            hit = False
-            for _ in range(1 << exponent):
-                (yh_seq,) = _draw_cond(rng, p_book, (x1_seq,))
-                if typical((x1_seq, y1_seq, yh_seq), p_triple, eps):
-                    hit = True
+            # the book is drawn in entry order, a slice at a time, and the
+            # search stops at the first slice holding a typical entry
+            size, step = 1 << exponent, max(1, _SLICE // n)
+            for start in range(0, size, step):
+                (book,) = _draw_cond(rng, p_book, (x1_seq,), min(step, size - start))
+                if _typical_mask((x1_seq, y1_seq, book), p_triple, eps).any():
+                    successes += 1
                     break
-            successes += hit
         else:
             log_q = _log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, eps)
             # success probability 1 - (1 - q)^M with q often far below float

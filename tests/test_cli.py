@@ -313,6 +313,11 @@ class TestSim:
              "--rs1", "1", "--rs2", "1"],
             # a book of 2^(8 * 10^12) entries, refused before it is sized
             ["--n", "8", "--rh1", "1e12"],
+            # a 2^19-codeword x0 book: within the codeword cap, but 2^19 x
+            # 1000 symbols, about 4 GB as int64
+            ["--n", "1000", "--rbar", "0.019"],
+            # 2^12 x 2^12 = 16.7M sender candidate pairs per block
+            ["--n", "8", "--rh1", "1.5", "--rh2", "1.5"],
         ):
             code, _, err = run_cli(
                 ["sim", "--channel", files["chan_noiseless"], "--law",

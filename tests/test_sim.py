@@ -1,12 +1,16 @@
 """Codebook construction, typicality, the block-Markov run, and covering."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tworelay.info import InfoQuery, mutual_info
 from tworelay.io import channel_preset
@@ -23,6 +27,8 @@ from tworelay.prob import (
     deterministic_cond,
     marginalize,
     point_mass,
+    random_channel,
+    random_t1_law,
     uniform_pmf,
     uniform_t1_law,
 )
@@ -108,6 +114,65 @@ def zero_rates():
     return T1Rates(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def reference_draw_cond(rng, cond, given_seqs):
+    """One codeword drawn with one ``rng.choice`` call per conditioning cell,
+    cells in index order: the draw order the batched sampler must keep."""
+    g_shape = tuple(a.size for a in cond.given)
+    t_shape = tuple(a.size for a in cond.target)
+    rows = cond.mass.reshape(int(np.prod(g_shape)), int(np.prod(t_shape)))
+    cells = np.ravel_multi_index([np.asarray(s) for s in given_seqs], g_shape)
+    out = np.empty(len(cells), dtype=np.int64)
+    for cell in range(rows.shape[0]):
+        mask = cells == cell
+        count = int(mask.sum())
+        if count:
+            out[mask] = rng.choice(rows.shape[1], size=count, p=rows[cell])
+    return np.unravel_index(out, t_shape)
+
+
+def reference_build(channel, law, cfg):
+    """Codeword-by-codeword build: x1, x2, x0 per (s1, s2, w), yh1 per
+    (s1, z1), yh2 per (s2, z2), then the two bin maps."""
+    sizes = cfg.book_sizes()
+    rng = np.random.default_rng([cfg.seed, 0])
+    n = cfg.n
+    joint = assemble_joint_t1(channel, law)
+    draw_joint = lambda pmf: rng.choice(pmf.mass.size, size=n, p=pmf.mass.reshape(-1))
+    x1 = np.stack([draw_joint(law.px1) for _ in range(sizes["s1"])])
+    x2 = np.stack([draw_joint(law.px2) for _ in range(sizes["s2"])])
+    x0 = np.empty((sizes["w"], sizes["s1"], sizes["s2"], n), dtype=np.int64)
+    for s1 in range(sizes["s1"]):
+        for s2 in range(sizes["s2"]):
+            for w in range(sizes["w"]):
+                (x0[w, s1, s2],) = reference_draw_cond(
+                    rng, law.px0_given_x1x2, (x1[s1], x2[s2])
+                )
+    p_yh1 = conditional(joint, ("Yh1",), ("X1",))
+    p_yh2 = conditional(joint, ("Yh2",), ("X2",))
+    yh1 = np.empty((sizes["z1"], sizes["s1"], n), dtype=np.int64)
+    for s1 in range(sizes["s1"]):
+        for z1 in range(sizes["z1"]):
+            (yh1[z1, s1],) = reference_draw_cond(rng, p_yh1, (x1[s1],))
+    yh2 = np.empty((sizes["z2"], sizes["s2"], n), dtype=np.int64)
+    for s2 in range(sizes["s2"]):
+        for z2 in range(sizes["z2"]):
+            (yh2[z2, s2],) = reference_draw_cond(rng, p_yh2, (x2[s2],))
+    bin1 = rng.integers(0, sizes["s1"], size=sizes["z1"])
+    bin2 = rng.integers(0, sizes["s2"], size=sizes["z2"])
+    return dict(x1=x1, x2=x2, x0=x0, yh1=yh1, yh2=yh2, bin1=bin1, bin2=bin2)
+
+
+def without_first_letter(pmf):
+    """``pmf`` with target letter 0 made impossible wherever it has others."""
+    mass = np.array(pmf.mass, dtype=float)
+    if mass.shape[-1] > 1:
+        mass[..., 0] = 0.0
+        mass /= mass.sum(axis=-1, keepdims=True)
+    if isinstance(pmf, CondPmf):
+        return CondPmf(pmf.given, pmf.target, mass)
+    return JointPmf(pmf.axes, mass)
+
+
 class TestTypicalityParams:
     def test_accepts_interior(self):
         assert TypicalityParams(0.5).epsilon == 0.5
@@ -169,6 +234,55 @@ class TestTypical:
         j = uniform_pmf((Alphabet("X1", 2), Alphabet("Y1", 2)))
         with pytest.raises(ValidationError):
             typical((np.zeros(4, dtype=int), np.zeros(5, dtype=int)), j, 0.1)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batched_mask_matches_scalar_test(self, data):
+        # a stack of exact-type sequences (typical at any epsilon), the same
+        # with one symbol moved (a count off by one: at w*m = 4 and eps 0.25,
+        # or 2 and 0.5, the deviation sits exactly on the boundary, and a move
+        # into a zero-mass cell must fail), and uniform noise
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        axes = tuple(Alphabet(v, k) for v, k in zip(("X0", "X1", "Y0"), sizes))
+        cells = int(np.prod(sizes))
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)), dtype=float
+        )
+        weights[data.draw(st.integers(0, cells - 1))] += 1
+        joint = JointPmf(axes, (weights / weights.sum()).reshape(sizes))
+        base = np.repeat(np.arange(cells), weights.astype(int) * data.draw(st.integers(1, 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # the stack always ends with a typical candidate, in its last slice
+        kinds = data.draw(
+            st.lists(st.sampled_from(["exact", "moved", "noise"]), max_size=6)
+        ) + ["exact"]
+        stack = []
+        for kind in kinds:
+            seq = rng.permutation(base)
+            if kind == "moved":
+                seq[rng.integers(len(seq))] = rng.integers(cells)
+            elif kind == "noise":
+                seq = rng.integers(cells, size=len(seq))
+            stack.append(seq)
+        seqs = np.unravel_index(np.array(stack), sizes)
+        eps = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75]))
+
+        scalar = [typical(tuple(s[i] for s in seqs), joint, eps) for i in range(len(stack))]
+        mask = sim._typical_mask(seqs, joint, eps)
+        assert mask.dtype == bool and mask.tolist() == scalar
+        assert all(hit for hit, kind in zip(scalar, kinds) if kind == "exact")
+        for slice_size in (1, 2 * max(len(base), cells)):
+            with mock.patch.object(sim, "_SLICE", slice_size):
+                assert sim._typical_mask(seqs, joint, eps).tolist() == scalar
+        if len(sizes) > 1:
+            # a candidate grid: the first axis from one stack entry, the rest
+            # from another, as in the sender's pair search
+            grid = sim._typical_mask((seqs[0][:, None], *seqs[1:]), joint, eps)
+            assert grid.shape == (len(stack), len(stack))
+            for i in range(len(stack)):
+                for j in range(len(stack)):
+                    pair = (seqs[0][i], *(s[j] for s in seqs[1:]))
+                    assert grid[i, j] == typical(pair, joint, eps)
 
 
 class TestQuantization:
@@ -271,6 +385,36 @@ class TestBuild:
         assert books.x0.shape == (1, 1, 1, 8)
         assert bins.bin1.tolist() == [0]
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_books_match_codeword_by_codeword_draws(self, seed):
+        rng = np.random.default_rng([77, seed])
+        sizes = {v: int(rng.integers(1, 4)) for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")}
+        ch = random_channel(rng, sizes)
+        law = random_t1_law(rng, ch, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if seed % 2:
+            law = dataclasses.replace(
+                law,
+                px1=without_first_letter(law.px1),
+                px0_given_x1x2=without_first_letter(law.px0_given_x1x2),
+                pyh1_given_x1y1=without_first_letter(law.pyh1_given_x1y1),
+            )
+        n = int(rng.integers(1, 13))
+        rates = T1Rates(*(int(rng.integers(0, 4)) / n for _ in range(5)))
+        cfg = SimConfig(
+            n=n, blocks=2, rates=rates, typicality=TypicalityParams(0.2),
+            trials=1, seed=seed,
+        )
+        want = reference_build(ch, law, cfg)
+        for slice_size in (sim._SLICE, 1, 2 * n):
+            with mock.patch.object(sim, "_SLICE", slice_size):
+                books, bins = build(ch, law, cfg)
+            got = dict(vars(books), bin1=bins.bin1, bin2=bins.bin2)
+            for name, array in want.items():
+                assert got[name].dtype == array.dtype, name
+                assert np.array_equal(got[name], array), name
+        if seed % 2 and sizes["X1"] > 1:
+            assert not np.any(books.x1 == 0)
+
     def test_pinned_law_gives_constant_codewords(self):
         ch = broadcast_channel()
         law = pinned_law()
@@ -360,10 +504,23 @@ class TestRunCf:
     def test_ties_count_as_errors(self):
         j = uniform_pmf(Alphabet("X0", 2))
         seq = np.array([0, 1] * 8)
-        cands = [(k, (seq,), j) for k in range(2)]
+        mask = sim._typical_mask((np.stack([seq, seq]),), j, 0.1)
         # two candidates pass the test, so no unique winner exists
-        assert sim._unique_typical(cands, 0.1) is None
-        assert sim._first_typical(cands, 0.1) == 0
+        assert not sim._only(mask, 0) and not sim._only(mask, 1)
+        assert sim._first(mask) == 0
+
+    def test_slicing_leaves_runs_unchanged(self):
+        ch = channel_preset("binary-symmetric-links", crossover={"Y0": 0.05, "Y1": 0.05, "Y2": 0.05})
+        law = uniform_t1_law(ch)
+        r = 1 / 12
+        cfg = SimConfig(
+            n=12, blocks=3, rates=T1Rates(r, 2 * r, 2 * r, r, r),
+            typicality=TypicalityParams(0.35), trials=6, seed=3,
+        )
+        whole = run_cf(ch, law, cfg).to_dict()
+        for slice_size in (1, 30):
+            with mock.patch.object(sim, "_SLICE", slice_size):
+                assert run_cf(ch, law, cfg).to_dict() == whole
 
 
 class TestCoveringExperiment:
