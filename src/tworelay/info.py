@@ -54,11 +54,11 @@ def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> fl
     """Shannon entropy in bits, clamped to exactly 0 within ``ZERO_CLAMP``.
 
     ``pmf`` is a joint pmf and the result a float.  With ``offsets``, ``pmf``
-    is instead a flat array that concatenates several pmfs, each starting at
-    its offset, and the result is the array of their entropies from one
-    vectorized pass; :func:`tworelay.rates.term_values` computes every subset
-    entropy of a query table this way.  Cells that are not positive are left
-    out either way.
+    is instead an array whose last axis concatenates several pmfs, each
+    starting at its offset, and the result holds their entropies along that
+    axis from one vectorized pass; :mod:`tworelay.rates` computes every subset
+    entropy of a query table this way, for one joint or a stack of
+    candidates.  Cells that are not positive are left out either way.
     """
     if offsets is None:
         p = pmf.mass.reshape(-1)
@@ -66,7 +66,7 @@ def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> fl
         h = float(-(nz * np.log2(nz)).sum())
         return 0.0 if abs(h) <= ZERO_CLAMP else h
     p = np.where(pmf > 0.0, pmf, 1.0)  # 1 * log2(1) = 0
-    h = -np.add.reduceat(p * np.log2(p), offsets)
+    h = -np.add.reduceat(p * np.log2(p), offsets, axis=-1)
     h[np.abs(h) <= ZERO_CLAMP] = 0.0
     return h
 

@@ -10,10 +10,23 @@ grid
     keeping the best.  Sweeps repeat until a full pass gains less than the
     configured tolerance.  Exhausting the full product grid across all
     slices is hopeless (it is exponential in the slice count), but the
-    per-slice enumeration is exact and the sweep is deterministic.
+    per-slice enumeration is exact and the sweep is deterministic.  A grid
+    with more than ``MAX_GRID_VECTORS`` compositions in some slice is
+    refused before any evaluation.
 random-restart
     seeded random laws, each polished by local_refine, merged by best value
     with ties broken toward the lower restart index.
+
+Scoring.  The joint is linear in each factor row, so while one slice moves,
+every marginal the rate terms need is a mix of the marginals at the slice's
+k simplex vertices.  Each slice assembles those k joints once; a grid then
+scores all its compositions as one matrix product and one entropy pass, and
+each golden-section probe of the line search costs one entropy pass, with no
+law built.  Only a slice's best candidate becomes a law, evaluated in full
+by ``eval_theorem1``/``eval_theorem2``; it replaces the incumbent only when
+that full evaluation beats it, so the reported objective, report and trace
+are full evaluations.  ``evaluations`` counts scored candidates, and ties go
+to the first candidate in scan order.
 
 Infeasible laws score minus infinity under the first theorem, whose
 constraints gate achievability outright.  The second theorem's evaluator
@@ -23,6 +36,8 @@ but treated the same way when it happens.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -34,15 +49,23 @@ from .prob import (
     LAW_FAMILIES,
     InvariantError,
     NetworkChannel,
+    ResourceLimitError,
     T1Law,
     T2Law,
     ValidationError,
+    assemble_joint,
     random_law,
     uniform_law,
 )
-from .rates import RateReport, eval_theorem1, eval_theorem2
+from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2, term_plan
 
 MODES = ("grid", "random-restart")
+
+# grid candidates of one slice, comb(resolution + k - 1, k - 1); the largest
+# grid in use (resolution 32 over two letters) has 33
+MAX_GRID_VECTORS = 10**6
+# marginal cells per scoring batch: bounds the (batch, cells) temporaries
+_BATCH_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,14 +166,71 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-_GRID_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def _grid_vectors(k: int, resolution: int) -> np.ndarray:
-    key = (k, resolution)
-    if key not in _GRID_CACHE:
-        _GRID_CACHE[key] = np.array(list(_compositions(resolution, k)), dtype=float) / resolution
-    return _GRID_CACHE[key]
+    """Every composition of ``resolution`` into ``k`` parts, scaled to the
+    simplex, in ``_compositions`` order, which decides ties.  Read-only: one
+    array serves every search that asks."""
+    parts = itertools.chain.from_iterable(_compositions(resolution, k))
+    grid = np.fromiter(parts, dtype=float, count=math.comb(resolution + k - 1, k - 1) * k)
+    grid /= resolution
+    grid = grid.reshape(-1, k)
+    grid.setflags(write=False)
+    return grid
+
+
+def _check_grid(law, resolution: int) -> None:
+    """Refuse a grid whose per-slice enumeration would not fit in memory."""
+    for name, cell, k in _slice_index(law):
+        count = math.comb(resolution + k - 1, k - 1)
+        if count > MAX_GRID_VECTORS:
+            raise ResourceLimitError(
+                f"grid slice {name}{list(cell)} with k={k} letters has {count} candidates "
+                f"at resolution {resolution}, above the cap of {MAX_GRID_VECTORS}"
+            )
+
+
+def _slice_marginals(channel: NetworkChannel, law, queries, name: str, cell, k: int):
+    """The term plan of ``queries`` on the law's joint, and the marginal
+    stacks of the joints at the k vertices of one slice's simplex.
+
+    The joint is linear in each factor row, so with the slice at ``w`` (a
+    point of the simplex) every subset marginal is ``w @ V`` for the
+    returned ``(k, cells)`` stack V: along the segment from a point ``base``
+    to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  The vertex
+    joints are assembled one at a time, so no more than one is held.
+    """
+    stack = []
+    for vertex in np.eye(k):
+        joint = assemble_joint(channel, _set_slice(law, name, cell, vertex))
+        plan = term_plan(queries, joint)
+        stack.append(plan.marginals(joint.mass))
+    return plan, np.stack(stack)
+
+
+def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k: int):
+    """Score candidate vectors of one slice without building their laws.
+
+    The returned function maps one vector (to a float) or a ``(B, k)`` batch
+    (to an array) to the objective, minus infinity where infeasible: one
+    entropy pass over ``w @ V`` (see :func:`_slice_marginals`) and one
+    :class:`tworelay.rates.Outcome` per batch of ``_BATCH_CELLS`` cells.
+    """
+    queries, outcome = THEOREMS[theorem]
+    plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
+    rows = max(1, _BATCH_CELLS // vertices.shape[1])
+
+    def value(w: np.ndarray):
+        terms = plan.terms(w @ vertices)
+        result = outcome(dict(zip(plan.names, terms.tolist() if w.ndim == 1 else terms.T)))
+        return np.where(result.feasible, result.objective, -math.inf)
+
+    def values(w: np.ndarray):
+        if w.ndim == 1:
+            return float(value(w))
+        return np.concatenate([value(w[i:i + rows]) for i in range(0, len(w), rows)])
+
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +249,9 @@ def _scorer(theorem: str, channel: NetworkChannel) -> Callable:
     return score
 
 
-def _grid_search(channel, law, score, cfg: SearchConfig):
+def _grid_search(channel, law, theorem: str, cfg: SearchConfig):
+    _check_grid(law, cfg.resolution)
+    score = _scorer(theorem, channel)
     best, report = score(law)
     evals = 1
     trace = [] if best == -math.inf else [best]
@@ -178,17 +260,16 @@ def _grid_search(channel, law, score, cfg: SearchConfig):
         for name, cell, k in _slice_index(law):
             if k == 1:
                 continue
-            slice_best, slice_vec, slice_report = best, None, None
-            for vec in _grid_vectors(k, cfg.resolution):
-                cand = _set_slice(law, name, cell, vec)
+            grid = _grid_vectors(k, cfg.resolution)
+            values = _slice_scorer(channel, law, theorem, name, cell, k)(grid)
+            evals += len(grid)
+            i = int(np.argmax(values))  # the first maximum, as a sequential scan keeps
+            if values[i] > best:
+                cand = _set_slice(law, name, cell, grid[i])
                 value, rep = score(cand)
-                evals += 1
-                if value > slice_best:
-                    slice_best, slice_vec, slice_report = value, vec, rep
-            if slice_vec is not None:
-                law = _set_slice(law, name, cell, slice_vec)
-                best, report = slice_best, slice_report
-                trace.append(best)
+                if value > best:
+                    law, best, report = cand, value, rep
+                    trace.append(best)
         if best == -math.inf or best - sweep_start <= cfg.tolerance:
             break
     return law, report, best, evals, trace
@@ -200,7 +281,8 @@ def _refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
     Each slice is pulled along the segments from its current point toward
     each vertex of its simplex; a golden-section scan picks the best mixing
     weight.  The scan assumes nothing about shape: every evaluated candidate
-    competes, so a non-unimodal section simply refines less.
+    competes, so a non-unimodal section simply refines less.  Probes are
+    scored slice-linearly; the best one is built and re-evaluated in full.
     """
     score = _scorer(theorem, channel)
     best, report = score(law)
@@ -211,18 +293,18 @@ def _refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
         for name, cell, k in _slice_index(law):
             if k == 1:
                 continue
+            slice_value = _slice_scorer(channel, law, theorem, name, cell, k)
             base = _get_slice(law, name, cell)
             for vertex in range(k):
                 target = np.zeros(k)
                 target[vertex] = 1.0
-                pts = []  # (value, candidate law, report)
+                pts = []  # (value, mixing weight)
 
                 def probe(t: float):
                     nonlocal evals
-                    cand = _set_slice(law, name, cell, (1.0 - t) * base + t * target)
-                    value, rep = score(cand)
+                    value = slice_value((1.0 - t) * base + t * target)
                     evals += 1
-                    pts.append((value, cand, rep))
+                    pts.append((value, t))
                     return value
 
                 for t in (0.0, 0.5, 1.0):
@@ -241,10 +323,13 @@ def _refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
                         lo, a, va = a, b, vb
                         b = lo + phi * (hi - lo)
                         vb = probe(b)
-                value, cand, rep = max(pts, key=lambda p: p[0])
+                value, t = max(pts, key=lambda p: p[0])
                 if value > best:
-                    law, best, report = cand, value, rep
-                    base = _get_slice(law, name, cell)
+                    cand = _set_slice(law, name, cell, (1.0 - t) * base + t * target)
+                    value, rep = score(cand)
+                    if value > best:
+                        law, best, report = cand, value, rep
+                        base = _get_slice(law, name, cell)
         if best == -math.inf or best - sweep_start <= cfg.tolerance:
             break
     return law, report, best, evals
@@ -257,13 +342,12 @@ def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
 
 
 def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig) -> OptResult:
-    score = _scorer(theorem, channel)
     family = LAW_FAMILIES[theorem]
     sizes = {"V1": cfg.v1_size, "V2": cfg.v2_size, "Yh1": cfg.yh1_size, "Yh2": cfg.yh2_size}
 
     if cfg.mode == "grid":
         start = uniform_law(family, channel, sizes)
-        law, report, best, evals, trace = _grid_search(channel, start, score, cfg)
+        law, report, best, evals, trace = _grid_search(channel, start, theorem, cfg)
         if best == -math.inf:
             return OptResult(theorem, law, report, evals, (), True)
         return OptResult(theorem, law, report, evals, tuple(trace), False)

@@ -27,7 +27,8 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -96,18 +97,48 @@ class _TermPlan:
 
     Every query is written as I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G) over
     the distinct nonempty variable subsets.  ``steps[k] = (parent, axes)``
-    gets the marginal of subset k by summing ``axes`` out of the marginal of
-    subset ``parent`` (the joint itself when ``parent`` is -1), the smallest
-    superset computed before it, so no array larger than the joint is built.
-    ``offsets`` delimit each marginal in their flat concatenation and
-    ``signs`` maps the subset entropies to the queries.
+    gets the marginal of subset k by summing ``axes`` (counted from the end)
+    out of the marginal of subset ``parent`` (the joint itself when
+    ``parent`` is -1), the smallest superset computed before it, so no array
+    larger than the joint is built.  ``offsets`` delimit each marginal in
+    their flat concatenation and ``signs`` maps the subset entropies to the
+    queries.
+
+    Evaluation is step 1 of every rate evaluation: :meth:`marginals` turns a
+    joint into its marginal stack and :meth:`terms` turns a marginal stack
+    into the query values.  Both work along the trailing axes, so a stack of
+    joints or of marginal vectors is evaluated in one pass.
     """
 
     names: tuple[str, ...]
     queries: tuple[InfoQuery, ...]
+    shape: tuple[int, ...]
     steps: tuple[tuple[int, tuple[int, ...]], ...]
     offsets: np.ndarray
     signs: np.ndarray
+
+    def marginals(self, mass: np.ndarray) -> np.ndarray:
+        """The concatenated subset marginals of a joint of this plan's shape,
+        or of joints stacked along leading axes: shape ``(..., cells)``."""
+        lead = mass.shape[: mass.ndim - len(self.shape)]
+        out: list[np.ndarray] = []
+        for parent, axes in self.steps:
+            source = mass if parent < 0 else out[parent]
+            out.append(np.add.reduce(source, axis=axes) if axes else source)
+        return np.concatenate([m.reshape(lead + (-1,)) for m in out], axis=-1)
+
+    def terms(self, marginals: np.ndarray) -> np.ndarray:
+        """Every query's value, in ``names`` order along the last axis, from a
+        marginal stack; clamped and checked like :func:`term_values`."""
+        values = entropy(marginals, self.offsets) @ self.signs.T
+        low = values < -ZERO_CLAMP
+        if low.any():
+            at = tuple(np.argwhere(low)[0])
+            raise ValidationError(
+                f"mutual information {values[at]} below -{ZERO_CLAMP} for {self.queries[at[-1]]}"
+            )
+        values[np.abs(values) <= ZERO_CLAMP] = 0.0
+        return values
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,7 +169,7 @@ def _compile_terms(
         supersets = [j for j in range(k) if set(s) <= set(subsets[j])]
         parent = min(supersets, key=cells.__getitem__, default=-1)
         source = ids if parent < 0 else subsets[parent]
-        steps.append((parent, tuple(i for i, v in enumerate(source) if v not in s)))
+        steps.append((parent, tuple(i - len(source) for i, v in enumerate(source) if v not in s)))
     column = {s: k for k, s in enumerate(subsets)}
     signs = np.zeros((len(items), len(subsets)))
     for r, row in enumerate(rows):
@@ -149,8 +180,18 @@ def _compile_terms(
     offsets.setflags(write=False)
     signs.setflags(write=False)
     return _TermPlan(
-        tuple(name for name, _ in items), tuple(q for _, q in items), tuple(steps), offsets, signs
+        tuple(name for name, _ in items),
+        tuple(q for _, q in items),
+        shape,
+        tuple(steps),
+        offsets,
+        signs,
     )
+
+
+def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
+    """The compiled plan of a query table for joints shaped like ``joint``."""
+    return _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
 
 
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
@@ -164,21 +205,8 @@ def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, flo
     bad cells in ``marginalize``, while here cells that are not positive are
     left out of the entropies.
     """
-    plan = _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
-    marginals: list[np.ndarray] = []
-    for parent, axes in plan.steps:
-        source = joint.mass if parent < 0 else marginals[parent]
-        marginals.append(np.add.reduce(source, axis=axes) if axes else source)
-    h = entropy(np.concatenate([m.ravel() for m in marginals]), plan.offsets)
-    values = plan.signs @ h
-    low = np.flatnonzero(values < -ZERO_CLAMP)
-    if low.size:
-        k = low[0]
-        raise ValidationError(
-            f"mutual information {values[k]} below -{ZERO_CLAMP} for {plan.queries[k]}"
-        )
-    values[np.abs(values) <= ZERO_CLAMP] = 0.0
-    return dict(zip(plan.names, values.tolist()))
+    plan = term_plan(queries, joint)
+    return dict(zip(plan.names, plan.terms(plan.marginals(joint.mass)).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +291,21 @@ def law_hash(law: T1Law | T2Law) -> str:
     return _hash_arrays([getattr(law, f.name).mass for f in law.factors])
 
 
-def _strict(label: str, lhs: float, rhs: float) -> ConstraintCheck:
-    return ConstraintCheck(label, lhs, rhs, satisfied=(rhs - lhs) > STRICT_MARGIN)
+def _satisfied(sense: str, lhs, rhs):
+    """Whether ``lhs sense rhs`` holds under the feasibility policy, for
+    floats or elementwise for arrays: "<" and ">" need a slack above
+    ``STRICT_MARGIN``, "<=" (the supremum closure) tolerates that much."""
+    if sense == "<":
+        return rhs - lhs > STRICT_MARGIN
+    if sense == ">":
+        return lhs - rhs > STRICT_MARGIN
+    if sense == "<=":
+        return lhs <= rhs + STRICT_MARGIN
+    raise ValidationError(f"unknown sense {sense!r}")
 
 
-def _closure(label: str, lhs: float, rhs: float) -> ConstraintCheck:
-    return ConstraintCheck(label, lhs, rhs, satisfied=lhs <= rhs + STRICT_MARGIN, sense="<=")
+def _check(label: str, sense: str, lhs, rhs) -> ConstraintCheck:
+    return ConstraintCheck(label, float(lhs), float(rhs), bool(_satisfied(sense, lhs, rhs)), sense)
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +313,36 @@ def _closure(label: str, lhs: float, rhs: float) -> ConstraintCheck:
 # ---------------------------------------------------------------------------
 
 
-def eval_theorem1(channel: NetworkChannel, law: T1Law) -> RateReport:
-    """Compress-and-forward rate and its existence conditions for one law."""
-    joint = assemble_joint(channel, law)
-    t = term_values(joint, T1_QUERIES)
-    checks = (
-        _strict("(2)", t["cover1"] + t["side1"], t["dec1"] + t["res1"]),
-        _strict("(3)", t["cover2"] + t["side2"], t["dec2"] + t["res2"]),
-        _strict(
-            "(4a)",
-            t["cover1"] + t["cover2"] + t["side1"] + t["side2"],
-            t["dec12"] + t["res1"] + t["res2"],
+class Outcome(NamedTuple):
+    """Step 2 of a theorem evaluation: what its terms imply.
+
+    ``rows`` holds (label, sense, lhs, rhs) per constraint.  The step is
+    written with numpy operators only, so each value is a float when the
+    terms are floats and a ``(B,)`` array when they are arrays of B
+    candidates; :mod:`tworelay.optimize` scores whole slices that way.
+    """
+
+    objective: Any
+    rows: tuple[tuple[str, str, Any, Any], ...]
+    flags: tuple[str, ...] = ()
+
+    @property
+    def feasible(self):
+        """Every row satisfied: a bool, or a ``(B,)`` boolean array."""
+        return np.logical_and.reduce([_satisfied(s, lhs, rhs) for _, s, lhs, rhs in self.rows])
+
+
+def theorem1_outcome(t: dict) -> Outcome:
+    """Compress-and-forward objective and existence conditions from its terms."""
+    covers = t["cover1"] + t["cover2"] + t["side1"] + t["side2"]
+    return Outcome(
+        t["obj_main"] + t["obj_corr"],
+        (
+            ("(2)", "<", t["cover1"] + t["side1"], t["dec1"] + t["res1"]),
+            ("(3)", "<", t["cover2"] + t["side2"], t["dec2"] + t["res2"]),
+            ("(4a)", "<", covers, t["dec12"] + t["res1"] + t["res2"]),
+            ("(4b)", "<", covers, t["dec1"] + t["dec2"] + t["res1"] + t["res2"]),
         ),
-        _strict(
-            "(4b)",
-            t["cover1"] + t["cover2"] + t["side1"] + t["side2"],
-            t["dec1"] + t["dec2"] + t["res1"] + t["res2"],
-        ),
-    )
-    return RateReport(
-        objective_bits=t["obj_main"] + t["obj_corr"],
-        constraints=checks,
-        feasible=all(c.satisfied for c in checks),
-        flags=(),
-        law_hash=law_hash(law),
-        channel_hash=channel_hash(channel),
     )
 
 
@@ -313,24 +355,80 @@ class DfSolution:
     clamped: tuple[str, ...]
 
 
-def solve_df_rates(b1: float, b2: float, bsum: float) -> DfSolution:
+def solve_df_rates(b1, b2, bsum) -> DfSolution:
     """Maximize R21 + R22 subject to the box and sum upper bounds.
 
     Negative bounds are clamped to 0 and flagged; a degenerate scheme where a
     forwarding codebook carries no message stays valid.  When the sum bound
     binds, the slack is split proportionally to the individual bounds, which
-    keeps the solution unique and continuous in the inputs.
+    keeps the solution unique and continuous in the inputs.  The bounds may
+    be floats or arrays of candidates; ``clamped`` then names the bounds that
+    are negative for some candidate.
     """
-    clamped = tuple(
-        name for name, b in (("r21", b1), ("r22", b2), ("sum", bsum)) if b < 0.0
-    )
-    c1, c2, cs = max(b1, 0.0), max(b2, 0.0), max(bsum, 0.0)
-    if c1 + c2 <= cs:
-        return DfSolution(c1, c2, clamped)
-    if c1 + c2 == 0.0:
-        return DfSolution(0.0, 0.0, clamped)
-    scale = cs / (c1 + c2)
+    bounds = np.array([b1, b2, bsum])
+    negative = (bounds < 0.0).reshape(3, -1).any(axis=1)
+    clamped = tuple(name for name, neg in zip(("r21", "r22", "sum"), negative) if neg)
+    c1, c2, cs = np.maximum(bounds, 0.0)
+    # the sum binds only when c1 + c2 > cs >= 0, so its divisor is positive
+    fits = c1 + c2 <= cs
+    scale = np.where(fits, 1.0, cs / np.where(fits, 1.0, c1 + c2))
     return DfSolution(c1 * scale, c2 * scale, clamped)
+
+
+def theorem2_outcome(t: dict, df_rates: tuple[float, float] | None = None) -> Outcome:
+    """Hybrid objective and rate bounds from its terms; see :func:`eval_theorem2`."""
+    relay1 = t["df_direct1"] + t["dec1"] + t["res1"]
+    relay2 = t["df_direct2"] + t["dec2"] + t["res2"]
+    sum12 = t["df_direct1"] + t["df_direct2"] + t["dec12"] + t["res1"] + t["res2"]
+    sum1_2 = t["df_direct1"] + t["df_direct2"] + t["dec1"] + t["dec2"] + t["res1"] + t["res2"]
+    if df_rates is None:
+        sol = solve_df_rates(
+            np.minimum(t["df_relay1"], relay1 - t["sender1"]),
+            np.minimum(t["df_relay2"], relay2 - t["sender2"]),
+            np.minimum(sum12 - t["sender1"] - t["sender2"], sum1_2 - t["sender1"] - t["sender2"]),
+        )
+        r21, r22 = sol.r21, sol.r22
+        flags = tuple(f"df-bound-clamped:{name}" for name in sol.clamped)
+    else:
+        r21, r22 = df_rates
+        if r21 < 0.0 or r22 < 0.0:
+            raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
+        flags = ("df-rates-forced",)
+    senders = r21 + r22 + t["sender1"] + t["sender2"]
+    return Outcome(
+        t["obj_main"] + t["obj_corr"] + r21 + r22,
+        (
+            ("(6a)", "<=", r21, t["df_relay1"]),
+            ("(6b)", "<=", r21 + t["sender1"], relay1),
+            ("(7a)", "<=", r22, t["df_relay2"]),
+            ("(7b)", "<=", r22 + t["sender2"], relay2),
+            ("(8a)", "<=", senders, sum12),
+            ("(8b)", "<=", senders, sum1_2),
+        ),
+        flags,
+    )
+
+
+# the query table and step 2 of each theorem
+THEOREMS = {"t1": (T1_QUERIES, theorem1_outcome), "t2": (T2_QUERIES, theorem2_outcome)}
+
+
+def _report(channel: NetworkChannel, law: T1Law | T2Law, outcome: Outcome) -> RateReport:
+    checks = tuple(_check(*row) for row in outcome.rows)
+    return RateReport(
+        objective_bits=float(outcome.objective),
+        constraints=checks,
+        feasible=all(c.satisfied for c in checks),
+        flags=outcome.flags,
+        law_hash=law_hash(law),
+        channel_hash=channel_hash(channel),
+    )
+
+
+def eval_theorem1(channel: NetworkChannel, law: T1Law) -> RateReport:
+    """Compress-and-forward rate and its existence conditions for one law."""
+    t = term_values(assemble_joint(channel, law), T1_QUERIES)
+    return _report(channel, law, theorem1_outcome(t))
 
 
 def eval_theorem2(
@@ -344,49 +442,8 @@ def eval_theorem2(
     inner maximization; forcing (0, 0) reduces the scheme to pure
     compress-and-forward on the embedded family.
     """
-    joint = assemble_joint(channel, law)
-    t = term_values(joint, T2_QUERIES)
-    b1 = min(t["df_relay1"], t["df_direct1"] + t["dec1"] + t["res1"] - t["sender1"])
-    b2 = min(t["df_relay2"], t["df_direct2"] + t["dec2"] + t["res2"] - t["sender2"])
-    bsum = min(
-        t["df_direct1"] + t["df_direct2"] + t["dec12"] + t["res1"] + t["res2"]
-        - t["sender1"] - t["sender2"],
-        t["df_direct1"] + t["df_direct2"] + t["dec1"] + t["dec2"] + t["res1"] + t["res2"]
-        - t["sender1"] - t["sender2"],
-    )
-    if df_rates is None:
-        sol = solve_df_rates(b1, b2, bsum)
-        r21, r22 = sol.r21, sol.r22
-        flags = tuple(f"df-bound-clamped:{name}" for name in sol.clamped)
-    else:
-        r21, r22 = df_rates
-        if r21 < 0.0 or r22 < 0.0:
-            raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
-        flags = ("df-rates-forced",)
-    checks = (
-        _closure("(6a)", r21, t["df_relay1"]),
-        _closure("(6b)", r21 + t["sender1"], t["df_direct1"] + t["dec1"] + t["res1"]),
-        _closure("(7a)", r22, t["df_relay2"]),
-        _closure("(7b)", r22 + t["sender2"], t["df_direct2"] + t["dec2"] + t["res2"]),
-        _closure(
-            "(8a)",
-            r21 + r22 + t["sender1"] + t["sender2"],
-            t["df_direct1"] + t["df_direct2"] + t["dec12"] + t["res1"] + t["res2"],
-        ),
-        _closure(
-            "(8b)",
-            r21 + r22 + t["sender1"] + t["sender2"],
-            t["df_direct1"] + t["df_direct2"] + t["dec1"] + t["dec2"] + t["res1"] + t["res2"],
-        ),
-    )
-    return RateReport(
-        objective_bits=t["obj_main"] + t["obj_corr"] + r21 + r22,
-        constraints=checks,
-        feasible=all(c.satisfied for c in checks),
-        flags=flags,
-        law_hash=law_hash(law),
-        channel_hash=channel_hash(channel),
-    )
+    t = term_values(assemble_joint(channel, law), T2_QUERIES)
+    return _report(channel, law, theorem2_outcome(t, df_rates))
 
 
 # ---------------------------------------------------------------------------
@@ -394,62 +451,50 @@ def eval_theorem2(
 # ---------------------------------------------------------------------------
 
 
-def _point(label: str, sense: str, lhs: float, rhs: float) -> ConstraintCheck:
-    if sense == "<":
-        ok = (rhs - lhs) > STRICT_MARGIN
-    elif sense == ">":
-        ok = (lhs - rhs) > STRICT_MARGIN
-    else:
-        raise ValidationError(f"unknown sense {sense!r}")
-    return ConstraintCheck(label, lhs, rhs, ok, sense)
-
-
 def eval_proof_system_t1(
     channel: NetworkChannel, law: T1Law, rates: T1Rates
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage compress-and-forward system."""
-    joint = assemble_joint(channel, law)
-    t = term_values(joint, T1_QUERIES)
-    return (
-        _point("(9)", ">", rates.rh1, t["cover1"]),
-        _point("(10)", ">", rates.rh2, t["cover2"]),
-        _point("(11)", ">", rates.rh1, t["sender1"]),
-        _point("(12)", ">", rates.rh2, t["sender2"]),
-        _point("(13)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
-        _point("(14)", "<", rates.rs1, t["dec1"]),
-        _point("(15)", "<", rates.rs2, t["dec2"]),
-        _point("(16)", "<", rates.rs1 + rates.rs2, t["dec12"]),
-        _point("(17)", "<", rates.rh1, t["res1"] + rates.rs1),
-        _point("(18)", "<", rates.rh2, t["res2"] + rates.rs2),
-        _point("(19)", "<", rates.rbar, t["obj_main"] + t["obj_corr"]),
+    t = term_values(assemble_joint(channel, law), T1_QUERIES)
+    rows = (
+        ("(9)", ">", rates.rh1, t["cover1"]),
+        ("(10)", ">", rates.rh2, t["cover2"]),
+        ("(11)", ">", rates.rh1, t["sender1"]),
+        ("(12)", ">", rates.rh2, t["sender2"]),
+        ("(13)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
+        ("(14)", "<", rates.rs1, t["dec1"]),
+        ("(15)", "<", rates.rs2, t["dec2"]),
+        ("(16)", "<", rates.rs1 + rates.rs2, t["dec12"]),
+        ("(17)", "<", rates.rh1, t["res1"] + rates.rs1),
+        ("(18)", "<", rates.rh2, t["res2"] + rates.rs2),
+        ("(19)", "<", rates.rbar, t["obj_main"] + t["obj_corr"]),
     )
+    return tuple(_check(*row) for row in rows)
 
 
 def eval_proof_system_t2(
     channel: NetworkChannel, law: T2Law, rates: T2Rates
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage hybrid system."""
-    joint = assemble_joint(channel, law)
-    t = term_values(joint, T2_QUERIES)
-    return (
-        _point("(20)", "<", rates.r21, t["df_relay1"]),
-        _point("(21)", ">", rates.rh1, t["cover1"]),
-        _point("(22)", "<", rates.r22, t["df_relay2"]),
-        _point("(23)", ">", rates.rh2, t["cover2"]),
-        _point("(24)", "<", rates.r011 + rates.r012, t["dec1"]),
-        _point("(25)", "<", rates.r021 + rates.r022, t["dec2"]),
-        _point(
-            "(26)", "<", rates.r011 + rates.r012 + rates.r021 + rates.r022, t["dec12"]
-        ),
-        _point("(27)", "<", rates.r21, t["df_direct1"] + rates.r011),
-        _point("(28)", "<", rates.r22, t["df_direct2"] + rates.r021),
-        _point("(29)", "<", rates.rh1, t["res1"] + rates.r012),
-        _point("(30)", "<", rates.rh2, t["res2"] + rates.r022),
-        _point("(31)", "<", rates.r1, t["obj_main"] + t["obj_corr"]),
-        _point("(32)", ">", rates.rh1, t["sender1"]),
-        _point("(33)", ">", rates.rh2, t["sender2"]),
-        _point("(34)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
+    t = term_values(assemble_joint(channel, law), T2_QUERIES)
+    rows = (
+        ("(20)", "<", rates.r21, t["df_relay1"]),
+        ("(21)", ">", rates.rh1, t["cover1"]),
+        ("(22)", "<", rates.r22, t["df_relay2"]),
+        ("(23)", ">", rates.rh2, t["cover2"]),
+        ("(24)", "<", rates.r011 + rates.r012, t["dec1"]),
+        ("(25)", "<", rates.r021 + rates.r022, t["dec2"]),
+        ("(26)", "<", rates.r011 + rates.r012 + rates.r021 + rates.r022, t["dec12"]),
+        ("(27)", "<", rates.r21, t["df_direct1"] + rates.r011),
+        ("(28)", "<", rates.r22, t["df_direct2"] + rates.r021),
+        ("(29)", "<", rates.rh1, t["res1"] + rates.r012),
+        ("(30)", "<", rates.rh2, t["res2"] + rates.r022),
+        ("(31)", "<", rates.r1, t["obj_main"] + t["obj_corr"]),
+        ("(32)", ">", rates.rh1, t["sender1"]),
+        ("(33)", ">", rates.rh2, t["sender2"]),
+        ("(34)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
     )
+    return tuple(_check(*row) for row in rows)
 
 
 # ---------------------------------------------------------------------------

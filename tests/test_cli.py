@@ -206,6 +206,17 @@ class TestOptimize:
         assert "best_objective_bits" not in payload
         assert payload["report"]["units"] == "nats"
 
+    def test_oversized_grid_exits_3(self, files, capsys):
+        # about 8e22 compositions of 100000 over the six Yh1 letters, refused
+        # before any law is scored
+        code, out, err = run_cli(
+            ["optimize", "--channel", files["chan"], "--theorem", "t1", "--mode", "grid",
+             "--resolution", "100000", "--yh1-size", "6"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit: grid slice pyh1_given_x1y1[0, 0] with k=6")
+        assert "resolution 100000" in err
+
     def test_jobs_do_not_change_output(self, files, capsys):
         base = ["optimize", "--channel", files["chan"], "--theorem", "t1",
                 "--mode", "random-restart", "--restarts", "3",

@@ -11,11 +11,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tworelay import fm
 from tworelay.info import InfoQuery, binary_entropy
 from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 from tworelay.prob import (
+    CANONICAL_ORDER,
     Alphabet,
     CondPmf,
     JointPmf,
@@ -556,6 +559,33 @@ class TestTextFormat:
         text = fm.format_system(s)
         assert "-22/7*I(Yh1;Y1|X1)" in text
         assert fm.format_system(fm.parse_system(text)) == text
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_systems_round_trip(self, data):
+        coeff = st.fractions(-9, 9, max_denominator=12).filter(bool)
+        names = st.from_regex(r"R[A-Z0-9]{0,3}", fullmatch=True)
+        rows, used = [], []
+        for _ in range(data.draw(st.integers(0, 6))):
+            ids = data.draw(st.permutations(CANONICAL_ORDER))
+            cut = sorted(data.draw(st.lists(st.integers(1, 9), min_size=2, max_size=2)))
+            n_left, n_right = cut[0], max(cut[1] - cut[0], 1)
+            given = ids[n_left + n_right:n_left + n_right + data.draw(st.integers(0, 3))]
+            sym = fm.InfoSymbol.of(
+                InfoQuery(ids[:n_left], ids[n_left:n_left + n_right], given)
+            )
+            rate_vars = data.draw(st.dictionaries(names, coeff, max_size=3))
+            sym_coeffs = data.draw(st.dictionaries(st.just(sym), coeff, max_size=1))
+            provenance = data.draw(st.text("abcRH0123()<>=+-;|, ", max_size=12)).strip()
+            rows.append(fm.Inequality(expr(rate_vars, sym_coeffs), data.draw(st.booleans()),
+                                      provenance))
+            used += [v for v in rate_vars if v not in used]
+        variables = tuple(data.draw(st.permutations(used)))
+        s = system(rows, variables)
+        text = fm.format_system(s)
+        parsed = fm.parse_system(text)
+        assert parsed == system([r.normalized(variables) for r in rows], variables)
+        assert fm.format_system(parsed) == text
 
     @pytest.mark.parametrize(
         "bad",

@@ -11,11 +11,12 @@ import math
 import numpy as np
 import pytest
 
-from tworelay import io
+from tworelay import io, optimize
 from tworelay.info import binary_entropy
 from tworelay.optimize import (
     OptResult,
     SearchConfig,
+    _grid_vectors,
     local_refine,
     optimize_t1,
     optimize_t2,
@@ -26,10 +27,12 @@ from tworelay.prob import (
     InvariantError,
     JointPmf,
     NetworkChannel,
+    T1Law,
     T2Law,
     ValidationError,
     random_t2_law,
     uniform_cond,
+    uniform_law,
 )
 from tworelay.rates import embed_t1_in_t2, eval_theorem1, eval_theorem2
 
@@ -114,6 +117,68 @@ class TestOptResult:
         assert report.objective_bits == pytest.approx(
             payload["best_objective_bits"], abs=1e-12
         )
+
+
+class TestGridCandidates:
+    def test_enumeration_order_is_pinned(self):
+        # scan order decides ties: the first maximum wins
+        grid = _grid_vectors(3, 2)
+        assert grid.tolist() == [
+            [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0],
+            [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0],
+        ]
+
+    def test_shared_array_is_read_only(self):
+        grid = _grid_vectors(2, 4)
+        assert _grid_vectors(2, 4) is grid
+        with pytest.raises(ValueError):
+            grid[0, 0] = 1.0
+
+    @pytest.mark.parametrize(
+        "run, crossover, resolution, evaluations",
+        [
+            (optimize_t1, {"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}, 16, 715),
+            (optimize_t2, {"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}, 8, 343),
+            (optimize_t1, None, 32, 991),
+        ],
+    )
+    def test_benchmark_grids_score_the_same_candidates(
+        self, run, crossover, resolution, evaluations
+    ):
+        chan = (
+            io.channel_preset("identity-direct")
+            if crossover is None
+            else io.channel_preset("binary-symmetric-links", crossover=crossover)
+        )
+        res = run(chan, SearchConfig(mode="grid", resolution=resolution))
+        assert res.evaluations == evaluations
+        evaluate = eval_theorem1 if run is optimize_t1 else eval_theorem2
+        assert evaluate(chan, res.best_law).objective_bits == res.best_objective_bits
+        assert res.trace[-1] == res.best_objective_bits
+
+    def test_ties_go_to_the_first_maximum(self, monkeypatch):
+        # two candidates of every slice tie for the top score; the search
+        # must take the first of them in enumeration order
+        chan = io.channel_preset("identity-direct")
+        law = uniform_law(T1Law, chan, {"Yh1": 2, "Yh2": 2})
+        law = optimize._set_slice(law, "px0_given_x1x2", (0, 0), [1.0, 0.0])
+        tied = np.array([-math.inf, 5.0, -math.inf, 5.0, -math.inf])  # [1/4, 3/4] and [3/4, 1/4]
+        monkeypatch.setattr(optimize, "_slice_scorer", lambda *args: lambda grid: tied)
+        found, *_ = optimize._grid_search(chan, law, "t1", SearchConfig(resolution=4, max_iter=1))
+        assert found.px1.mass.tolist() == [0.25, 0.75]
+        assert found.px0_given_x1x2.mass[0, 0].tolist() == [0.25, 0.75]
+
+    @pytest.mark.parametrize("run", [optimize_t1, optimize_t2])
+    def test_batch_size_does_not_change_the_result(self, run, monkeypatch):
+        # a grid is scored in batches of at most _BATCH_CELLS marginal cells;
+        # one candidate per batch must give the same search
+        chan = io.channel_preset(
+            "binary-symmetric-links", crossover={"Y0": 0.2, "Y1": 0.1, "Y2": 0.1}
+        )
+        cfg = SearchConfig(mode="grid", resolution=6)
+        whole = run(chan, cfg).to_dict()
+        monkeypatch.setattr(optimize, "_BATCH_CELLS", 1)
+        assert run(chan, cfg).to_dict() == whole
 
 
 class TestGridMode:
@@ -252,6 +317,10 @@ class TestRandomRestart:
         )
         assert len(res.trace) <= 4
         assert all(b >= a for a, b in zip(res.trace, res.trace[1:]))
+        # candidates are scored slice-linearly, but every incumbent is a
+        # full evaluation of its law
+        assert res.trace[-1] == res.best_objective_bits
+        assert eval_theorem1(self.channel(), res.best_law).objective_bits == res.trace[-1]
 
     def test_zero_restarts_still_reports_a_law(self):
         res = optimize_t1(

@@ -1,12 +1,15 @@
 """The compiled term evaluator against the per-query reference.
 
 ``rates.term_values`` evaluates a whole query table from one plan of subset
-entropies; ``info.mutual_info`` evaluates one query through validated
-marginals and stays the reference.  Random laws of both families, with
-alphabet sizes 1-3 and point-mass factors, exercise zero cells and clamps.
+entropies, and the law search evaluates it slice-linearly from the marginals
+at a slice's simplex vertices; ``info.mutual_info`` evaluates one query
+through validated marginals of the materialized joint and stays the
+reference.  Random laws of both families, with alphabet sizes 1-3 and
+point-mass factors, exercise zero cells and clamps.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -14,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tworelay.info import InfoQuery, mutual_info
+from tworelay.optimize import _get_slice, _grid_vectors, _set_slice, _slice_index, _slice_marginals
 from tworelay.prob import (
     Alphabet,
     CondPmf,
     JointPmf,
     NetworkChannel,
     ValidationError,
-    assemble_joint_t1,
-    assemble_joint_t2,
+    assemble_joint,
     point_mass,
     random_channel,
     random_t1_law,
@@ -48,8 +51,8 @@ def _one_hot(factor):
 
 
 @st.composite
-def joints(draw, family):
-    """Assembled joints of one family: alphabet sizes 1-3, some factors point masses."""
+def pairs(draw, family):
+    """A channel and a law of one family: alphabet sizes 1-3, some factors point masses."""
     size = lambda: draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     channel = random_channel(rng, {v: size() for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")})
@@ -61,8 +64,13 @@ def joints(draw, family):
         law = random_t2_law(rng, channel, size(), size(), size(), size())
     factors = [getattr(law, f.name) for f in dataclasses.fields(law)]
     law = type(law)(*(_one_hot(f) if draw(st.booleans()) else f for f in factors))
-    assemble = assemble_joint_t1 if family == "t1" else assemble_joint_t2
-    return assemble(channel, law)
+    return channel, law
+
+
+@st.composite
+def joints(draw, family):
+    """Assembled joints of one family, drawn as in :func:`pairs`."""
+    return assemble_joint(*draw(pairs(family)))
 
 
 class TestCompiledTerms:
@@ -116,3 +124,33 @@ class TestCompiledTerms:
         joint = uniform_pmf((Alphabet("X0", 2), Alphabet("Y0", 2)))
         with pytest.raises(ValidationError, match="absent from joint"):
             term_values(joint, {"q": InfoQuery(("X0",), ("Y1",))})
+
+
+# mixing weights of the line search: its first three probes, its first
+# golden-section pair, and an arbitrary interior point
+PHI = (math.sqrt(5.0) - 1.0) / 2.0
+SEGMENT_WEIGHTS = (0.0, 0.5, 1.0, 1.0 - PHI, PHI)
+
+
+class TestSliceLinearTerms:
+    @pytest.mark.parametrize("family, queries", [("t1", T1_QUERIES), ("t2", T2_QUERIES)])
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_every_candidate_matches_materialized_law(self, family, queries, data):
+        channel, law = data.draw(pairs(family))
+        name, cell, k = data.draw(st.sampled_from(_slice_index(law)))
+        plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
+        assert list(plan.names) == list(queries)
+        base = _get_slice(law, name, cell)
+        weights = SEGMENT_WEIGHTS + (data.draw(st.floats(0.0, 1.0)),)
+        segments = [(1.0 - t) * base + t * vertex for vertex in np.eye(k) for t in weights]
+        grid = _grid_vectors(k, data.draw(st.integers(2, 4)))
+        candidates = np.vstack([grid, *segments])
+        batch = plan.terms(candidates @ vertices)  # the grid's batched path
+        for w, row in zip(candidates, batch):
+            single = plan.terms(w @ vertices)  # the line search's one-probe path
+            joint = assemble_joint(channel, _set_slice(law, name, cell, w))
+            for q, got, one in zip(plan.queries, row, single):
+                want = mutual_info(joint, q)
+                assert abs(got - want) <= TERM_TOL, (q, w)
+                assert abs(one - want) <= TERM_TOL, (q, w)
