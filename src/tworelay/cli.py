@@ -128,7 +128,8 @@ def cmd_fm(args) -> int:
     else:
         eliminate = _FM_DEFAULT_ELIMINATE.get(args.which, ())
     reduced = fm.eliminate_all(system, eliminate)
-    sys.stdout.write(fm.format_system(reduced))
+    # written only once the check has run, so a refused check prints nothing
+    text = fm.format_system(reduced)
     note = f"{len(system.inequalities)} rows -> {len(reduced.inequalities)}"
 
     if args.check_against is not None:
@@ -140,9 +141,11 @@ def cmd_fm(args) -> int:
             )
         target = _target_from(args.check_against)
         bindings = fm.sample_bindings(tags[0], args.bindings, args.seed)
-        verdict = fm.numeric_equiv(reduced, target, bindings).verdict
-        sys.stdout.write(f"# verdict: {verdict}\n")
-        note += f"; {verdict} over {args.bindings} bindings"
+        report = fm.numeric_equiv(reduced, target, bindings)
+        text += f"# verdict: {report.verdict}\n"
+        note += (f"; {report.verdict} over {args.bindings} bindings, "
+                 f"{report.informative} informative")
+    sys.stdout.write(text)
     print(note, file=sys.stderr)
     return 0
 

@@ -17,18 +17,30 @@ bindings is the whole point of this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .info import InfoQuery
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
-from .prob import LAW_FAMILIES, ValidationError, assemble_joint, random_channel, random_law
+from .prob import (
+    LAW_FAMILIES,
+    ResourceLimitError,
+    ValidationError,
+    assemble_joint,
+    random_channel,
+    random_law,
+)
 from .rates import T1_QUERIES, T2_QUERIES, term_values
 
 EQUIV_TOL = 1e-6
+# sampled bindings held at once; each t2 binding takes about 4.7 KB, so the
+# cap bounds a sample near 0.5 GB
+MAX_BINDINGS = 100_000
 
 T1_VARIABLES = ("RB", "RH1", "RH2", "RS1", "RS2")
 T2_VARIABLES = (
@@ -146,6 +158,26 @@ class RateSystem:
             for sym, _ in ineq.expr.syms:
                 seen.setdefault(sym.name, sym)
         return tuple(seen[name] for name in sorted(seen))
+
+    @cached_property
+    def _lp_rows(self) -> tuple[tuple[str, ...], tuple]:
+        """The rows in integer form for binding, compiled once per system.
+
+        Returns the symbol names in first-use order and, per row, its rate
+        coefficients, an integer ``scale`` (the lcm of its symbol-coefficient
+        denominators) and ``(symbol index, scale * coefficient)`` pairs, all
+        integers.  Binding a row is then one integer dot product.
+        """
+        names: dict[str, int] = {}
+        rows = []
+        for ineq in self.inequalities:
+            scale = math.lcm(*(c.denominator for _, c in ineq.expr.syms))
+            terms = tuple(
+                (names.setdefault(sym.name, len(names)), int(c * scale))
+                for sym, c in ineq.expr.syms
+            )
+            rows.append((ineq.expr.var_map(), scale, terms))
+        return tuple(names), tuple(rows)
 
 
 def _row(
@@ -418,6 +450,10 @@ def sample_bindings(
     """
     if which not in LAW_FAMILIES:
         raise ValidationError(f"unknown binding family {which!r}")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} < 0")
+    if count > MAX_BINDINGS:
+        raise ResourceLimitError(f"{count} bindings exceed the cap of {MAX_BINDINGS}")
     sizes = dict(sizes or dict(X0=2, X1=2, X2=2, Y0=2, Y1=2, Y2=2))
     out = []
     for i in range(count):
@@ -434,17 +470,23 @@ def max_rate(
     """Exact max of one rate variable over the closure of the system.
 
     Strict rows are relaxed to non-strict; the closure has the same supremum.
+    The binding is put over one common denominator ``den``, so each row's
+    right-hand side is ``-total / (scale * den)`` for an integer ``total``.
     """
     if objective not in system.variables:
         raise ValidationError(f"objective variable {objective!r} not in system")
-    rows = []
-    for ineq in system.inequalities:
-        const = Fraction(0)
-        for sym, c in ineq.expr.syms:
-            if sym.name not in binding:
-                raise ValidationError(f"binding is missing symbol {sym.name}")
-            const += c * binding[sym.name]
-        rows.append((ineq.expr.var_map(), -const))
+    names, compiled = system._lp_rows
+    values = []
+    for name in names:
+        if name not in binding:
+            raise ValidationError(f"binding is missing symbol {name}")
+        values.append(Fraction(binding[name]))
+    den = math.lcm(*(v.denominator for v in values))
+    nums = [v.numerator * (den // v.denominator) for v in values]
+    rows = [
+        (var_map, Fraction(-sum(c * nums[k] for k, c in terms), scale * den))
+        for var_map, scale, terms in compiled
+    ]
     return maximize({objective: 1}, rows, system.variables)
 
 
@@ -500,6 +542,12 @@ class EquivReport:
     @property
     def verdict(self) -> str:
         return "equivalent" if self.equivalent else "not-equivalent"
+
+    @property
+    def informative(self) -> int:
+        """Comparisons with an optimum on both sides; the others agree only
+        in being infeasible (or unbounded) together."""
+        return sum(c.status_a == c.status_b == OPTIMAL for c in self.comparisons)
 
 
 def numeric_equiv(

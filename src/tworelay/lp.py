@@ -8,6 +8,16 @@ pivoting cycle-free.
 Problems are stated as: maximize c.x subject to A.x <= b, x >= 0.  Strict
 inequalities from the rate systems are relaxed to non-strict before reaching
 this module; the open/closed distinction never moves a supremum.
+
+A presolve pass settles variable-free rows ``0 <= b`` before any tableau is
+built (Andersen and Andersen, "Presolving in linear programming", 1995).  A
+row with ``b < 0`` is its own infeasibility certificate, so the problem is
+reported infeasible without a phase 1.  A row with ``b >= 0`` is dropped:
+its slack column is nonzero only in its own row, so it never enters the
+basis and never wins a ratio test, and dropping it keeps the relative order
+of every other column.  Bland's rule then makes the same pivots, and the
+status, value and point are exactly those of the full tableau.  Every row is
+still checked for unknown variable names before an early return.
 """
 
 from __future__ import annotations
@@ -84,14 +94,27 @@ def maximize(
     variables = list(variables)
     index = {name: j for j, name in enumerate(variables)}
     n = len(variables)
-    m = len(constraints)
+
+    # presolve: a row with all-zero coefficients reads 0 <= b
+    kept = []
+    infeasible = False
+    for coeffs, b in constraints:
+        for name in coeffs:
+            if name not in index:
+                raise KeyError(name)
+        if any(coeffs.values()):
+            kept.append((coeffs, b))
+        elif b < 0:
+            infeasible = True
+    if infeasible:
+        return LpResult(INFEASIBLE)
 
     # equality form: A.x + s = b with b >= 0 after row sign fixes;
     # rows flipped to reach b >= 0 get a -1 slack and an artificial
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     needs_artificial: list[bool] = []
-    for coeffs, b in constraints:
+    for coeffs, b in kept:
         line = [Fraction(0)] * n
         for name, c in coeffs.items():
             line[index[name]] += Fraction(c)
@@ -105,6 +128,7 @@ def maximize(
         rows.append(line)
         rhs.append(b)
 
+    m = len(rows)
     n_art = sum(needs_artificial)
     n_cols = n + m + n_art  # structural + slack + artificial
     tableau: list[list[Fraction]] = []

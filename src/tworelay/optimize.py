@@ -91,6 +91,8 @@ class SearchConfig:
             raise ValidationError(f"restarts {self.restarts} < 0")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter {self.max_iter} < 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} < 0")
         if not self.tolerance > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         for name in ("yh1_size", "yh2_size", "v1_size", "v2_size"):

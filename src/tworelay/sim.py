@@ -149,6 +149,8 @@ class SimConfig:
             raise ValidationError(f"need at least 2 blocks, got {self.blocks}")
         if self.trials < 1:
             raise ValidationError(f"trials {self.trials} < 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} < 0")
         for name in ("rbar", "rh1", "rh2", "rs1", "rs2"):
             rate = getattr(self.rates, name)
             if not math.isfinite(rate):
@@ -522,6 +524,8 @@ def covering_experiment(
         raise ValidationError(f"block length {n} < 1")
     if trials < 1:
         raise ValidationError(f"trials {trials} < 1")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} < 0")
     if not math.isfinite(rh1):
         raise ValidationError(f"rate {rh1} is not a finite number")
     if rh1 < 0:

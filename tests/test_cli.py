@@ -225,6 +225,16 @@ class TestOptimize:
         _, parallel, _ = run_cli(base + ["--jobs", "3"], capsys)
         assert serial == parallel
 
+    def test_negative_seed_exits_2(self, files, capsys):
+        # numpy refuses a negative seed with a ValueError deep in the search
+        code, out, err = run_cli(
+            ["optimize", "--channel", files["chan"], "--theorem", "t1",
+             "--mode", "random-restart", "--restarts", "1", "--max-iter", "1",
+             "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed -1 < 0\n"
+
 
 class TestFm:
     def test_builtin_reduction_round_trips(self, capsys):
@@ -246,6 +256,33 @@ class TestFm:
         fm.parse_system(out)
         assert "equivalent over 10 bindings" in err
 
+    def test_check_note_counts_informative_bindings(self, capsys):
+        code, out, err = run_cli(
+            ["fm", "t2", "--check-against", "t2", "--bindings", "12", "--seed", "3"], capsys)
+        assert code == 0
+        reduced = fm.eliminate_all(
+            fm.builtin_system("t2"), ("RH1", "RH2", "R011", "R012", "R021", "R022"))
+        report = fm.numeric_equiv(
+            reduced, fm.target_system("t2"), fm.sample_bindings("t2", 12, seed=3))
+        assert out.endswith(f"# verdict: {report.verdict}\n")
+        assert err.rstrip().endswith(
+            f"; {report.verdict} over 12 bindings, {report.informative} informative")
+
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(["fm", "t2", "--check-against", "t2", "--seed", "-1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed -1 < 0\n"
+
+    def test_bindings_cap_exits_3(self, capsys):
+        # refused before the first draw, so this returns at once
+        count = fm.MAX_BINDINGS + 1
+        code, out, err = run_cli(
+            ["fm", "t1", "--check-against", "t1", "--bindings", str(count)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == f"resource limit: {count} bindings exceed the cap of {fm.MAX_BINDINGS}\n"
+
     def test_system_file_input(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text(fm.format_system(fm.builtin_system("t1")))
@@ -258,9 +295,10 @@ class TestFm:
     def test_file_check_needs_builtin_tag(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text(fm.format_system(fm.builtin_system("t1")))
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             ["fm", str(path), "--check-against", str(path)], capsys)
         assert code == 2
+        assert out == ""
         assert "needs a builtin tag" in err
 
     @pytest.mark.parametrize("count", ["0", "-3"])
@@ -372,6 +410,15 @@ class TestSim:
             code, _, err = run_cli(base + tail, capsys)
             assert code == 2
             assert fragment in err
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "rh1", "0:1:0.5"]])
+    def test_negative_seed_exits_2(self, files, capsys, sweep):
+        code, out, err = run_cli(
+            ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
+             "--n", "4", "--trials", "1", "--seed", "-1", *sweep], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: seed -1 < 0\n"
 
     def test_sweep_point_cap(self, files, capsys):
         # looked up first: without a cap the non-finite ranges below never end

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from tworelay import fm
 from tworelay.info import InfoQuery, binary_entropy
-from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
 from tworelay.prob import (
     CANONICAL_ORDER,
     Alphabet,
@@ -384,6 +384,65 @@ class TestNumericEquiv:
         nob = system([fm.Inequality(expr({"R21": 1}, {A: -1}), True, "r")], ("R21",))
         with pytest.raises(ValidationError):
             fm.max_rate(nob, t1_binding(), "RB")
+
+
+def fraction_rows_max_rate(system, binding, objective="RB"):
+    """max_rate with each row constant summed in Fractions, row by row."""
+    rows = []
+    for ineq in system.inequalities:
+        const = Fraction(0)
+        for sym, c in ineq.expr.syms:
+            const += c * binding[sym.name]
+        rows.append((ineq.expr.var_map(), -const))
+    return maximize({objective: 1}, rows, system.variables)
+
+
+class TestMaxRate:
+    SYMBOLS = [fm.InfoSymbol.of(q) for q in list(T1_QUERIES.values())[:4]]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_integer_binding_matches_fraction_rows(self, data):
+        # mostly rows that cap the rates by a combination of symbols, so
+        # that most systems are feasible and a scaled row often binds
+        rate_coeff = st.fractions(-1, 3, max_denominator=9)
+        sym_coeff = st.fractions(-4, 1, max_denominator=9)
+        rows = [fm.Inequality(expr({"RB": 1}, {self.SYMBOLS[0]: -1}), True, "cap")]
+        for _ in range(data.draw(st.integers(0, 6))):
+            rate_vars = data.draw(st.dictionaries(st.sampled_from(["RB", "RA"]), rate_coeff))
+            syms = data.draw(st.dictionaries(st.sampled_from(self.SYMBOLS), sym_coeff))
+            rows.append(fm.Inequality(expr(rate_vars, syms), data.draw(st.booleans()), "r"))
+        used = {v for r in rows for v, _ in r.expr.vars}
+        s = system(rows, [v for v in ("RB", "RA") if v in used])
+        # non-dyadic values from a short list, so equal values cancel and
+        # some row constants come out exactly 0
+        value = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 7),
+                                 Fraction(2), Fraction(11, 6), Fraction(1, 1024)])
+        binding = {sym.name: data.draw(value) for sym in self.SYMBOLS}
+        assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
+
+    def test_zero_constant_rows(self):
+        # 2/3*(A - B) is exactly 0 when A == B, so RB <= 0 binds below the
+        # cap row's 1/9
+        s = system(
+            [fm.Inequality(expr({"RB": 1}, {A: Fraction(2, 3), B: Fraction(-2, 3)}), False, "z"),
+             fm.Inequality(expr({"RB": 3}, {A: -1}), False, "cap")],
+            ("RB",),
+        )
+        binding = {A.name: Fraction(1, 3), B.name: Fraction(1, 3)}
+        res = fm.max_rate(s, binding)
+        assert res == fraction_rows_max_rate(s, binding)
+        assert res.value == Fraction(0)
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_sampled_bindings_match_fraction_rows(self, which):
+        helpers = {"t1": ["RH1", "RH2", "RS1", "RS2"],
+                   "t2": ["RH1", "RH2", "R011", "R012", "R021", "R022"]}[which]
+        raw = fm.builtin_system(which)
+        systems = (raw, fm.eliminate_all(raw, helpers), fm.target_system(which))
+        for binding in fm.sample_bindings(which, 6, seed=21):
+            for s in systems:
+                assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
 
 
 class TestSchemeReduction:
