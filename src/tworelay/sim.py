@@ -16,7 +16,10 @@ symbols they and the sender's candidate pairs hold.  The covering experiment
 alone also has an analytic path for books far past the cap: conditioned on
 the drawn observation pair, the number of typical book entries is binomial,
 so the hit probability of an astronomically large book is computable
-without building it.
+without building it.  Each trial still draws its pair from its own seeded
+generator, but a slice of trials is scored at once: one ``bincount`` gives
+every trial's (x1, y1) group counts, one ``binom.logpmf`` call scores every
+admissible count of every group, and one ``logsumexp`` reduces the windows.
 """
 
 from __future__ import annotations
@@ -77,21 +80,25 @@ def _typical_mask(sequences, joint: JointPmf, eps: float) -> np.ndarray:
     ``sequences`` holds one integer array per joint axis, shaped ``(..., n)``;
     the leading axes broadcast to the candidate shape that the bool result
     takes.  Each slice of candidates is counted with one ``bincount`` over
-    cell indices offset by the candidate's position in the slice.
+    cell indices offset by the candidate's position in the slice; when all
+    candidates fit one slice, the sequences are indexed as they broadcast.
     """
     seqs = [np.asarray(s) for s in sequences]
-    n = seqs[0].shape[-1]
-    batch = np.broadcast_shapes(*(s.shape[:-1] for s in seqs))
-    views = [np.broadcast_to(s, batch + (n,)) for s in seqs]
+    full = np.broadcast(*seqs)
+    batch, n = full.shape[:-1], full.shape[-1]
     shape = tuple(a.size for a in joint.axes)
     p = joint.mass.reshape(-1)
     total = math.prod(batch)
     step = max(1, _SLICE // max(n, p.size))
+    views = [np.broadcast_to(s, full.shape) for s in seqs] if total > step else None
     mask = np.empty(total, dtype=bool)
     for start in range(0, total, step):
         stop = min(start + step, total)
-        at = np.unravel_index(np.arange(start, stop), batch)
-        flat = np.ravel_multi_index([v[at] for v in views], shape)
+        if views is None:
+            flat = np.ravel_multi_index(seqs, shape).reshape(total, n)
+        else:
+            at = np.unravel_index(np.arange(start, stop), batch)
+            flat = np.ravel_multi_index([v[at] for v in views], shape)
         flat += np.arange(stop - start)[:, None] * p.size
         counts = np.bincount(flat.reshape(-1), minlength=(stop - start) * p.size)
         freq = counts.reshape(-1, p.size) / n
@@ -455,16 +462,6 @@ COVERING_EPSILON = 0.15
 SMALL_BOOK_CUTOFF = 4096
 
 
-def _log_box_probability(n_group: int, p_hit: float, lo: int, hi: int) -> float:
-    """log P(lo <= Binomial(n_group, p_hit) <= hi), -inf when empty."""
-    lo = max(lo, 0)
-    hi = min(hi, n_group)
-    if hi < lo:
-        return -math.inf
-    logs = binom.logpmf(np.arange(lo, hi + 1), n_group, p_hit)
-    return float(logsumexp(logs))
-
-
 def _count_window(p_cell: float, n: int, eps: float) -> tuple[int, int]:
     # admissible absolute count for one joint cell; zero-mass cells pin it
     if p_cell == 0.0:
@@ -472,35 +469,65 @@ def _count_window(p_cell: float, n: int, eps: float) -> tuple[int, int]:
     return math.ceil(n * p_cell * (1.0 - eps)), math.floor(n * p_cell * (1.0 + eps))
 
 
-def _log_one_draw_typical(
-    x1_seq, y1_seq, p_book: CondPmf, p_triple: JointPmf, eps: float
-) -> float:
-    """log probability that one book entry is jointly typical with the pair.
+def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float) -> np.ndarray:
+    """Per row of (trials, n) relay-input/observation stacks, the log
+    probability that one book entry is jointly typical with that pair.
 
     The entry is drawn i.i.d. from the book law given the relay input, so
     within each (x1, y1) position group the count landing on quantization
     letter 0 is binomial, the letter-1 count is its complement, and the
-    groups are independent.  Binary quantization alphabets only.
+    groups are independent.  Every (trial, group) window of admissible
+    letter-0 counts is scored in one ``binom.logpmf`` call per slice of
+    trials, padded to the widest window with -inf.  Binary quantization
+    alphabets only.
     """
-    n = len(x1_seq)
+    trials, n = x1.shape
     k1, ky, kq = (axis.size for axis in p_triple.axes)
     if kq != 2:
         raise ResourceLimitError(
             "analytic covering path needs a binary quantization alphabet"
         )
-    book_rows = p_book.mass.reshape(k1, kq)
-    total = 0.0
-    for a in range(k1):
-        for b in range(ky):
-            group = int(np.sum((x1_seq == a) & (y1_seq == b)))
-            lo0, hi0 = _count_window(float(p_triple.mass[a, b, 0]), n, eps)
-            lo1, hi1 = _count_window(float(p_triple.mass[a, b, 1]), n, eps)
-            total += _log_box_probability(
-                group, float(book_rows[a, 0]), max(lo0, group - hi1), min(hi0, group - lo1)
-            )
-            if total == -math.inf:
-                return total
-    return total
+    groups = k1 * ky
+    (lo0, hi0), (lo1, hi1) = (
+        np.array([_count_window(p, n, eps) for p in column]).T
+        for column in p_triple.mass.reshape(groups, kq).T
+    )
+    p_hit = np.repeat(p_book.mass.reshape(k1, kq)[:, 0], ky)
+    flat = np.ravel_multi_index((x1, y1), (k1, ky)) + groups * np.arange(trials)[:, None]
+    count = np.bincount(flat.reshape(-1), minlength=trials * groups).reshape(trials, groups)
+    # the letter-1 count is the group count minus the letter-0 count
+    lo = np.maximum(lo0, count - hi1)
+    hi = np.minimum(hi0, count - lo1)
+    width = max(int((hi - lo).max()) + 1, 1)
+    log_q = np.empty(trials)
+    step = max(1, _SLICE // (groups * width))
+    for start in range(0, trials, step):
+        rows = slice(start, start + step)
+        k = lo[rows, :, None] + np.arange(width)
+        inside = k <= hi[rows, :, None]
+        logs = np.full(k.shape, -np.inf)
+        logs[inside] = binom.logpmf(
+            k[inside],
+            np.broadcast_to(count[rows, :, None], k.shape)[inside],
+            np.broadcast_to(p_hit[:, None], k.shape)[inside],
+        )
+        log_q[rows] = logsumexp(logs, axis=-1).sum(axis=-1)
+    return log_q
+
+
+def _hit_probability(log_q: float, exponent: int) -> float:
+    """1 - (1 - q)^M for a book of M = 2^exponent entries, q = exp(log_q).
+
+    q is often far below float range, so past the direct form this goes
+    through the Poisson form in ln(M*q).  q >= 1 (every entry typical, or a
+    sum rounded just above 0) is a certain hit.
+    """
+    ln_mean = exponent * math.log(2.0) + log_q
+    if log_q >= 0.0 or ln_mean > 36.0:
+        return 1.0
+    if log_q > -30.0 and exponent < 50:
+        return -math.expm1((1 << exponent) * math.log1p(-math.exp(log_q)))
+    return -math.expm1(-math.exp(ln_mean))
 
 
 def covering_experiment(
@@ -518,10 +545,16 @@ def covering_experiment(
     of 2^round(n*rh1) entries (rate quantized to 1/n).  Books small enough
     to materialize are searched literally; larger ones use the exact
     binomial form of the at-least-one-typical-entry probability, so the
-    threshold is testable at rates whose books could never be built.
+    threshold is testable at rates whose books could never be built.  The
+    analytic path scores a slice of trials at a time; each trial keeps its
+    own seeded draws, the pair and then one uniform.
     """
     if n < 1:
         raise ValidationError(f"block length {n} < 1")
+    if n > MAX_SYMBOLS:
+        raise ResourceLimitError(
+            f"block length {n} exceeds the cap of {MAX_SYMBOLS} symbols"
+        )
     if trials < 1:
         raise ValidationError(f"trials {trials} < 1")
     if seed < 0:
@@ -549,10 +582,10 @@ def covering_experiment(
         )
 
     successes = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
-        if literal:
+    if literal:
+        for trial in range(trials):
+            rng = np.random.default_rng([seed, trial])
+            x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
             # the book is drawn in entry order, a slice at a time, and the
             # search stops at the first slice holding a typical entry
             size, step = 1 << exponent, max(1, _SLICE // n)
@@ -561,16 +594,15 @@ def covering_experiment(
                 if _typical_mask((x1_seq, y1_seq, book), p_triple, eps).any():
                     successes += 1
                     break
-        else:
-            log_q = _log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, eps)
-            # success probability 1 - (1 - q)^M with q often far below float
-            # range; fall back to the Poisson form through ln(M*q)
-            ln_mean = exponent * math.log(2.0) + log_q
-            if ln_mean > 36.0:
-                prob = 1.0
-            elif log_q > -30.0 and exponent < 50:
-                prob = -math.expm1((1 << exponent) * math.log1p(-math.exp(log_q)))
-            else:
-                prob = -math.expm1(-math.exp(ln_mean))
-            successes += rng.random() < prob
+        return successes / trials
+    step = max(1, _SLICE // max(n, p_pair.mass.size))
+    for start in range(0, trials, step):
+        pairs, uniforms = [], []
+        for trial in range(start, min(start + step, trials)):
+            rng = np.random.default_rng([seed, trial])
+            pairs.append(_draw_joint(rng, p_pair, n))
+            uniforms.append(rng.random())
+        x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
+        log_q = _log_hit_probability(x1, y1, p_book, p_triple, eps)
+        successes += sum(u < _hit_probability(q, exponent) for q, u in zip(log_q.tolist(), uniforms))
     return successes / trials

@@ -374,6 +374,25 @@ class TestSim:
             assert code == 3
             assert err.startswith("resource limit: ")
 
+    def test_sweep_certain_hit_exits_0(self, files, capsys):
+        # every book entry is typical under the pinned law (log q = 0)
+        code, out, _ = run_cli(
+            ["sim", "--channel", files["chan_noiseless"], "--law", files["law_pinned"],
+             "--n", "100", "--trials", "3", "--seed", "0",
+             "--sweep", "rh1", "0.2:0.3:0.1"], capsys)
+        assert code == 0
+        assert out == "rh1,success_fraction\n0.2,1\n0.3,1\n"
+
+    def test_sweep_block_length_cap_exits_3(self, files, capsys):
+        # a billion-symbol pair would need several GB before the first check
+        code, out, err = run_cli(
+            ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
+             "--n", "1000000000", "--trials", "1", "--seed", "0",
+             "--sweep", "rh1", "0.5:0.6:0.1"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit: block length")
+
     def test_sweep_csv_monotone(self, files, capsys):
         code, out, err = run_cli(
             ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
+from scipy.stats import binom
 
 from tworelay.info import InfoQuery, mutual_info
 from tworelay.io import channel_preset
@@ -171,6 +173,59 @@ def without_first_letter(pmf):
     if isinstance(pmf, CondPmf):
         return CondPmf(pmf.given, pmf.target, mass)
     return JointPmf(pmf.axes, mass)
+
+
+def reference_log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, eps):
+    """log q of one trial, one scalar binomial window per (x1, y1) group in
+    group order: the per-trial form the batched analytic path must keep."""
+    n = len(x1_seq)
+    k1, ky, kq = (axis.size for axis in p_triple.axes)
+    book_rows = p_book.mass.reshape(k1, kq)
+
+    def window(p_cell):
+        if p_cell == 0.0:
+            return 0, 0
+        return math.ceil(n * p_cell * (1.0 - eps)), math.floor(n * p_cell * (1.0 + eps))
+
+    total = 0.0
+    for a in range(k1):
+        for b in range(ky):
+            group = int(np.sum((x1_seq == a) & (y1_seq == b)))
+            lo0, hi0 = window(float(p_triple.mass[a, b, 0]))
+            lo1, hi1 = window(float(p_triple.mass[a, b, 1]))
+            lo, hi = max(lo0, group - hi1, 0), min(hi0, group - lo1, group)
+            if hi < lo:
+                return -math.inf
+            logs = binom.logpmf(np.arange(lo, hi + 1), group, float(book_rows[a, 0]))
+            total += float(logsumexp(logs))
+    return total
+
+
+def covering_law(data):
+    """A covering law from integer weights: X1 and Y1 of 1-3 letters, a
+    binary quantizer, and any weight 0, so groups and cells can be empty."""
+
+    def rows(count, width):
+        table = []
+        for _ in range(count):
+            row = data.draw(st.lists(st.integers(0, 3), min_size=width, max_size=width)
+                            .filter(any))
+            table.append(np.array(row, dtype=float) / sum(row))
+        return np.array(table)
+
+    k1, ky = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    one = {v: Alphabet(v, 1) for v in ("X0", "X2", "Y0", "Y2", "Yh2")}
+    x1, y1, yh1 = Alphabet("X1", k1), Alphabet("Y1", ky), Alphabet("Yh1", 2)
+    tr = CondPmf((one["X0"], x1, one["X2"]), (one["Y0"], y1, one["Y2"]),
+                 rows(k1, ky).reshape(1, k1, 1, 1, ky, 1))
+    law = T1Law(
+        JointPmf((x1,), rows(1, k1)[0]),
+        point_mass(one["X2"], 0),
+        deterministic_cond((x1, one["X2"]), one["X0"], np.zeros((k1, 1), dtype=np.int64)),
+        CondPmf((x1, y1), (yh1,), rows(k1 * ky, 2).reshape(k1, ky, 2)),
+        deterministic_cond((one["X2"], one["Y2"]), one["Yh2"], np.zeros((1, 1), dtype=np.int64)),
+    )
+    return NetworkChannel(tr), law
 
 
 class TestTypicalityParams:
@@ -576,7 +631,7 @@ class TestCoveringExperiment:
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
             x1_seq, y1_seq = sim._draw_joint(rng, p_pair, n)
-            lq = sim._log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, 0.2)
+            lq = float(sim._log_hit_probability(x1_seq[None], y1_seq[None], p_book, p_triple, 0.2)[0])
             probs.append(-math.expm1(256 * math.log1p(-math.exp(lq))) if lq < 0 else 1.0)
         mean = float(np.mean(probs))
         sd = math.sqrt(float(np.sum(np.multiply(probs, np.subtract(1.0, probs))))) / trials
@@ -600,6 +655,48 @@ class TestCoveringExperiment:
         )
         with pytest.raises(ResourceLimitError):
             covering_experiment(law, NetworkChannel(tr), 2.0, n=30, trials=1, seed=0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_batched_analytic_path_matches_per_trial_oracle(self, data):
+        ch, law = covering_law(data)
+        n = data.draw(st.integers(1, 400))
+        eps = data.draw(st.floats(0.05, 0.9))
+        trials = data.draw(st.integers(1, 12))
+        seed = data.draw(st.integers(0, 10**6))
+        exponent = data.draw(st.sampled_from([13, 20, 40, 49, 50, 52, 60, 200]))
+        joint = assemble_joint_t1(ch, law)
+        p_pair = marginalize(joint, ("X1", "Y1"))
+        p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
+        p_book = conditional(joint, ("Yh1",), ("X1",))
+        pairs, want, successes = [], [], 0
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            pairs.append(sim._draw_joint(rng, p_pair, n))
+            want.append(reference_log_one_draw_typical(*pairs[-1], p_book, p_triple, eps))
+            successes += rng.random() < sim._hit_probability(want[-1], exponent)
+        x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
+        for slice_size in (sim._SLICE, 1, 5 * n):
+            with mock.patch.object(sim, "_SLICE", slice_size):
+                got = sim._log_hit_probability(x1, y1, p_book, p_triple, eps)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                frac = covering_experiment(law, ch, exponent / n, n, trials, seed, eps)
+                assert frac == successes / trials
+
+    def test_every_entry_typical_is_a_certain_hit(self):
+        # the pinned law copies a constant observation, so every book entry is
+        # typical: q = 1, and log q = 0 once took log1p(-1) at 2^20 and 2^30
+        # entries; 2^5 entries run literally and 2^60 take the Poisson form
+        ch, law = broadcast_channel(0.3), pinned_law()
+        for rate in (0.05, 0.2, 0.3, 0.6):
+            assert covering_experiment(law, ch, rate, n=100, trials=3, seed=0) == 1.0
+        # a log q rounded just above 0 is a certain hit too
+        assert sim._hit_probability(2.4e-13, 20) == 1.0
+
+    def test_block_length_cap(self):
+        ch, law = covering_fixture(0.25)
+        with pytest.raises(ResourceLimitError, match="block length"):
+            covering_experiment(law, ch, 0.5, n=sim.MAX_SYMBOLS + 1, trials=1, seed=0)
 
     def test_tiny_book_runs_literally(self):
         ch, law = covering_fixture(0.25)
