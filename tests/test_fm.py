@@ -8,13 +8,14 @@ the disagreement instead of papering over it.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay import fm
+from tworelay import cli, fm
 from tworelay.info import InfoQuery, binary_entropy
 from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
 from tworelay.prob import (
@@ -32,6 +33,8 @@ from tworelay.rates import T1_QUERIES, T2_QUERIES, eval_theorem2
 
 A = fm.InfoSymbol.of(InfoQuery(("Yh1",), ("Y1",), ("X1",)))
 B = fm.InfoSymbol.of(InfoQuery(("Yh2",), ("Y2",), ("X2",)))
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def expr(vars=None, syms=None):
@@ -155,6 +158,24 @@ class TestBuiltinSystems:
         s = family(which)
         text = fm.format_system(s)
         assert fm.format_system(fm.parse_system(text)) == text
+
+
+class TestGoldenText:
+    """The builtin and target systems and the ``tworelay fm`` output, pinned
+    byte for byte, so any drift in a row, a label or a variable order shows."""
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize("family", [fm.builtin_system, fm.target_system])
+    def test_system_text(self, which, family):
+        kind = family.__name__.split("_")[0]
+        expected = (GOLDEN / f"{kind}_{which}.txt").read_text(encoding="utf-8")
+        assert fm.format_system(family(which)) == expected
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_cli_stdout(self, which, capsys):
+        assert cli.main(["fm", which]) == 0
+        expected = (GOLDEN / f"fm_{which}.out").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
 
 class TestEliminate:
