@@ -1,8 +1,8 @@
 """Watching the constraint systems shed their helper rates.
 
 Run as a script.  Reduces both builtin per-stage systems down to their
-visible rate variables, checks each against its hand-encoded single-letter
-counterpart on random bindings, and finishes at the one corner where the
+visible rate variables, checks each against its single-letter counterpart
+on random bindings, and finishes at the one corner where the
 two formulations genuinely part ways.
 """
 
@@ -35,7 +35,7 @@ for var in ("RH1", "RH2", "RS1", "RS2"):
     print(f"  after eliminating {var}: {len(system.inequalities)} rows, "
           f"variables {', '.join(system.variables) or '(none)'}")
 
-# Far more rows than the five the hand-encoded set needs.  Pruning only
+# Far more rows than the five the single-letter set needs.  Pruning only
 # drops a row when a single other row dominates it, and elimination
 # manufactures rows that are sums of three or four survivors.  Spotting
 # those is the LP's job, not the pruner's, so equality of the systems is a

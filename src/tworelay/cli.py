@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import Callable
 
 from . import fm, io, sim
 from .optimize import SearchConfig, optimize_t1, optimize_t2
@@ -107,22 +108,16 @@ _FM_DEFAULT_ELIMINATE = {
 }
 
 
-def _system_from(source: str) -> fm.RateSystem:
+def _system_from(source: str, builtin: Callable[[str], fm.RateSystem]) -> fm.RateSystem:
+    """``builtin(source)`` for a builtin tag, else the system in that file."""
     if source in ("t1", "t2"):
-        return fm.builtin_system(source)
-    with open(source, encoding="utf-8") as handle:
-        return fm.parse_system(handle.read())
-
-
-def _target_from(source: str) -> fm.RateSystem:
-    if source in ("t1", "t2"):
-        return fm.target_system(source)
+        return builtin(source)
     with open(source, encoding="utf-8") as handle:
         return fm.parse_system(handle.read())
 
 
 def cmd_fm(args) -> int:
-    system = _system_from(args.which)
+    system = _system_from(args.which, fm.builtin_system)
     if args.eliminate is not None:
         eliminate = tuple(args.eliminate)
     else:
@@ -139,7 +134,7 @@ def cmd_fm(args) -> int:
                 "numeric check needs a builtin tag (t1 or t2) as the system "
                 "or the --check-against target to know which laws to sample"
             )
-        target = _target_from(args.check_against)
+        target = _system_from(args.check_against, fm.target_system)
         bindings = fm.sample_bindings(tags[0], args.bindings, args.seed)
         report = fm.numeric_equiv(reduced, target, bindings)
         text += f"# verdict: {report.verdict}\n"

@@ -9,8 +9,10 @@ pruning is conservative and equivalence claims are settled numerically on
 sampled bindings, never syntactically.
 
 The two built-in systems are the per-stage inequality sets of the two coding
-schemes; the two built-in target systems are the corresponding hand-encoded
-single-letter constraint sets.  Eliminating the per-stage bookkeeping rates
+schemes; the two built-in target systems are the corresponding single-letter
+constraint sets.  Neither is written out here: both come from running the row
+code of :mod:`tworelay.rates`, the code the numeric evaluators run, on
+symbols and rate variables.  Eliminating the per-stage bookkeeping rates
 from the former and comparing against the latter by exact LP over sampled
 bindings is the whole point of this module.
 """
@@ -18,7 +20,7 @@ bindings is the whole point of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -35,17 +37,12 @@ from .prob import (
     random_channel,
     random_law,
 )
-from .rates import T1_QUERIES, T2_QUERIES, term_values
+from .rates import THEOREMS, Scheme, term_values
 
 EQUIV_TOL = 1e-6
 # sampled bindings held at once; each t2 binding takes about 4.7 KB, so the
 # cap bounds a sample near 0.5 GB
 MAX_BINDINGS = 100_000
-
-T1_VARIABLES = ("RB", "RH1", "RH2", "RS1", "RS2")
-T2_VARIABLES = (
-    "RB", "R1", "R21", "R22", "RH1", "RH2", "R011", "R012", "R021", "R022"
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -58,10 +55,6 @@ class InfoSymbol:
     @classmethod
     def of(cls, query: InfoQuery) -> "InfoSymbol":
         return cls(str(query), query)
-
-
-_T1_SYMBOLS = {name: InfoSymbol.of(q) for name, q in T1_QUERIES.items()}
-_T2_SYMBOLS = {name: InfoSymbol.of(q) for name, q in T2_QUERIES.items()}
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,7 @@ class LinearExpr:
             {k: c * factor for k, c in self.syms},
         )
 
-    def plus(self, other: "LinearExpr") -> "LinearExpr":
+    def __add__(self, other: "LinearExpr") -> "LinearExpr":
         v = self.var_map()
         for k, c in other.vars:
             v[k] = v.get(k, Fraction(0)) + c
@@ -104,6 +97,9 @@ class LinearExpr:
         for k, c in other.syms:
             s[k] = s.get(k, Fraction(0)) + c
         return LinearExpr.of(v, s)
+
+    def __sub__(self, other: "LinearExpr") -> "LinearExpr":
+        return self + other.scaled(Fraction(-1))
 
     def is_zero(self) -> bool:
         return not self.vars and not self.syms
@@ -180,133 +176,59 @@ class RateSystem:
         return tuple(names), tuple(rows)
 
 
-def _row(
-    provenance: str,
-    strict: bool,
-    vars: Mapping[str, int] | None = None,
-    plus: Sequence[str] = (),
-    minus: Sequence[str] = (),
-    table: Mapping[str, InfoSymbol] = _T1_SYMBOLS,
-) -> Inequality:
-    syms: dict[InfoSymbol, int] = {}
-    for name in plus:
-        syms[table[name]] = syms.get(table[name], 0) + 1
-    for name in minus:
-        syms[table[name]] = syms.get(table[name], 0) - 1
-    return Inequality(LinearExpr.of(vars, syms), strict, provenance)
+def _scheme(which: str, kind: str) -> Scheme:
+    if which not in THEOREMS:
+        raise ValidationError(f"unknown {kind} {which!r}")
+    return THEOREMS[which]
 
 
-def _nonneg(var: str) -> Inequality:
-    return Inequality(LinearExpr.of({var: -1}), False, f"{var}>=0")
+def _symbolic(scheme: Scheme) -> tuple[dict[str, LinearExpr], object, list[str]]:
+    """A scheme's terms as information symbols and its rate tuple as rate
+    variables: ``rbar`` is RB and every other field its name in capitals.
+    Also returns the variable names in field order."""
+    t = {name: LinearExpr.of(syms={InfoSymbol.of(q): 1}) for name, q in scheme.queries.items()}
+    names = ["RB" if f.name == "rbar" else f.name.upper() for f in fields(scheme.rates)]
+    return t, scheme.rates(*(LinearExpr.of({name: 1}) for name in names)), names
+
+
+def _strict(label: str, sense: str, lhs: LinearExpr, rhs: LinearExpr) -> Inequality:
+    """A paper row as an open condition: ``lhs > rhs`` reads ``rhs - lhs < 0``
+    and ``lhs < rhs`` or ``lhs <= rhs`` reads ``lhs - rhs < 0``."""
+    return Inequality(rhs - lhs if sense == ">" else lhs - rhs, True, label)
+
+
+def _system(rows: list[Inequality], names: Sequence[str]) -> RateSystem:
+    """The rows over RB and the variables they use, in field order, plus the
+    rows every paper system shares: each variable but RB is nonnegative and,
+    where R1 exists, the block rate is RB = R1 + R21 + R22."""
+    used = {v for ineq in rows for v, _ in ineq.expr.vars}
+    variables = ("RB",) + tuple(v for v in names if v in used and v != "RB")
+    rows = rows + [Inequality(LinearExpr.of({v: -1}), False, f"{v}>=0") for v in variables[1:]]
+    if "R1" in variables:
+        total = LinearExpr.of({"RB": 1, "R1": -1, "R21": -1, "R22": -1})
+        rows += [Inequality(e, False, "RB-def") for e in (total, total.scaled(Fraction(-1)))]
+    return RateSystem(tuple(rows), variables)
 
 
 def builtin_system(which: str) -> RateSystem:
-    """The hand-encoded per-stage inequality system of one coding scheme."""
-    if which == "t1":
-        t = _T1_SYMBOLS
-        rows = [
-            _row("(9)", True, {"RH1": -1}, plus=["cover1"], table=t),
-            _row("(10)", True, {"RH2": -1}, plus=["cover2"], table=t),
-            _row("(11)", True, {"RH1": -1}, plus=["sender1"], table=t),
-            _row("(12)", True, {"RH2": -1}, plus=["sender2"], table=t),
-            _row("(13)", True, {"RH1": -1, "RH2": -1},
-                 plus=["sender1", "sender2x"], table=t),
-            _row("(14)", True, {"RS1": 1}, minus=["dec1"], table=t),
-            _row("(15)", True, {"RS2": 1}, minus=["dec2"], table=t),
-            _row("(16)", True, {"RS1": 1, "RS2": 1}, minus=["dec12"], table=t),
-            _row("(17)", True, {"RH1": 1, "RS1": -1}, minus=["res1"], table=t),
-            _row("(18)", True, {"RH2": 1, "RS2": -1}, minus=["res2"], table=t),
-            _row("(19)", True, {"RB": 1}, minus=["obj_main", "obj_corr"], table=t),
-            _nonneg("RH1"),
-            _nonneg("RH2"),
-            _nonneg("RS1"),
-            _nonneg("RS2"),
-        ]
-        return RateSystem(tuple(rows), T1_VARIABLES)
-    if which == "t2":
-        t = _T2_SYMBOLS
-        rows = [
-            _row("(20)", True, {"R21": 1}, minus=["df_relay1"], table=t),
-            _row("(21)", True, {"RH1": -1}, plus=["cover1"], table=t),
-            _row("(22)", True, {"R22": 1}, minus=["df_relay2"], table=t),
-            _row("(23)", True, {"RH2": -1}, plus=["cover2"], table=t),
-            _row("(24)", True, {"R011": 1, "R012": 1}, minus=["dec1"], table=t),
-            _row("(25)", True, {"R021": 1, "R022": 1}, minus=["dec2"], table=t),
-            _row("(26)", True, {"R011": 1, "R012": 1, "R021": 1, "R022": 1},
-                 minus=["dec12"], table=t),
-            _row("(27)", True, {"R21": 1, "R011": -1}, minus=["df_direct1"], table=t),
-            _row("(28)", True, {"R22": 1, "R021": -1}, minus=["df_direct2"], table=t),
-            _row("(29)", True, {"RH1": 1, "R012": -1}, minus=["res1"], table=t),
-            _row("(30)", True, {"RH2": 1, "R022": -1}, minus=["res2"], table=t),
-            _row("(31)", True, {"R1": 1}, minus=["obj_main", "obj_corr"], table=t),
-            _row("(32)", True, {"RH1": -1}, plus=["sender1"], table=t),
-            _row("(33)", True, {"RH2": -1}, plus=["sender2"], table=t),
-            _row("(34)", True, {"RH1": -1, "RH2": -1},
-                 plus=["sender1", "sender2x"], table=t),
-            _nonneg("R1"),
-            _nonneg("R21"),
-            _nonneg("R22"),
-            _nonneg("RH1"),
-            _nonneg("RH2"),
-            _nonneg("R011"),
-            _nonneg("R012"),
-            _nonneg("R021"),
-            _nonneg("R022"),
-            Inequality(LinearExpr.of({"RB": 1, "R1": -1, "R21": -1, "R22": -1}),
-                       False, "RB-def"),
-            Inequality(LinearExpr.of({"RB": -1, "R1": 1, "R21": 1, "R22": 1}),
-                       False, "RB-def"),
-        ]
-        return RateSystem(tuple(rows), T2_VARIABLES)
-    raise ValidationError(f"unknown builtin system {which!r}")
+    """The per-stage inequality system of one coding scheme: its proof rows
+    in :data:`tworelay.rates.THEOREMS` on symbols and rate variables."""
+    scheme = _scheme(which, "builtin system")
+    t, rates, names = _symbolic(scheme)
+    return _system([_strict(*row) for row in scheme.proof_rows(t, rates)], names)
 
 
 def target_system(which: str) -> RateSystem:
-    """The single-letter constraint set each scheme is stated in, hand-encoded."""
-    if which == "t1":
-        t = _T1_SYMBOLS
-        rows = [
-            _row("(2)", True,
-                 plus=["cover1", "side1"], minus=["dec1", "res1"], table=t),
-            _row("(3)", True,
-                 plus=["cover2", "side2"], minus=["dec2", "res2"], table=t),
-            _row("(4a)", True,
-                 plus=["cover1", "cover2", "side1", "side2"],
-                 minus=["dec12", "res1", "res2"], table=t),
-            _row("(4b)", True,
-                 plus=["cover1", "cover2", "side1", "side2"],
-                 minus=["dec1", "dec2", "res1", "res2"], table=t),
-            _row("(19)", True, {"RB": 1}, minus=["obj_main", "obj_corr"], table=t),
-        ]
-        return RateSystem(tuple(rows), ("RB",))
-    if which == "t2":
-        t = _T2_SYMBOLS
-        rows = [
-            _row("(6a)", True, {"R21": 1}, minus=["df_relay1"], table=t),
-            _row("(6b)", True, {"R21": 1}, plus=["sender1"],
-                 minus=["df_direct1", "dec1", "res1"], table=t),
-            _row("(7a)", True, {"R22": 1}, minus=["df_relay2"], table=t),
-            _row("(7b)", True, {"R22": 1}, plus=["sender2"],
-                 minus=["df_direct2", "dec2", "res2"], table=t),
-            _row("(8a)", True, {"R21": 1, "R22": 1},
-                 plus=["sender1", "sender2"],
-                 minus=["df_direct1", "df_direct2", "dec12", "res1", "res2"],
-                 table=t),
-            _row("(8b)", True, {"R21": 1, "R22": 1},
-                 plus=["sender1", "sender2"],
-                 minus=["df_direct1", "df_direct2", "dec1", "dec2", "res1", "res2"],
-                 table=t),
-            _row("(31)", True, {"R1": 1}, minus=["obj_main", "obj_corr"], table=t),
-            _nonneg("R1"),
-            _nonneg("R21"),
-            _nonneg("R22"),
-            Inequality(LinearExpr.of({"RB": 1, "R1": -1, "R21": -1, "R22": -1}),
-                       False, "RB-def"),
-            Inequality(LinearExpr.of({"RB": -1, "R1": 1, "R21": 1, "R22": 1}),
-                       False, "RB-def"),
-        ]
-        return RateSystem(tuple(rows), ("RB", "R1", "R21", "R22"))
-    raise ValidationError(f"unknown target system {which!r}")
+    """The single-letter constraint set each scheme is stated in: its
+    theorem's rows on symbols, with the partial rates R21, R22 as variables
+    and every row strict, plus the proof row that bounds the objective."""
+    scheme = _scheme(which, "target system")
+    t, rates, names = _symbolic(scheme)
+    outcome = scheme.outcome(t, (rates.r21, rates.r22)) if which == "t2" else scheme.outcome(t)
+    rows = [_strict(*row) for row in outcome.rows]
+    proof = (_strict(*row) for row in scheme.proof_rows(t, rates))
+    rows.append(next(ineq for ineq in proof if names[0] in ineq.expr.var_map()))
+    return _system(rows, names)
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +256,7 @@ def eliminate(system: RateSystem, var: str) -> RateSystem:
             rest.append(ineq)
     for up, cu in upper:
         for lo, cl in lower:
-            expr = up.expr.scaled(Fraction(1) / cu).plus(
-                lo.expr.scaled(Fraction(1) / -cl)
-            )
+            expr = up.expr.scaled(Fraction(1) / cu) + lo.expr.scaled(Fraction(1) / -cl)
             rest.append(
                 Inequality(
                     expr,
@@ -397,27 +317,26 @@ def prune(system: RateSystem) -> RateSystem:
     return RateSystem(tuple(kept), tuple(v for v in system.variables if v in used))
 
 
-def eliminate_all(
-    system: RateSystem, variables: Iterable[str], heuristic: bool = True
-) -> RateSystem:
+def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
     """Eliminate several variables, cheapest pairing count first."""
     todo = list(variables)
     for var in todo:
         if var not in system.variables:
             raise ValidationError(f"variable {var!r} not in system")
+
+    def cost(v: str) -> int:
+        ups = downs = 0
+        for ineq in system.inequalities:
+            c = ineq.expr.var_map().get(v, Fraction(0))
+            if c > 0:
+                ups += 1
+            elif c < 0:
+                downs += 1
+        return ups * downs
+
     while todo:
-        if heuristic:
-            def cost(v: str) -> int:
-                ups = downs = 0
-                for ineq in system.inequalities:
-                    c = ineq.expr.var_map().get(v, Fraction(0))
-                    if c > 0:
-                        ups += 1
-                    elif c < 0:
-                        downs += 1
-                return ups * downs
-            todo.sort(key=lambda v: (cost(v), v))
-        var = todo.pop(0)
+        var = min(todo, key=lambda v: (cost(v), v))
+        todo.remove(var)
         if var not in system.variables:
             continue  # already dropped as unreferenced
         system = prune(eliminate(system, var))
@@ -431,12 +350,7 @@ def eliminate_all(
 
 def binding_of(joint, which: str) -> dict[str, Fraction]:
     """Evaluate every information symbol of one scheme family on a joint."""
-    if which == "t1":
-        queries = T1_QUERIES
-    elif which == "t2":
-        queries = T2_QUERIES
-    else:
-        raise ValidationError(f"unknown binding family {which!r}")
+    queries = _scheme(which, "binding family").queries
     values = term_values(joint, queries)
     return {str(q): Fraction(values[name]) for name, q in queries.items()}
 

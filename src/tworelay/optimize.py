@@ -218,7 +218,7 @@ def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k
     entropy pass over ``w @ V`` (see :func:`_slice_marginals`) and one
     :class:`tworelay.rates.Outcome` per batch of ``_BATCH_CELLS`` cells.
     """
-    queries, outcome = THEOREMS[theorem]
+    queries, outcome = THEOREMS[theorem].queries, THEOREMS[theorem].outcome
     plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
     rows = max(1, _BATCH_CELLS // vertices.shape[1])
 

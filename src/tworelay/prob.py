@@ -18,6 +18,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar, Iterable, Mapping, NamedTuple, Sequence
 
@@ -190,7 +191,7 @@ class CondPmf:
         if mass.shape != shape:
             raise ValidationError(f"CondPmf: mass shape {mass.shape}, expected {shape}")
         mass = _clamp_tiny_negatives(mass)
-        n_given = int(np.prod([a.size for a in given], dtype=np.int64)) if given else 1
+        n_given = math.prod(a.size for a in given)
         totals = mass.reshape(n_given, -1).sum(axis=1)
         worst = float(np.abs(totals - 1.0).max())
         if worst > NORMALIZATION_TOL:
@@ -232,7 +233,7 @@ def validate(pmf: JointPmf | CondPmf) -> PmfDiagnostics:
     max_neg = float(max(0.0, -mass.min())) if mass.size else 0.0
     effective = np.where((mass < 0.0) & (mass >= -NEGATIVITY_CLAMP), 0.0, mass)
     if isinstance(pmf, CondPmf):
-        n_given = int(np.prod([a.size for a in pmf.given], dtype=np.int64)) if pmf.given else 1
+        n_given = math.prod(a.size for a in pmf.given)
         totals = effective.reshape(n_given, -1).sum(axis=1)
     else:
         totals = np.array([effective.sum()])
@@ -269,7 +270,7 @@ def conditional(joint: JointPmf, target: Iterable[str], given: Iterable[str]) ->
     mass = np.transpose(sub.mass, perm)
     g_axes = tuple(sub.alphabet(vid) for vid in given)
     t_axes = tuple(sub.alphabet(vid) for vid in target)
-    n_given = int(np.prod([a.size for a in g_axes], dtype=np.int64)) if g_axes else 1
+    n_given = math.prod(a.size for a in g_axes)
     flat = mass.reshape(n_given, -1)
     totals = flat.sum(axis=1, keepdims=True)
     k = flat.shape[1]
@@ -450,7 +451,7 @@ def _as_axes(axes: Alphabet | Sequence[Alphabet]) -> tuple[Alphabet, ...]:
 def uniform_pmf(axes: Alphabet | Sequence[Alphabet]) -> JointPmf:
     axes = _as_axes(axes)
     shape = tuple(a.size for a in axes)
-    n = int(np.prod(shape, dtype=np.int64))
+    n = math.prod(shape)
     return JointPmf(axes, np.full(shape, 1.0 / n))
 
 
@@ -466,7 +467,7 @@ def uniform_cond(
     g = _as_axes(given)
     t = _as_axes(target)
     shape = tuple(a.size for a in g) + tuple(a.size for a in t)
-    k = int(np.prod([a.size for a in t], dtype=np.int64))
+    k = math.prod(a.size for a in t)
     return CondPmf(g, t, np.full(shape, 1.0 / k))
 
 
@@ -491,8 +492,8 @@ def _random_rows(rng: np.random.Generator, n_rows: int, k: int) -> np.ndarray:
 def random_cond(rng: np.random.Generator, given: Sequence[Alphabet], target: Sequence[Alphabet]) -> CondPmf:
     g = tuple(given)
     t = tuple(target)
-    n_rows = int(np.prod([a.size for a in g], dtype=np.int64)) if g else 1
-    k = int(np.prod([a.size for a in t], dtype=np.int64))
+    n_rows = math.prod(a.size for a in g)
+    k = math.prod(a.size for a in t)
     rows = _random_rows(rng, n_rows, k)
     shape = tuple(a.size for a in g) + tuple(a.size for a in t)
     return CondPmf(g, t, rows.reshape(shape))

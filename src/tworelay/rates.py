@@ -3,17 +3,19 @@
 Two rate expressions are supported:
 
 * ``eval_theorem1``: the compress-and-forward rate.  The law must satisfy the
-  three strict existence conditions labeled "(2)", "(3)", "(4)" (the last has
-  two min branches, reported as "(4a)" and "(4b)").  The objective is
+  three strict existence conditions (2), (3) and (4) (the last has two min
+  branches, reported as (4a) and (4b)).  The objective is
   I(X0;Y0,Yh1,Yh2|X1,X2) + I(X1;X2).
 * ``eval_theorem2``: the hybrid rate with decode-and-forward auxiliaries
   V1, V2 riding under the relay inputs.  The partial rates R21, R22 are chosen
-  by an inner maximization against upper bounds "(6)", "(7)", "(8)" (each with
+  by an inner maximization against upper bounds (6), (7) and (8) (each with
   two min branches) and added to the objective.
 
-Both evaluators also expose the underlying per-stage inequality systems
-("(9)".."(19)" and "(20)".."(34)") for pointwise rate tuples, which is what
-the polyhedral reduction in :mod:`tworelay.fm` is checked against.
+Both evaluators also expose the underlying per-stage inequality systems,
+(9)-(19) and (20)-(34), for pointwise rate tuples.  Each constraint set is
+declared once, as row code written with numpy operators only, and
+:mod:`tworelay.fm` evaluates that same code on information symbols and rate
+variables to build the systems its polyhedral reduction checks.
 
 Feasibility policy: the existence conditions are open (strict) and a
 constraint counts as satisfied only when its slack exceeds 1e-9 bits.  Chosen
@@ -28,7 +30,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -391,8 +393,6 @@ def theorem2_outcome(t: dict, df_rates: tuple[float, float] | None = None) -> Ou
         flags = tuple(f"df-bound-clamped:{name}" for name in sol.clamped)
     else:
         r21, r22 = df_rates
-        if r21 < 0.0 or r22 < 0.0:
-            raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
         flags = ("df-rates-forced",)
     senders = r21 + r22 + t["sender1"] + t["sender2"]
     return Outcome(
@@ -409,8 +409,64 @@ def theorem2_outcome(t: dict, df_rates: tuple[float, float] | None = None) -> Ou
     )
 
 
-# the query table and step 2 of each theorem
-THEOREMS = {"t1": (T1_QUERIES, theorem1_outcome), "t2": (T2_QUERIES, theorem2_outcome)}
+def proof_rows_t1(t: dict, rates: T1Rates) -> tuple[tuple[str, str, Any, Any], ...]:
+    """The per-stage compress-and-forward rows as (label, sense, lhs, rhs)."""
+    return (
+        ("(9)", ">", rates.rh1, t["cover1"]),
+        ("(10)", ">", rates.rh2, t["cover2"]),
+        ("(11)", ">", rates.rh1, t["sender1"]),
+        ("(12)", ">", rates.rh2, t["sender2"]),
+        ("(13)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
+        ("(14)", "<", rates.rs1, t["dec1"]),
+        ("(15)", "<", rates.rs2, t["dec2"]),
+        ("(16)", "<", rates.rs1 + rates.rs2, t["dec12"]),
+        ("(17)", "<", rates.rh1, t["res1"] + rates.rs1),
+        ("(18)", "<", rates.rh2, t["res2"] + rates.rs2),
+        ("(19)", "<", rates.rbar, t["obj_main"] + t["obj_corr"]),
+    )
+
+
+def proof_rows_t2(t: dict, rates: T2Rates) -> tuple[tuple[str, str, Any, Any], ...]:
+    """The per-stage hybrid rows as (label, sense, lhs, rhs)."""
+    return (
+        ("(20)", "<", rates.r21, t["df_relay1"]),
+        ("(21)", ">", rates.rh1, t["cover1"]),
+        ("(22)", "<", rates.r22, t["df_relay2"]),
+        ("(23)", ">", rates.rh2, t["cover2"]),
+        ("(24)", "<", rates.r011 + rates.r012, t["dec1"]),
+        ("(25)", "<", rates.r021 + rates.r022, t["dec2"]),
+        ("(26)", "<", rates.r011 + rates.r012 + rates.r021 + rates.r022, t["dec12"]),
+        ("(27)", "<", rates.r21, t["df_direct1"] + rates.r011),
+        ("(28)", "<", rates.r22, t["df_direct2"] + rates.r021),
+        ("(29)", "<", rates.rh1, t["res1"] + rates.r012),
+        ("(30)", "<", rates.rh2, t["res2"] + rates.r022),
+        ("(31)", "<", rates.r1, t["obj_main"] + t["obj_corr"]),
+        ("(32)", ">", rates.rh1, t["sender1"]),
+        ("(33)", ">", rates.rh2, t["sender2"]),
+        ("(34)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
+    )
+
+
+class Scheme(NamedTuple):
+    """One coding scheme: its query table, step 2 of its evaluation, its
+    per-stage rate tuple and the proof rows over that tuple.
+
+    The proof rows, and the outcome given forced partial rates, use ``+`` and
+    ``-`` only, so they run on floats, on arrays and on the symbolic
+    expressions of :mod:`tworelay.fm`.  The first rate field is the one the
+    objective row bounds.
+    """
+
+    queries: dict[str, InfoQuery]
+    outcome: Callable[..., Outcome]
+    rates: type
+    proof_rows: Callable[[dict, Any], tuple[tuple[str, str, Any, Any], ...]]
+
+
+THEOREMS = {
+    "t1": Scheme(T1_QUERIES, theorem1_outcome, T1Rates, proof_rows_t1),
+    "t2": Scheme(T2_QUERIES, theorem2_outcome, T2Rates, proof_rows_t2),
+}
 
 
 def _report(channel: NetworkChannel, law: T1Law | T2Law, outcome: Outcome) -> RateReport:
@@ -442,6 +498,8 @@ def eval_theorem2(
     inner maximization; forcing (0, 0) reduces the scheme to pure
     compress-and-forward on the embedded family.
     """
+    if df_rates is not None and (df_rates[0] < 0.0 or df_rates[1] < 0.0):
+        raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
     t = term_values(assemble_joint(channel, law), T2_QUERIES)
     return _report(channel, law, theorem2_outcome(t, df_rates))
 
@@ -456,20 +514,7 @@ def eval_proof_system_t1(
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage compress-and-forward system."""
     t = term_values(assemble_joint(channel, law), T1_QUERIES)
-    rows = (
-        ("(9)", ">", rates.rh1, t["cover1"]),
-        ("(10)", ">", rates.rh2, t["cover2"]),
-        ("(11)", ">", rates.rh1, t["sender1"]),
-        ("(12)", ">", rates.rh2, t["sender2"]),
-        ("(13)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
-        ("(14)", "<", rates.rs1, t["dec1"]),
-        ("(15)", "<", rates.rs2, t["dec2"]),
-        ("(16)", "<", rates.rs1 + rates.rs2, t["dec12"]),
-        ("(17)", "<", rates.rh1, t["res1"] + rates.rs1),
-        ("(18)", "<", rates.rh2, t["res2"] + rates.rs2),
-        ("(19)", "<", rates.rbar, t["obj_main"] + t["obj_corr"]),
-    )
-    return tuple(_check(*row) for row in rows)
+    return tuple(_check(*row) for row in proof_rows_t1(t, rates))
 
 
 def eval_proof_system_t2(
@@ -477,24 +522,7 @@ def eval_proof_system_t2(
 ) -> tuple[ConstraintCheck, ...]:
     """Check one rate tuple against the per-stage hybrid system."""
     t = term_values(assemble_joint(channel, law), T2_QUERIES)
-    rows = (
-        ("(20)", "<", rates.r21, t["df_relay1"]),
-        ("(21)", ">", rates.rh1, t["cover1"]),
-        ("(22)", "<", rates.r22, t["df_relay2"]),
-        ("(23)", ">", rates.rh2, t["cover2"]),
-        ("(24)", "<", rates.r011 + rates.r012, t["dec1"]),
-        ("(25)", "<", rates.r021 + rates.r022, t["dec2"]),
-        ("(26)", "<", rates.r011 + rates.r012 + rates.r021 + rates.r022, t["dec12"]),
-        ("(27)", "<", rates.r21, t["df_direct1"] + rates.r011),
-        ("(28)", "<", rates.r22, t["df_direct2"] + rates.r021),
-        ("(29)", "<", rates.rh1, t["res1"] + rates.r012),
-        ("(30)", "<", rates.rh2, t["res2"] + rates.r022),
-        ("(31)", "<", rates.r1, t["obj_main"] + t["obj_corr"]),
-        ("(32)", ">", rates.rh1, t["sender1"]),
-        ("(33)", ">", rates.rh2, t["sender2"]),
-        ("(34)", ">", rates.rh1 + rates.rh2, t["sender1"] + t["sender2x"]),
-    )
-    return tuple(_check(*row) for row in rows)
+    return tuple(_check(*row) for row in proof_rows_t2(t, rates))
 
 
 # ---------------------------------------------------------------------------

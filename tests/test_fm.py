@@ -1,7 +1,7 @@
 """Symbolic elimination: exactness, pruning direction, numeric equivalence.
 
 The two headline checks reduce each builtin system and compare it against the
-corresponding hand-encoded single-letter system by exact LP on seeded
+corresponding single-letter target system by exact LP on seeded
 bindings.  A hand-built decode-and-forward-heavy law is also exercised where
 the two systems genuinely part ways, to pin down that numeric_equiv reports
 the disagreement instead of papering over it.
@@ -71,9 +71,14 @@ class TestLinearExpr:
         assert e.syms == ()
 
     def test_plus_cancels(self):
-        e = expr({"RB": 1}, {A: 1}).plus(expr({"RB": -1}, {A: 2}))
+        e = expr({"RB": 1}, {A: 1}) + expr({"RB": -1}, {A: 2})
         assert e.vars == ()
         assert e.sym_map() == {A: Fraction(3)}
+
+    def test_minus_cancels(self):
+        e = expr({"RB": 1, "RH1": 2}, {A: 1}) - expr({"RB": 1}, {A: 1, B: 1})
+        assert e.var_map() == {"RH1": Fraction(2)}
+        assert e.sym_map() == {B: Fraction(-1)}
 
     def test_scaled_keeps_lowest_terms(self):
         e = expr({"RB": Fraction(2, 3)}).scaled(Fraction(3, 4))
@@ -151,6 +156,11 @@ class TestBuiltinSystems:
             fm.builtin_system("t3")
         with pytest.raises(ValidationError):
             fm.target_system("bogus")
+
+    def test_unknown_binding_family_rejected(self):
+        channel, law, _ = df_heavy_law()
+        with pytest.raises(ValidationError, match="unknown binding family 't3'"):
+            fm.binding_of(assemble_joint_t2(channel, law), "t3")
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
     @pytest.mark.parametrize("family", [fm.builtin_system, fm.target_system])
@@ -302,19 +312,23 @@ class TestPrune:
 
 
 class TestEliminateAll:
+    @staticmethod
+    def in_order(system, variables):
+        for var in variables:
+            system = fm.prune(fm.eliminate(system, var))
+        return system
+
     def test_order_independence(self):
         raw = fm.builtin_system("t1")
-        ab = fm.eliminate_all(raw, ["RH1", "RH2"], heuristic=False)
-        ba = fm.eliminate_all(raw, ["RH2", "RH1"], heuristic=False)
+        ab = self.in_order(raw, ["RH1", "RH2"])
+        ba = self.in_order(raw, ["RH2", "RH1"])
         bindings = fm.sample_bindings("t1", 8, seed=3)
         assert fm.numeric_equiv(ab, ba, bindings).equivalent
 
     def test_heuristic_matches_explicit_order(self):
         raw = fm.builtin_system("t1")
         auto = fm.eliminate_all(raw, ["RH1", "RH2", "RS1", "RS2"])
-        fixed = fm.eliminate_all(
-            raw, ["RS2", "RS1", "RH2", "RH1"], heuristic=False
-        )
+        fixed = self.in_order(raw, ["RS2", "RS1", "RH2", "RH1"])
         bindings = fm.sample_bindings("t1", 8, seed=4)
         assert fm.numeric_equiv(auto, fixed, bindings).equivalent
 
