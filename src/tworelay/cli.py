@@ -102,12 +102,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-_FM_DEFAULT_ELIMINATE = {
-    "t1": ("RH1", "RH2", "RS1", "RS2"),
-    "t2": ("RH1", "RH2", "R011", "R012", "R021", "R022"),
-}
-
-
 def _system_from(source: str, builtin: Callable[[str], fm.RateSystem]) -> fm.RateSystem:
     """``builtin(source)`` for a builtin tag, else the system in that file."""
     if source in ("t1", "t2"):
@@ -120,8 +114,12 @@ def cmd_fm(args) -> int:
     system = _system_from(args.which, fm.builtin_system)
     if args.eliminate is not None:
         eliminate = tuple(args.eliminate)
+    elif args.which in ("t1", "t2"):
+        # a builtin system's internal rates: those its target set lacks
+        kept = fm.target_system(args.which).variables
+        eliminate = tuple(v for v in system.variables if v not in kept)
     else:
-        eliminate = _FM_DEFAULT_ELIMINATE.get(args.which, ())
+        eliminate = ()
     reduced = fm.eliminate_all(system, eliminate)
     # written only once the check has run, so a refused check prints nothing
     text = fm.format_system(reduced)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -210,18 +210,22 @@ def _system(rows: list[Inequality], names: Sequence[str]) -> RateSystem:
     return RateSystem(tuple(rows), variables)
 
 
+@cache
 def builtin_system(which: str) -> RateSystem:
     """The per-stage inequality system of one coding scheme: its proof rows
-    in :data:`tworelay.rates.THEOREMS` on symbols and rate variables."""
+    in :data:`tworelay.rates.THEOREMS` on symbols and rate variables.  Built
+    once per tag; the frozen system, and its compiled rows, are shared."""
     scheme = _scheme(which, "builtin system")
     t, rates, names = _symbolic(scheme)
     return _system([_strict(*row) for row in scheme.proof_rows(t, rates)], names)
 
 
+@cache
 def target_system(which: str) -> RateSystem:
     """The single-letter constraint set each scheme is stated in: its
     theorem's rows on symbols, with the partial rates R21, R22 as variables
-    and every row strict, plus the proof row that bounds the objective."""
+    and every row strict, plus the proof row that bounds the objective.
+    Built once per tag, like :func:`builtin_system`."""
     scheme = _scheme(which, "target system")
     t, rates, names = _symbolic(scheme)
     outcome = scheme.outcome(t, (rates.r21, rates.r22)) if which == "t2" else scheme.outcome(t)

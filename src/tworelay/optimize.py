@@ -1,37 +1,40 @@
 """Derivative-free maximization of the two achievable rates over a channel.
 
 Both laws factor into conditional-pmf components, and every conditioning cell
-of every component is an independent point on a probability simplex.  The two
-search modes work directly on those slices:
+of every component is an independent point on a probability simplex.  Both
+search modes run one loop on those slices, cyclic coordinate ascent
+(``_ascend``): each sweep walks the slices in declaration order and tries
+each slice's moves in turn, and sweeps repeat until one gains at most the
+configured tolerance.  The modes differ only in their moves:
 
 grid
-    cyclic ascent: sweep the slices in declaration order, and for each slice
-    enumerate every composition of ``resolution`` over its alphabet,
-    keeping the best.  Sweeps repeat until a full pass gains less than the
-    configured tolerance.  Exhausting the full product grid across all
-    slices is hopeless (it is exponential in the slice count), but the
-    per-slice enumeration is exact and the sweep is deterministic.  A grid
-    with more than ``MAX_GRID_VECTORS`` compositions in some slice is
-    refused before any evaluation.
+    one move per slice: every composition of ``resolution`` over its
+    alphabet, with the first maximum winning.  The per-slice enumeration is
+    exact and the sweep deterministic; the full product grid across slices
+    would be exponential in the slice count.  A grid with more than
+    ``MAX_GRID_VECTORS`` compositions in some slice is refused before any
+    evaluation.  The search starts from the uniform law.
 random-restart
-    seeded random laws, each polished by local_refine, merged by best value
-    with ties broken toward the lower restart index.
+    one move per simplex vertex: a golden-section line search along the
+    segment from the slice's current point toward that vertex (this is
+    ``local_refine``).  Seeded random laws are each refined, then merged by
+    best value with ties broken toward the lower restart index.
 
 Scoring.  The joint is linear in each factor row, so while one slice moves,
 every marginal the rate terms need is a mix of the marginals at the slice's
 k simplex vertices.  Each slice assembles those k joints once; a grid then
 scores all its compositions as one matrix product and one entropy pass, and
-each golden-section probe of the line search costs one entropy pass, with no
-law built.  Only a slice's best candidate becomes a law, evaluated in full
-by ``eval_theorem1``/``eval_theorem2``; it replaces the incumbent only when
+each line-search probe costs one entropy pass, with no law built.  Only a
+move's best candidate becomes a law, evaluated in full by
+``eval_theorem1``/``eval_theorem2``; it replaces the incumbent only when
 that full evaluation beats it, so the reported objective, report and trace
 are full evaluations.  ``evaluations`` counts scored candidates, and ties go
 to the first candidate in scan order.
 
-Infeasible laws score minus infinity under the first theorem, whose
-constraints gate achievability outright.  The second theorem's evaluator
-clamps its decode-and-forward rates instead, so infeasibility there is rarer
-but treated the same way when it happens.
+Infeasible laws score minus infinity (``_merit``, shared by both scorers)
+under the first theorem, whose constraints gate achievability outright.  The
+second theorem's evaluator clamps its decode-and-forward rates instead, so
+infeasibility there is rarer but treated the same way when it happens.
 """
 
 from __future__ import annotations
@@ -210,13 +213,19 @@ def _slice_marginals(channel: NetworkChannel, law, queries, name: str, cell, k: 
     return plan, np.stack(stack)
 
 
+def _merit(feasible, objective):
+    """The score the search maximizes: the objective where the existence
+    conditions hold, minus infinity elsewhere (elementwise on batches)."""
+    return np.where(feasible, objective, -math.inf)
+
+
 def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k: int):
     """Score candidate vectors of one slice without building their laws.
 
     The returned function maps one vector (to a float) or a ``(B, k)`` batch
-    (to an array) to the objective, minus infinity where infeasible: one
-    entropy pass over ``w @ V`` (see :func:`_slice_marginals`) and one
-    :class:`tworelay.rates.Outcome` per batch of ``_BATCH_CELLS`` cells.
+    (to an array) to its :func:`_merit`: one entropy pass over ``w @ V``
+    (see :func:`_slice_marginals`) and one :class:`tworelay.rates.Outcome`
+    per batch of ``_BATCH_CELLS`` cells.
     """
     queries, outcome = THEOREMS[theorem].queries, THEOREMS[theorem].outcome
     plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
@@ -225,7 +234,7 @@ def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k
     def value(w: np.ndarray):
         terms = plan.terms(w @ vertices)
         result = outcome(dict(zip(plan.names, terms.tolist() if w.ndim == 1 else terms.T)))
-        return np.where(result.feasible, result.objective, -math.inf)
+        return _merit(result.feasible, result.objective)
 
     def values(w: np.ndarray):
         if w.ndim == 1:
@@ -239,21 +248,77 @@ def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k
 # search
 # ---------------------------------------------------------------------------
 
+# A move maps (slice scorer, current slice point) to (candidate, its value,
+# candidates scored); the ascent asks for a slice's moves by alphabet size.
+Move = Callable[[Callable, np.ndarray], tuple[np.ndarray, float, int]]
 
-def _scorer(theorem: str, channel: NetworkChannel) -> Callable:
+_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _grid_move(grid: np.ndarray, slice_value, point):
+    """Every grid vector of the slice, scored in one call."""
+    values = slice_value(grid)
+    i = int(np.argmax(values))  # the first maximum, as a sequential scan keeps
+    return grid[i], values[i], len(grid)
+
+
+def _line_move(vertex: int, slice_value, base):
+    """A golden-section scan of the segment from ``base`` toward one vertex.
+
+    The scan assumes nothing about shape: every probe competes, so a
+    non-unimodal section simply refines less.  33 probes.
+    """
+    target = np.zeros(len(base))
+    target[vertex] = 1.0
+    pts = []  # (value, mixing weight)
+
+    def probe(t: float):
+        value = slice_value((1.0 - t) * base + t * target)
+        pts.append((value, t))
+        return value
+
+    for t in (0.0, 0.5, 1.0):
+        probe(t)
+    lo, hi, a, b = 0.0, 1.0, 1.0 - _PHI, _PHI
+    va, vb = probe(a), probe(b)
+    for _ in range(28):
+        if va >= vb:
+            hi, b, vb = b, a, va
+            a = hi - _PHI * (hi - lo)
+            va = probe(a)
+        else:
+            lo, a, va = a, b, vb
+            b = lo + _PHI * (hi - lo)
+            vb = probe(b)
+    value, t = max(pts, key=lambda p: p[0])
+    return (1.0 - t) * base + t * target, value, len(pts)
+
+
+def _grid_moves(resolution: int, k: int) -> list[Move]:
+    return [functools.partial(_grid_move, _grid_vectors(k, resolution))]
+
+
+def _line_moves(k: int) -> list[Move]:
+    return [functools.partial(_line_move, vertex) for vertex in range(k)]
+
+
+def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
+            moves: Callable[[int], list[Move]]):
+    """Cyclic coordinate ascent over the law's slices.  Never worsens.
+
+    Each sweep walks the slices in declaration order, builds a slice's
+    scorer once and tries its moves in order on the current slice point.  A
+    candidate that beats the incumbent is built and evaluated in full, and
+    kept only if that evaluation also wins.  Sweeps stop after ``max_iter``,
+    or once one gains at most ``tolerance``.  Returns the law, its report
+    and value, the candidates scored, and the value after each acceptance.
+    """
     evaluate = {"t1": eval_theorem1, "t2": eval_theorem2}[theorem]
 
     def score(law):
         report = evaluate(channel, law)
-        value = report.objective_bits if report.feasible else -math.inf
-        return value, report
+        return float(_merit(report.feasible, report.objective_bits)), report
 
-    return score
-
-
-def _grid_search(channel, law, theorem: str, cfg: SearchConfig):
-    _check_grid(law, cfg.resolution)
-    score = _scorer(theorem, channel)
     best, report = score(law)
     evals = 1
     trace = [] if best == -math.inf else [best]
@@ -262,119 +327,50 @@ def _grid_search(channel, law, theorem: str, cfg: SearchConfig):
         for name, cell, k in _slice_index(law):
             if k == 1:
                 continue
-            grid = _grid_vectors(k, cfg.resolution)
-            values = _slice_scorer(channel, law, theorem, name, cell, k)(grid)
-            evals += len(grid)
-            i = int(np.argmax(values))  # the first maximum, as a sequential scan keeps
-            if values[i] > best:
-                cand = _set_slice(law, name, cell, grid[i])
-                value, rep = score(cand)
+            slice_value = _slice_scorer(channel, law, theorem, name, cell, k)
+            for move in moves(k):
+                vec, value, count = move(slice_value, _get_slice(law, name, cell))
+                evals += count
                 if value > best:
-                    law, best, report = cand, value, rep
-                    trace.append(best)
+                    cand = _set_slice(law, name, cell, vec)
+                    value, rep = score(cand)
+                    if value > best:
+                        law, best, report = cand, value, rep
+                        trace.append(best)
         if best == -math.inf or best - sweep_start <= cfg.tolerance:
             break
     return law, report, best, evals, trace
 
 
-def _refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
-    """Coordinate-wise line search toward simplex vertices.  Never worsens.
-
-    Each slice is pulled along the segments from its current point toward
-    each vertex of its simplex; a golden-section scan picks the best mixing
-    weight.  The scan assumes nothing about shape: every evaluated candidate
-    competes, so a non-unimodal section simply refines less.  Probes are
-    scored slice-linearly; the best one is built and re-evaluated in full.
-    """
-    score = _scorer(theorem, channel)
-    best, report = score(law)
-    evals = 1
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(cfg.max_iter):
-        sweep_start = best
-        for name, cell, k in _slice_index(law):
-            if k == 1:
-                continue
-            slice_value = _slice_scorer(channel, law, theorem, name, cell, k)
-            base = _get_slice(law, name, cell)
-            for vertex in range(k):
-                target = np.zeros(k)
-                target[vertex] = 1.0
-                pts = []  # (value, mixing weight)
-
-                def probe(t: float):
-                    nonlocal evals
-                    value = slice_value((1.0 - t) * base + t * target)
-                    evals += 1
-                    pts.append((value, t))
-                    return value
-
-                for t in (0.0, 0.5, 1.0):
-                    probe(t)
-                lo, hi = 0.0, 1.0
-                a = hi - phi * (hi - lo)
-                b = lo + phi * (hi - lo)
-                va = probe(a)
-                vb = probe(b)
-                for _ in range(28):
-                    if va >= vb:
-                        hi, b, vb = b, a, va
-                        a = hi - phi * (hi - lo)
-                        va = probe(a)
-                    else:
-                        lo, a, va = a, b, vb
-                        b = lo + phi * (hi - lo)
-                        vb = probe(b)
-                value, t = max(pts, key=lambda p: p[0])
-                if value > best:
-                    cand = _set_slice(law, name, cell, (1.0 - t) * base + t * target)
-                    value, rep = score(cand)
-                    if value > best:
-                        law, best, report = cand, value, rep
-                        base = _get_slice(law, name, cell)
-        if best == -math.inf or best - sweep_start <= cfg.tolerance:
-            break
-    return law, report, best, evals
-
-
 def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
-    """Polish a law in place on its simplex slices; never returns a worse one."""
-    refined, _, _, _ = _refine(law, channel, theorem, cfg)
-    return refined
+    """Polish a law by line searches toward its slices' simplex vertices;
+    never returns a worse one."""
+    return _ascend(law, channel, theorem, cfg, _line_moves)[0]
 
 
 def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig) -> OptResult:
     family = LAW_FAMILIES[theorem]
     sizes = {"V1": cfg.v1_size, "V2": cfg.v2_size, "Yh1": cfg.yh1_size, "Yh2": cfg.yh2_size}
-
     if cfg.mode == "grid":
-        start = uniform_law(family, channel, sizes)
-        law, report, best, evals, trace = _grid_search(channel, start, theorem, cfg)
-        if best == -math.inf:
-            return OptResult(theorem, law, report, evals, (), True)
-        return OptResult(theorem, law, report, evals, tuple(trace), False)
-
-    # random-restart: refine each seeded draw independently, merge by value
-    # with ties to the lower index
-    starts = (
-        random_law(family, np.random.default_rng([cfg.seed, i]), channel, sizes)
-        for i in range(max(cfg.restarts, 1))
-    )
-    outcomes = [_refine(law, channel, theorem, cfg) for law in starts]
-
-    best_i = max(range(len(outcomes)), key=lambda i: (outcomes[i][2], -i))
-    law, report, best, _ = outcomes[best_i]
-    evals = sum(o[3] for o in outcomes)
-    trace = []
-    incumbent = -math.inf
-    for _, _, value, _ in outcomes:
-        if value > incumbent:
-            incumbent = value
-        if incumbent != -math.inf:
-            trace.append(incumbent)
-    if best == -math.inf:
-        return OptResult(theorem, law, report, evals, (), True)
-    return OptResult(theorem, law, report, evals, tuple(trace), False)
+        starts = [uniform_law(family, channel, sizes)]
+        _check_grid(starts[0], cfg.resolution)
+        moves = functools.partial(_grid_moves, cfg.resolution)
+    else:
+        starts = (
+            random_law(family, np.random.default_rng([cfg.seed, i]), channel, sizes)
+            for i in range(max(cfg.restarts, 1))
+        )
+        moves = _line_moves
+    runs = [_ascend(law, channel, theorem, cfg, moves) for law in starts]
+    # a grid traces its one ascent; restarts trace their running best and
+    # merge by value, ties to the lower index
+    if cfg.mode == "grid":
+        trace = runs[0][4]
+    else:
+        trace = [v for v in itertools.accumulate((r[2] for r in runs), max) if v != -math.inf]
+    law, report, best, _, _ = max(runs, key=lambda r: r[2])
+    evals = sum(r[3] for r in runs)
+    return OptResult(theorem, law, report, evals, tuple(trace), best == -math.inf)
 
 
 def optimize_t1(channel: NetworkChannel, cfg: SearchConfig, jobs: int = 1) -> OptResult:

@@ -161,9 +161,6 @@ class JointPmf:
                 return a
         raise ValidationError(f"variable {var_id!r} not among axes {self.ids}")
 
-    def marginal(self, keep: Iterable[str]) -> "JointPmf":
-        return marginalize(self, keep)
-
 
 @dataclass(frozen=True, eq=False)
 class CondPmf:

@@ -30,6 +30,8 @@ from tworelay.prob import (
     uniform_t2_law,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def broadcast_channel():
     """All three outputs copy the sender bit exactly."""
@@ -224,6 +226,24 @@ class TestOptimize:
         _, serial, _ = run_cli(base + ["--jobs", "1"], capsys)
         _, parallel, _ = run_cli(base + ["--jobs", "3"], capsys)
         assert serial == parallel
+
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    @pytest.mark.parametrize("mode, options", [
+        ("grid", ["--resolution", "8"]),
+        ("restart", ["--restarts", "2", "--max-iter", "4", "--seed", "0"]),
+    ])
+    def test_golden_stdout(self, theorem, mode, options, tmp_path, capsys):
+        # the README channel; the t2 restart run is the known dead search
+        # that ends infeasible_everywhere after 5018 evaluations
+        chan = tmp_path / "chan.json"
+        chan.write_text(tio.dumps({
+            "format_version": 1, "kind": "channel", "preset": "binary-symmetric-links",
+            "crossover": {"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}}))
+        code, out, _ = run_cli(
+            ["optimize", "--channel", str(chan), "--theorem", theorem,
+             "--mode", "grid" if mode == "grid" else "random-restart", *options], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"optimize_{mode}_{theorem}.out").read_text(encoding="utf-8")
 
     def test_negative_seed_exits_2(self, files, capsys):
         # numpy refuses a negative seed with a ValueError deep in the search

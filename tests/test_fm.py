@@ -157,6 +157,16 @@ class TestBuiltinSystems:
         with pytest.raises(ValidationError):
             fm.target_system("bogus")
 
+    @pytest.mark.parametrize("family", [fm.builtin_system, fm.target_system])
+    def test_built_once_per_tag(self, family):
+        # one shared frozen system, so its compiled rows are built once too
+        assert family("t1") is family("t1")
+        assert family("t2") is family("t2")
+        assert family("t1") is not family("t2")
+        for _ in range(2):
+            with pytest.raises(ValidationError):
+                family("t3")
+
     def test_unknown_binding_family_rejected(self):
         channel, law, _ = df_heavy_law()
         with pytest.raises(ValidationError, match="unknown binding family 't3'"):

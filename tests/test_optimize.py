@@ -5,6 +5,7 @@ symmetric binary link at 1 - h2(p), and the all-noise channel at zero with
 no feasible first-theorem law at all.
 """
 
+import functools
 import json
 import math
 
@@ -30,6 +31,7 @@ from tworelay.prob import (
     T1Law,
     T2Law,
     ValidationError,
+    random_t1_law,
     random_t2_law,
     uniform_cond,
     uniform_law,
@@ -164,7 +166,9 @@ class TestGridCandidates:
         law = optimize._set_slice(law, "px0_given_x1x2", (0, 0), [1.0, 0.0])
         tied = np.array([-math.inf, 5.0, -math.inf, 5.0, -math.inf])  # [1/4, 3/4] and [3/4, 1/4]
         monkeypatch.setattr(optimize, "_slice_scorer", lambda *args: lambda grid: tied)
-        found, *_ = optimize._grid_search(chan, law, "t1", SearchConfig(resolution=4, max_iter=1))
+        cfg = SearchConfig(resolution=4, max_iter=1)
+        moves = functools.partial(optimize._grid_moves, cfg.resolution)
+        found, *_ = optimize._ascend(law, chan, "t1", cfg, moves)
         assert found.px1.mass.tolist() == [0.25, 0.75]
         assert found.px0_given_x1x2.mass[0, 0].tolist() == [0.25, 0.75]
 
@@ -270,6 +274,26 @@ class TestLocalRefine:
         b = eval_theorem2(chan, twice).objective_bits
         assert b >= a - 1e-12
         assert b == pytest.approx(a, abs=cfg.tolerance)
+
+    def test_each_move_starts_from_the_current_point(self, monkeypatch):
+        # a slice's next line search starts where an accepted one ended, and
+        # from the same point when the move was rejected
+        calls = []
+        scan = optimize._line_move
+
+        def spy(vertex, slice_value, base):
+            out = scan(vertex, slice_value, base)
+            calls.append((vertex, base.tolist(), out[0].tolist()))
+            return out
+
+        monkeypatch.setattr(optimize, "_line_move", spy)
+        chan = io.channel_preset("identity-direct")
+        start = random_t1_law(np.random.default_rng([3, 0]), chan)
+        local_refine(start, chan, "t1", SearchConfig(mode="random-restart", max_iter=2))
+        pairs = [(a, b) for a, b in zip(calls, calls[1:]) if b[0] == a[0] + 1]
+        assert pairs
+        assert all(b[1] in (a[1], a[2]) for a, b in pairs)
+        assert any(b[1] == a[2] != a[1] for a, b in pairs)
 
     def test_never_worse_on_random_starts(self):
         chan = io.channel_preset(
