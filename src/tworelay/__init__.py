@@ -7,12 +7,13 @@ The public surface is re-exported here; submodules hold the implementation:
 * :mod:`tworelay.prob`: joint and conditional pmfs over a fixed variable
   order, network channels, the two input-law families declared as factor
   tables, and exact joint assembly (``assemble_joint``).
-* :mod:`tworelay.info`: entropies and conditional mutual information.
+* :mod:`tworelay.info`: the term type ``InfoQuery`` and its text, entropies,
+  and conditional mutual information, also from a compiled entropy basis.
 * :mod:`tworelay.rates`: the two achievable-rate evaluators, the inner
   partial-rate maximization, and the per-stage proof systems.
 * :mod:`tworelay.lp`: exact rational linear programming (test oracle grade).
 * :mod:`tworelay.fm`: symbolic Fourier-Motzkin elimination over rate
-  variables and cross-validation of reduced systems.
+  variables and ``InfoQuery`` symbols, and checks of reduced systems.
 * :mod:`tworelay.optimize`: coordinate and random search over input laws.
 * :mod:`tworelay.sim`: finite-blocklength compress-and-forward experiments.
 * :mod:`tworelay.io`: JSON formats and the preset channels.

@@ -2,11 +2,12 @@
 
 A system is a set of rows ``expr < 0`` or ``expr <= 0`` where ``expr`` is
 linear in named rate variables with coefficients that are exact rationals,
-plus a rational combination of named information terms (the symbols).
-Symbols are opaque nonnegative reals here; identities that hold between them
-on real distributions (chain rules and the like) are deliberately ignored, so
-pruning is conservative and equivalence claims are settled numerically on
-sampled bindings, never syntactically.
+plus a rational combination of information terms (the symbols).  A symbol is
+an :class:`tworelay.info.InfoQuery`, the type the numeric evaluators use, and
+is named by its text ``I(L;R|G)``.  Symbols are opaque nonnegative reals here;
+identities that hold between them on real distributions (chain rules and the
+like) are deliberately ignored, so pruning is conservative and equivalence
+claims are settled numerically on sampled bindings, never syntactically.
 
 The two built-in systems are the per-stage inequality sets of the two coding
 schemes; the two built-in target systems are the corresponding single-letter
@@ -20,14 +21,15 @@ bindings is the whole point of this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .info import InfoQuery
+from .info import InfoQuery, term_values
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from .prob import (
     LAW_FAMILIES,
@@ -37,24 +39,17 @@ from .prob import (
     random_channel,
     random_law,
 )
-from .rates import THEOREMS, Scheme, term_values
+from .rates import THEOREMS, Scheme
 
 EQUIV_TOL = 1e-6
 # sampled bindings held at once; each t2 binding takes about 4.7 KB, so the
 # cap bounds a sample near 0.5 GB
 MAX_BINDINGS = 100_000
-
-
-@dataclass(frozen=True, order=True)
-class InfoSymbol:
-    """A named information term, canonically identified by its query."""
-
-    name: str
-    query: InfoQuery = field(compare=False)
-
-    @classmethod
-    def of(cls, query: InfoQuery) -> "InfoSymbol":
-        return cls(str(query), query)
+# rows one elimination step may form; the builtin reductions peak at 173
+MAX_FM_ROWS = 1000
+# one term of a row: a coefficient written as str(Fraction) writes it (an
+# integer or an integer ratio), then "*" and a rate variable or I(...)
+_TERM = re.compile(r"(-?[0-9]+(?:/0*[1-9][0-9]*)?)\*(.+)")
 
 
 @dataclass(frozen=True)
@@ -62,25 +57,25 @@ class LinearExpr:
     """Rational-linear combination of rate variables and information symbols."""
 
     vars: tuple[tuple[str, Fraction], ...]
-    syms: tuple[tuple[InfoSymbol, Fraction], ...]
+    syms: tuple[tuple[InfoQuery, Fraction], ...]
 
     @classmethod
     def of(
         cls,
         vars: Mapping[str, Fraction | int] | None = None,
-        syms: Mapping[InfoSymbol, Fraction | int] | None = None,
+        syms: Mapping[InfoQuery, Fraction | int] | None = None,
     ) -> "LinearExpr":
         v = {k: Fraction(c) for k, c in (vars or {}).items() if c != 0}
         s = {k: Fraction(c) for k, c in (syms or {}).items() if c != 0}
         return cls(
             tuple(sorted(v.items())),
-            tuple(sorted(s.items(), key=lambda kv: kv[0].name)),
+            tuple(sorted(s.items(), key=lambda kv: str(kv[0]))),
         )
 
     def var_map(self) -> dict[str, Fraction]:
         return dict(self.vars)
 
-    def sym_map(self) -> dict[InfoSymbol, Fraction]:
+    def sym_map(self) -> dict[InfoQuery, Fraction]:
         return dict(self.syms)
 
     def scaled(self, factor: Fraction) -> "LinearExpr":
@@ -121,9 +116,7 @@ class Inequality:
         positive, so the inequality direction is untouched.
         """
         coeffs = self.expr.var_map()
-        lead = next(
-            (coeffs[v] for v in var_order if coeffs.get(v)), None
-        )
+        lead = next((coeffs[v] for v in var_order if coeffs.get(v)), None)
         if lead is None and self.expr.syms:
             lead = self.expr.syms[0][1]
         if lead is None or abs(lead) == 1:
@@ -148,12 +141,9 @@ class RateSystem:
             raise ValidationError(f"declared variables never referenced: {sorted(unused)}")
 
     @property
-    def symbols(self) -> tuple[InfoSymbol, ...]:
-        seen: dict[str, InfoSymbol] = {}
-        for ineq in self.inequalities:
-            for sym, _ in ineq.expr.syms:
-                seen.setdefault(sym.name, sym)
-        return tuple(seen[name] for name in sorted(seen))
+    def symbols(self) -> tuple[InfoQuery, ...]:
+        found = {sym for ineq in self.inequalities for sym, _ in ineq.expr.syms}
+        return tuple(sorted(found, key=str))
 
     @cached_property
     def _lp_rows(self) -> tuple[tuple[str, ...], tuple]:
@@ -169,7 +159,7 @@ class RateSystem:
         for ineq in self.inequalities:
             scale = math.lcm(*(c.denominator for _, c in ineq.expr.syms))
             terms = tuple(
-                (names.setdefault(sym.name, len(names)), int(c * scale))
+                (names.setdefault(str(sym), len(names)), int(c * scale))
                 for sym, c in ineq.expr.syms
             )
             rows.append((ineq.expr.var_map(), scale, terms))
@@ -186,7 +176,7 @@ def _symbolic(scheme: Scheme) -> tuple[dict[str, LinearExpr], object, list[str]]
     """A scheme's terms as information symbols and its rate tuple as rate
     variables: ``rbar`` is RB and every other field its name in capitals.
     Also returns the variable names in field order."""
-    t = {name: LinearExpr.of(syms={InfoSymbol.of(q): 1}) for name, q in scheme.queries.items()}
+    t = {name: LinearExpr.of(syms={q: 1}) for name, q in scheme.queries.items()}
     names = ["RB" if f.name == "rbar" else f.name.upper() for f in fields(scheme.rates)]
     return t, scheme.rates(*(LinearExpr.of({name: 1}) for name in names)), names
 
@@ -240,15 +230,9 @@ def target_system(which: str) -> RateSystem:
 # ---------------------------------------------------------------------------
 
 
-def eliminate(system: RateSystem, var: str) -> RateSystem:
-    """Project the solution set onto the remaining variables.
-
-    Rows where ``var`` has a positive coefficient bound it above, negative
-    below; every above/below pair combines into one var-free row.  The
-    combination is strict iff either parent is strict.
-    """
-    if var not in system.variables:
-        raise ValidationError(f"variable {var!r} not in system")
+def _bounds(system: RateSystem, var: str) -> tuple[list, list, list[Inequality]]:
+    """The rows bounding ``var`` above and below, each with its coefficient,
+    and the rows without it."""
     upper, lower, rest = [], [], []
     for ineq in system.inequalities:
         c = ineq.expr.var_map().get(var, Fraction(0))
@@ -258,16 +242,30 @@ def eliminate(system: RateSystem, var: str) -> RateSystem:
             lower.append((ineq, c))
         else:
             rest.append(ineq)
+    return upper, lower, rest
+
+
+def eliminate(system: RateSystem, var: str) -> RateSystem:
+    """Project the solution set onto the remaining variables.
+
+    Rows where ``var`` has a positive coefficient bound it above, negative
+    below; every above/below pair combines into one var-free row.  The
+    combination is strict iff either parent is strict.  A step that would
+    leave more than ``MAX_FM_ROWS`` rows is refused before any is formed.
+    """
+    if var not in system.variables:
+        raise ValidationError(f"variable {var!r} not in system")
+    upper, lower, rest = _bounds(system, var)
+    count = len(rest) + len(upper) * len(lower)
+    if count > MAX_FM_ROWS:
+        raise ResourceLimitError(
+            f"eliminating {var} would give {count} rows, above the cap of {MAX_FM_ROWS}"
+        )
     for up, cu in upper:
         for lo, cl in lower:
             expr = up.expr.scaled(Fraction(1) / cu) + lo.expr.scaled(Fraction(1) / -cl)
-            rest.append(
-                Inequality(
-                    expr,
-                    up.strict or lo.strict,
-                    f"{up.provenance}+{lo.provenance}",
-                )
-            )
+            strict = up.strict or lo.strict
+            rest.append(Inequality(expr, strict, f"{up.provenance}+{lo.provenance}"))
     remaining = tuple(v for v in system.variables if v != var)
     # a projection can drop every row mentioning some other variable too;
     # prune declared-but-unreferenced variables rather than failing
@@ -329,14 +327,8 @@ def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
             raise ValidationError(f"variable {var!r} not in system")
 
     def cost(v: str) -> int:
-        ups = downs = 0
-        for ineq in system.inequalities:
-            c = ineq.expr.var_map().get(v, Fraction(0))
-            if c > 0:
-                ups += 1
-            elif c < 0:
-                downs += 1
-        return ups * downs
+        upper, lower, _ = _bounds(system, v)
+        return len(upper) * len(lower)
 
     while todo:
         var = min(todo, key=lambda v: (cost(v), v))
@@ -359,10 +351,8 @@ def binding_of(joint, which: str) -> dict[str, Fraction]:
     return {str(q): Fraction(values[name]) for name, q in queries.items()}
 
 
-def sample_bindings(
-    which: str, count: int, seed: int, sizes: Mapping[str, int] | None = None
-) -> list[dict[str, Fraction]]:
-    """Evaluate every information symbol on seeded random channel+law pairs.
+def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fraction]]:
+    """Evaluate every information symbol on seeded random binary channel+law pairs.
 
     Returns one mapping from symbol name to exact rational value per draw.
     """
@@ -372,27 +362,24 @@ def sample_bindings(
         raise ValidationError(f"seed {seed} < 0")
     if count > MAX_BINDINGS:
         raise ResourceLimitError(f"{count} bindings exceed the cap of {MAX_BINDINGS}")
-    sizes = dict(sizes or dict(X0=2, X1=2, X2=2, Y0=2, Y1=2, Y2=2))
     out = []
     for i in range(count):
         rng = np.random.default_rng([seed, i])
-        channel = random_channel(rng, sizes)
+        channel = random_channel(rng)
         law = random_law(LAW_FAMILIES[which], rng, channel, {})
         out.append(binding_of(assemble_joint(channel, law), which))
     return out
 
 
-def max_rate(
-    system: RateSystem, binding: Mapping[str, Fraction], objective: str = "RB"
-) -> LpResult:
-    """Exact max of one rate variable over the closure of the system.
+def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
+    """Exact max of the rate RB over the closure of the system.
 
     Strict rows are relaxed to non-strict; the closure has the same supremum.
     The binding is put over one common denominator ``den``, so each row's
     right-hand side is ``-total / (scale * den)`` for an integer ``total``.
     """
-    if objective not in system.variables:
-        raise ValidationError(f"objective variable {objective!r} not in system")
+    if "RB" not in system.variables:
+        raise ValidationError("objective variable 'RB' not in system")
     names, compiled = system._lp_rows
     values = []
     for name in names:
@@ -405,7 +392,7 @@ def max_rate(
         (var_map, Fraction(-sum(c * nums[k] for k, c in terms), scale * den))
         for var_map, scale, terms in compiled
     ]
-    return maximize({objective: 1}, rows, system.variables)
+    return maximize({"RB": 1}, rows, system.variables)
 
 
 def strict_slack(
@@ -426,7 +413,7 @@ def strict_slack(
         for var, c in ineq.expr.vars:
             total += c * point.get(var, Fraction(0))
         for sym, c in ineq.expr.syms:
-            total += c * binding[sym.name]
+            total += c * binding[str(sym)]
         slacks.append(-total)
     return min(slacks) if slacks else None
 
@@ -455,7 +442,6 @@ class BindingComparison:
 class EquivReport:
     equivalent: bool
     comparisons: tuple[BindingComparison, ...]
-    tolerance: float = EQUIV_TOL
 
     @property
     def verdict(self) -> str:
@@ -472,9 +458,8 @@ def numeric_equiv(
     sys_a: RateSystem,
     sys_b: RateSystem,
     bindings: Sequence[Mapping[str, Fraction]],
-    objective: str = "RB",
 ) -> EquivReport:
-    """Compare two systems by their exact max rate on each binding.
+    """Compare two systems by their exact max rate RB on each binding.
 
     An empty binding list is an error: agreement over no bindings says nothing.
     """
@@ -482,8 +467,8 @@ def numeric_equiv(
         raise ValidationError("numeric equivalence needs at least one binding")
     comparisons = []
     for binding in bindings:
-        ra = max_rate(sys_a, binding, objective)
-        rb = max_rate(sys_b, binding, objective)
+        ra = max_rate(sys_a, binding)
+        rb = max_rate(sys_b, binding)
 
         def opt_fields(system: RateSystem, res: LpResult):
             if res.status != OPTIMAL:
@@ -502,20 +487,15 @@ def numeric_equiv(
 # ---------------------------------------------------------------------------
 
 
-def _parse_query(text: str) -> InfoQuery:
-    if not (text.startswith("I(") and text.endswith(")")):
-        raise ValidationError(f"malformed information term {text!r}")
-    body = text[2:-1]
-    if "|" in body:
-        main, given = body.split("|", 1)
-        given_ids = tuple(given.split(","))
-    else:
-        main, given_ids = body, ()
-    try:
-        left, right = main.split(";")
-    except ValueError:
-        raise ValidationError(f"malformed information term {text!r}") from None
-    return InfoQuery(tuple(left.split(",")), tuple(right.split(",")), given_ids)
+def _term(text: str, lineno: int) -> tuple[Fraction, str]:
+    """The coefficient and identifier of one term, as :data:`_TERM` reads it."""
+    match = _TERM.fullmatch(text)
+    if match:
+        try:
+            return Fraction(match[1]), match[2]
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValidationError(f"line {lineno}: malformed term {text!r}")
 
 
 def format_system(system: RateSystem) -> str:
@@ -528,8 +508,8 @@ def format_system(system: RateSystem) -> str:
         for var in system.variables:
             if var in coeffs:
                 terms.append(f"{coeffs[var]}*{var}")
-        for sym, c in sorted(ineq.expr.syms, key=lambda kv: kv[0].name):
-            terms.append(f"{c}*{sym.name}")
+        for sym, c in ineq.expr.syms:
+            terms.append(f"{c}*{sym}")
         body = " + ".join(terms) if terms else "0"
         sense = "<" if ineq.strict else "<="
         lines.append(f"{body} {sense} 0  # {ineq.provenance}")
@@ -559,19 +539,12 @@ def parse_system(text: str) -> RateSystem:
         else:
             raise ValidationError(f"line {lineno}: missing '< 0' or '<= 0'")
         vars_acc: dict[str, Fraction] = {}
-        syms_acc: dict[InfoSymbol, Fraction] = {}
+        syms_acc: dict[InfoQuery, Fraction] = {}
         if body.strip() != "0":
             for term in body.split(" + "):
-                term = term.strip()
-                try:
-                    coeff_text, ident = term.split("*", 1)
-                    coeff = Fraction(coeff_text)
-                except ValueError:
-                    raise ValidationError(
-                        f"line {lineno}: malformed term {term!r}"
-                    ) from None
+                coeff, ident = _term(term.strip(), lineno)
                 if ident.startswith("I("):
-                    sym = InfoSymbol.of(_parse_query(ident))
+                    sym = InfoQuery.parse(ident)
                     syms_acc[sym] = syms_acc.get(sym, Fraction(0)) + coeff
                 else:
                     vars_acc[ident] = vars_acc.get(ident, Fraction(0)) + coeff

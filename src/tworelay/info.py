@@ -1,14 +1,19 @@
-"""Entropy and conditional mutual information on assembled joints.
+"""Information terms: entropy and conditional mutual information on joints.
 
 All quantities are in bits (log base 2) unless a caller converts afterward.
-Conditional mutual information is computed from entropies of marginals,
-I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G), so the two argument sets travel the
-same computation path and exact symmetry holds.  Results within 1e-10 of zero
-are clamped to exactly 0.
+:class:`InfoQuery` names a term I(L;R|G) for the numeric and the symbolic
+side alike, and writes and parses its text.  A term is computed from
+entropies of marginals, I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G), so the two
+argument sets travel the same computation path and exact symmetry holds.
+:func:`term_values` evaluates a table of terms from one plan compiled per
+joint shape; :func:`mutual_info`, one term at a time, is its reference.
+Results within 1e-10 of zero are clamped to exactly 0.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +54,24 @@ class InfoQuery:
             body += f"|{','.join(self.given)}"
         return f"I({body})"
 
+    @classmethod
+    def parse(cls, text: str) -> "InfoQuery":
+        """Inverse of :meth:`__str__`: ``I(L;R|G)`` with comma-separated ids
+        in any order, ``|G`` optional."""
+        if not (text.startswith("I(") and text.endswith(")")):
+            raise ValidationError(f"malformed information term {text!r}")
+        body = text[2:-1]
+        if "|" in body:
+            main, given = body.split("|", 1)
+            given_ids = tuple(given.split(","))
+        else:
+            main, given_ids = body, ()
+        try:
+            left, right = main.split(";")
+        except ValueError:
+            raise ValidationError(f"malformed information term {text!r}") from None
+        return cls(tuple(left.split(",")), tuple(right.split(",")), given_ids)
+
 
 def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> float | np.ndarray:
     """Shannon entropy in bits, clamped to exactly 0 within ``ZERO_CLAMP``.
@@ -56,7 +79,7 @@ def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> fl
     ``pmf`` is a joint pmf and the result a float.  With ``offsets``, ``pmf``
     is instead an array whose last axis concatenates several pmfs, each
     starting at its offset, and the result holds their entropies along that
-    axis from one vectorized pass; :mod:`tworelay.rates` computes every subset
+    axis from one vectorized pass; a :class:`_TermPlan` computes every subset
     entropy of a query table this way, for one joint or a stack of
     candidates.  Cells that are not positive are left out either way.
     """
@@ -69,6 +92,124 @@ def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> fl
     h = -np.add.reduceat(p * np.log2(p), offsets, axis=-1)
     h[np.abs(h) <= ZERO_CLAMP] = 0.0
     return h
+
+
+@dataclass(frozen=True, eq=False)
+class _TermPlan:
+    """A query table compiled against one joint shape, in the entropy basis.
+
+    Every query is written as I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G) over
+    the distinct nonempty variable subsets.  ``steps[k] = (parent, axes)``
+    gets the marginal of subset k by summing ``axes`` (counted from the end)
+    out of the marginal of subset ``parent`` (the joint itself when
+    ``parent`` is -1), the smallest superset computed before it, so no array
+    larger than the joint is built.  ``offsets`` delimit each marginal in
+    their flat concatenation and ``signs`` maps the subset entropies to the
+    queries.
+
+    Evaluation is step 1 of every rate evaluation: :meth:`marginals` turns a
+    joint into its marginal stack and :meth:`terms` turns a marginal stack
+    into the query values.  Both work along the trailing axes, so a stack of
+    joints or of marginal vectors is evaluated in one pass.
+    """
+
+    names: tuple[str, ...]
+    queries: tuple[InfoQuery, ...]
+    shape: tuple[int, ...]
+    steps: tuple[tuple[int, tuple[int, ...]], ...]
+    offsets: np.ndarray
+    signs: np.ndarray
+
+    def marginals(self, mass: np.ndarray) -> np.ndarray:
+        """The concatenated subset marginals of a joint of this plan's shape,
+        or of joints stacked along leading axes: shape ``(..., cells)``."""
+        lead = mass.shape[: mass.ndim - len(self.shape)]
+        out: list[np.ndarray] = []
+        for parent, axes in self.steps:
+            source = mass if parent < 0 else out[parent]
+            out.append(np.add.reduce(source, axis=axes) if axes else source)
+        return np.concatenate([m.reshape(lead + (-1,)) for m in out], axis=-1)
+
+    def terms(self, marginals: np.ndarray) -> np.ndarray:
+        """Every query's value, in ``names`` order along the last axis, from a
+        marginal stack; clamped and checked like :func:`term_values`."""
+        values = entropy(marginals, self.offsets) @ self.signs.T
+        low = values < -ZERO_CLAMP
+        if low.any():
+            at = tuple(np.argwhere(low)[0])
+            raise ValidationError(
+                f"mutual information {values[at]} below -{ZERO_CLAMP} for {self.queries[at[-1]]}"
+            )
+        values[np.abs(values) <= ZERO_CLAMP] = 0.0
+        return values
+
+
+@functools.lru_cache(maxsize=64)
+def _compile_terms(
+    items: tuple[tuple[str, InfoQuery], ...], ids: tuple[str, ...], shape: tuple[int, ...]
+) -> _TermPlan:
+    size = dict(zip(ids, shape))
+    subset = lambda *groups: tuple(v for v in ids if any(v in g for g in groups))
+    rows = []
+    for _, q in items:
+        missing = sorted(set(q.left + q.right + q.given) - set(ids))
+        if missing:
+            raise ValidationError(f"query {q} references {missing}, absent from joint {ids}")
+        rows.append(
+            (
+                (subset(q.left, q.given), 1.0),
+                (subset(q.right, q.given), 1.0),
+                (subset(q.left, q.right, q.given), -1.0),
+                (subset(q.given), -1.0),
+            )
+        )
+    subsets = sorted(
+        {s for row in rows for s, _ in row if s}, key=lambda s: (-len(s), [ids.index(v) for v in s])
+    )
+    cells = [math.prod(size[v] for v in s) for s in subsets]
+    steps = []
+    for k, s in enumerate(subsets):
+        supersets = [j for j in range(k) if set(s) <= set(subsets[j])]
+        parent = min(supersets, key=cells.__getitem__, default=-1)
+        source = ids if parent < 0 else subsets[parent]
+        steps.append((parent, tuple(i - len(source) for i, v in enumerate(source) if v not in s)))
+    column = {s: k for k, s in enumerate(subsets)}
+    signs = np.zeros((len(items), len(subsets)))
+    for r, row in enumerate(rows):
+        for s, sign in row:
+            if s:
+                signs[r, column[s]] += sign
+    offsets = np.cumsum([0] + cells[:-1])
+    offsets.setflags(write=False)
+    signs.setflags(write=False)
+    return _TermPlan(
+        tuple(name for name, _ in items),
+        tuple(q for _, q in items),
+        shape,
+        tuple(steps),
+        offsets,
+        signs,
+    )
+
+
+def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
+    """The compiled plan of a query table for joints shaped like ``joint``."""
+    return _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
+
+
+def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
+    """Evaluate a table of information terms on one joint, sharing marginals.
+
+    ``joint`` must be a validated :class:`JointPmf`, whose entries are finite
+    and non-negative; then the result agrees with
+    :func:`mutual_info` query by query, including its clamps and
+    its negative check, up to floating-point summation order.  A
+    ``JointPmf.raw`` joint skips that validation: ``mutual_info`` rejects its
+    bad cells in ``marginalize``, while here cells that are not positive are
+    left out of the entropies.
+    """
+    plan = term_plan(queries, joint)
+    return dict(zip(plan.names, plan.terms(plan.marginals(joint.mass)).tolist()))
 
 
 def mutual_info(joint: JointPmf, query: InfoQuery) -> float:

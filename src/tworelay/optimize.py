@@ -48,6 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import io
+from .info import term_plan
 from .prob import (
     LAW_FAMILIES,
     InvariantError,
@@ -60,7 +61,7 @@ from .prob import (
     random_law,
     uniform_law,
 )
-from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2, term_plan
+from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2
 
 MODES = ("grid", "random-restart")
 
@@ -161,25 +162,18 @@ def _set_slice(law, name: str, cell: tuple[int, ...], vec: np.ndarray):
     return replace(law, **{name: replace(pmf, mass=mass)})
 
 
-def _compositions(total: int, parts: int):
-    """All nonnegative integer tuples of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
 @functools.lru_cache(maxsize=32)
 def _grid_vectors(k: int, resolution: int) -> np.ndarray:
     """Every composition of ``resolution`` into ``k`` parts, scaled to the
-    simplex, in ``_compositions`` order, which decides ties.  Read-only: one
-    array serves every search that asks."""
-    parts = itertools.chain.from_iterable(_compositions(resolution, k))
-    grid = np.fromiter(parts, dtype=float, count=math.comb(resolution + k - 1, k - 1) * k)
-    grid /= resolution
-    grid = grid.reshape(-1, k)
+    simplex, in lexicographic order, which decides ties.  Read-only: one
+    array serves every search that asks.  Stars and bars: the parts are the
+    gaps between k - 1 bars placed among ``resolution + k - 1`` slots."""
+    slots = resolution + k - 1
+    count = math.comb(slots, k - 1)
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), k - 1))
+    bars = np.fromiter(bars, dtype=np.intp, count=count * (k - 1)).reshape(count, k - 1)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, slots)))
+    grid = (np.diff(edges, axis=1) - 1) / resolution
     grid.setflags(write=False)
     return grid
 

@@ -482,16 +482,12 @@ def deterministic_cond(given: Sequence[Alphabet], target: Alphabet, table: np.nd
     return CondPmf(g, (target,), mass)
 
 
-def _random_rows(rng: np.random.Generator, n_rows: int, k: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(k), size=n_rows)
-
-
 def random_cond(rng: np.random.Generator, given: Sequence[Alphabet], target: Sequence[Alphabet]) -> CondPmf:
     g = tuple(given)
     t = tuple(target)
     n_rows = math.prod(a.size for a in g)
     k = math.prod(a.size for a in t)
-    rows = _random_rows(rng, n_rows, k)
+    rows = rng.dirichlet(np.ones(k), size=n_rows)
     shape = tuple(a.size for a in g) + tuple(a.size for a in t)
     return CondPmf(g, t, rows.reshape(shape))
 

@@ -14,8 +14,9 @@ Two rate expressions are supported:
 Both evaluators also expose the underlying per-stage inequality systems,
 (9)-(19) and (20)-(34), for pointwise rate tuples.  Each constraint set is
 declared once, as row code written with numpy operators only, and
-:mod:`tworelay.fm` evaluates that same code on information symbols and rate
-variables to build the systems its polyhedral reduction checks.
+:mod:`tworelay.fm` evaluates that same code on ``InfoQuery`` symbols and rate
+variables to build the systems its polyhedral reduction checks.  The terms
+themselves are evaluated by :func:`tworelay.info.term_values`.
 
 Feasibility policy: the existence conditions are open (strict) and a
 constraint counts as satisfied only when its slack exceeds 1e-9 bits.  Chosen
@@ -26,19 +27,16 @@ supremum-closure values with no epsilon backoff.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .info import ZERO_CLAMP, InfoQuery, entropy
+from .info import InfoQuery, term_values
 from .prob import (
     Alphabet,
     CondPmf,
-    JointPmf,
     NetworkChannel,
     T1Law,
     T2Law,
@@ -91,124 +89,6 @@ T2_QUERIES: dict[str, InfoQuery] = {
     "obj_main": InfoQuery(("X0",), ("Y0", "Yh1", "Yh2"), ("X1", "X2", "V1", "V2")),
     "obj_corr": InfoQuery(("X1", "V1"), ("X2", "V2")),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class _TermPlan:
-    """A query table compiled against one joint shape, in the entropy basis.
-
-    Every query is written as I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G) over
-    the distinct nonempty variable subsets.  ``steps[k] = (parent, axes)``
-    gets the marginal of subset k by summing ``axes`` (counted from the end)
-    out of the marginal of subset ``parent`` (the joint itself when
-    ``parent`` is -1), the smallest superset computed before it, so no array
-    larger than the joint is built.  ``offsets`` delimit each marginal in
-    their flat concatenation and ``signs`` maps the subset entropies to the
-    queries.
-
-    Evaluation is step 1 of every rate evaluation: :meth:`marginals` turns a
-    joint into its marginal stack and :meth:`terms` turns a marginal stack
-    into the query values.  Both work along the trailing axes, so a stack of
-    joints or of marginal vectors is evaluated in one pass.
-    """
-
-    names: tuple[str, ...]
-    queries: tuple[InfoQuery, ...]
-    shape: tuple[int, ...]
-    steps: tuple[tuple[int, tuple[int, ...]], ...]
-    offsets: np.ndarray
-    signs: np.ndarray
-
-    def marginals(self, mass: np.ndarray) -> np.ndarray:
-        """The concatenated subset marginals of a joint of this plan's shape,
-        or of joints stacked along leading axes: shape ``(..., cells)``."""
-        lead = mass.shape[: mass.ndim - len(self.shape)]
-        out: list[np.ndarray] = []
-        for parent, axes in self.steps:
-            source = mass if parent < 0 else out[parent]
-            out.append(np.add.reduce(source, axis=axes) if axes else source)
-        return np.concatenate([m.reshape(lead + (-1,)) for m in out], axis=-1)
-
-    def terms(self, marginals: np.ndarray) -> np.ndarray:
-        """Every query's value, in ``names`` order along the last axis, from a
-        marginal stack; clamped and checked like :func:`term_values`."""
-        values = entropy(marginals, self.offsets) @ self.signs.T
-        low = values < -ZERO_CLAMP
-        if low.any():
-            at = tuple(np.argwhere(low)[0])
-            raise ValidationError(
-                f"mutual information {values[at]} below -{ZERO_CLAMP} for {self.queries[at[-1]]}"
-            )
-        values[np.abs(values) <= ZERO_CLAMP] = 0.0
-        return values
-
-
-@functools.lru_cache(maxsize=64)
-def _compile_terms(
-    items: tuple[tuple[str, InfoQuery], ...], ids: tuple[str, ...], shape: tuple[int, ...]
-) -> _TermPlan:
-    size = dict(zip(ids, shape))
-    subset = lambda *groups: tuple(v for v in ids if any(v in g for g in groups))
-    rows = []
-    for _, q in items:
-        missing = sorted(set(q.left + q.right + q.given) - set(ids))
-        if missing:
-            raise ValidationError(f"query {q} references {missing}, absent from joint {ids}")
-        rows.append(
-            (
-                (subset(q.left, q.given), 1.0),
-                (subset(q.right, q.given), 1.0),
-                (subset(q.left, q.right, q.given), -1.0),
-                (subset(q.given), -1.0),
-            )
-        )
-    subsets = sorted(
-        {s for row in rows for s, _ in row if s}, key=lambda s: (-len(s), [ids.index(v) for v in s])
-    )
-    cells = [math.prod(size[v] for v in s) for s in subsets]
-    steps = []
-    for k, s in enumerate(subsets):
-        supersets = [j for j in range(k) if set(s) <= set(subsets[j])]
-        parent = min(supersets, key=cells.__getitem__, default=-1)
-        source = ids if parent < 0 else subsets[parent]
-        steps.append((parent, tuple(i - len(source) for i, v in enumerate(source) if v not in s)))
-    column = {s: k for k, s in enumerate(subsets)}
-    signs = np.zeros((len(items), len(subsets)))
-    for r, row in enumerate(rows):
-        for s, sign in row:
-            if s:
-                signs[r, column[s]] += sign
-    offsets = np.cumsum([0] + cells[:-1])
-    offsets.setflags(write=False)
-    signs.setflags(write=False)
-    return _TermPlan(
-        tuple(name for name, _ in items),
-        tuple(q for _, q in items),
-        shape,
-        tuple(steps),
-        offsets,
-        signs,
-    )
-
-
-def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
-    """The compiled plan of a query table for joints shaped like ``joint``."""
-    return _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
-
-
-def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
-    """Evaluate a table of information terms on one joint, sharing marginals.
-
-    ``joint`` must be a validated :class:`JointPmf`, whose entries are finite
-    and non-negative; then the result agrees with
-    :func:`tworelay.info.mutual_info` query by query, including its clamps and
-    its negative check, up to floating-point summation order.  A
-    ``JointPmf.raw`` joint skips that validation: ``mutual_info`` rejects its
-    bad cells in ``marginalize``, while here cells that are not positive are
-    left out of the entropies.
-    """
-    plan = term_plan(queries, joint)
-    return dict(zip(plan.names, plan.terms(plan.marginals(joint.mass)).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,7 @@ def test_projected_system_agrees_with_evaluator():
                 else:
                     joint = assemble_joint_t2(channel, law)
                     report = eval_theorem2(channel, law)
-                result = fm.max_rate(raw, fm.binding_of(joint, theorem), "RB")
+                result = fm.max_rate(raw, fm.binding_of(joint, theorem))
                 if report.feasible:
                     n_feasible += 1
                     assert result.status == OPTIMAL, (theorem, i)

@@ -29,6 +29,7 @@ from tworelay.prob import (
     uniform_t1_law,
     uniform_t2_law,
 )
+from tworelay.rates import T1_QUERIES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -333,6 +334,35 @@ class TestFm:
         code, _, err = run_cli(["fm", "no-such-system.txt"], capsys)
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_zero_denominator_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text("vars: RB\n1/0*RB < 0\n")
+        code, out, err = run_cli(["fm", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: malformed term '1/0*RB'\n"
+
+    def test_row_cap_exits_3(self, tmp_path, capsys):
+        # 40 rows bound RA above and 40 below, over 12 distinct terms; the
+        # 1,600 pairs are refused before any is formed
+        terms = list(T1_QUERIES.values())[:12]
+        rows = []
+        for i in range(40):
+            a, b = terms[i % 12], terms[(i + 5) % 12]
+            rows.append(fm.LinearExpr.of({"RA": 1, "RB": i}, {a: 1, b: -(i + 1)}))
+            rows.append(fm.LinearExpr.of({"RA": -1, "RB": i + 2}, {a: -i, b: 1}))
+        system = fm.RateSystem(
+            tuple(fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)), ("RA", "RB"))
+        path = tmp_path / "system.txt"
+        path.write_text(fm.format_system(system))
+        code, out, err = run_cli(["fm", str(path), "--eliminate", "RA"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"resource limit: eliminating RA would give 1600 rows, "
+            f"above the cap of {fm.MAX_FM_ROWS}\n"
+        )
 
 
 class TestSim:

@@ -1,0 +1,53 @@
+"""The package's modules import each other only downward.
+
+Layers, lowest first: ``prob``; then ``info``, ``lp`` and ``io``; then
+``rates``; then ``fm``, ``optimize`` and ``sim``; then ``cli``.  A module
+may import from a lower layer only, at module level or inside a function.
+``__init__`` re-exports the public surface and is exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import tworelay
+
+LAYERS = (("prob",), ("info", "lp", "io"), ("rates",), ("fm", "optimize", "sim"), ("cli",))
+LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
+PACKAGE = Path(tworelay.__file__).parent
+
+
+def package_imports(path: Path) -> set[str]:
+    """What one source file imports from the package: a module name, or a
+    name read from the package itself (``from . import x``)."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level <= 1:
+            module = node.module or ""
+            if node.level == 1:
+                module = f"tworelay.{module}".rstrip(".")
+            if module == "tworelay":
+                found.update(alias.name for alias in node.names)
+            elif module.startswith("tworelay."):
+                found.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("tworelay.")
+            )
+    return found
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYER)
+
+
+@pytest.mark.parametrize("module", sorted(LAYER))
+def test_imports_go_downward(module):
+    imported = package_imports(PACKAGE / f"{module}.py")
+    # a name that is no module comes from ``__init__``, above every layer
+    upward = sorted(m for m in imported if LAYER.get(m, len(LAYERS)) >= LAYER[module])
+    assert not upward, f"{module} imports {upward} from its own layer or above"

@@ -6,6 +6,7 @@ no feasible first-theorem law at all.
 """
 
 import functools
+import itertools
 import json
 import math
 
@@ -129,6 +130,15 @@ class TestGridCandidates:
             [0.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0],
             [0.5, 0.0, 0.5], [0.5, 0.5, 0.0], [1.0, 0.0, 0.0],
         ]
+        # the product over range(r + 1) lists the compositions in the same
+        # lexicographic order, once filtered to those that sum to r
+        for k, r in [(1, 5), (2, 7), (3, 9), (4, 6), (5, 4), (6, 3), (8, 2)]:
+            expected = [
+                [c / r for c in combo]
+                for combo in itertools.product(range(r + 1), repeat=k)
+                if sum(combo) == r
+            ]
+            assert _grid_vectors(k, r).tolist() == expected, (k, r)
 
     def test_shared_array_is_read_only(self):
         grid = _grid_vectors(2, 4)

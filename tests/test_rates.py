@@ -227,7 +227,8 @@ class TestProofSystemT1:
         ch = random_channel(rng, BINARY_SIZES)
         law = random_t1_law(rng, ch)
         from tworelay.prob import assemble_joint_t1
-        from tworelay.rates import T1_QUERIES, term_values
+        from tworelay.info import term_values
+        from tworelay.rates import T1_QUERIES
         t = term_values(assemble_joint_t1(ch, law), T1_QUERIES)
         rates = T1Rates(rbar=0.0, rh1=t["cover1"], rh2=1.0, rs1=0.0, rs2=0.0)
         checks = {c.label: c for c in eval_proof_system_t1(ch, law, rates)}

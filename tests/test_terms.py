@@ -1,6 +1,6 @@
 """The compiled term evaluator against the per-query reference.
 
-``rates.term_values`` evaluates a whole query table from one plan of subset
+``info.term_values`` evaluates a whole query table from one plan of subset
 entropies, and the law search evaluates it slice-linearly from the marginals
 at a slice's simplex vertices; ``info.mutual_info`` evaluates one query
 through validated marginals of the materialized joint and stays the
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay.info import InfoQuery, mutual_info
+from tworelay.info import InfoQuery, mutual_info, term_values
 from tworelay.optimize import _get_slice, _grid_vectors, _set_slice, _slice_index, _slice_marginals
 from tworelay.prob import (
     Alphabet,
@@ -31,7 +31,7 @@ from tworelay.prob import (
     random_t2_law,
     uniform_pmf,
 )
-from tworelay.rates import T1_QUERIES, T2_QUERIES, term_values
+from tworelay.rates import T1_QUERIES, T2_QUERIES
 
 # float64 entropies of these desk-scale joints carry errors near 1e-15; the
 # compiled path only reorders the sums, so 1e-12 bits leaves wide margin
