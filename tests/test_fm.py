@@ -196,6 +196,18 @@ class TestGoldenText:
         expected = (GOLDEN / f"fm_{which}.out").read_text(encoding="utf-8")
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize("which, options", [
+        ("t1", ["--bindings", "40", "--seed", "3"]),
+        ("t2", []),
+    ])
+    def test_cli_check_against(self, which, options, capsys):
+        # the numeric check: the reduced system and verdict on stdout, the
+        # row counts, binding count and informative count on stderr
+        assert cli.main(["fm", which, "--check-against", which, *options]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (GOLDEN / f"fm_check_{which}.out").read_text(encoding="utf-8")
+        assert captured.err == (GOLDEN / f"fm_check_{which}.err").read_text(encoding="utf-8")
+
 
 class TestEliminate:
     def test_single_pair(self):
