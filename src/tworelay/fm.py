@@ -9,6 +9,12 @@ identities that hold between them on real distributions (chain rules and the
 like) are deliberately ignored, so pruning is conservative and equivalence
 claims are settled numerically on sampled bindings, never syntactically.
 
+Pruning has one rule: a row goes when another row, or the always-true
+``0 <= 0``, implies it for nonnegative symbols, and of equal rows the first
+stays.  The numeric check binds each system's compiled rows once per
+binding; the LP maximum and the strict rows' margin at its optimum are both
+read from those bound rows.
+
 The two built-in systems are the per-stage inequality sets of the two coding
 schemes; the two built-in target systems are the corresponding single-letter
 constraint sets.  Neither is written out here: both come from running the row
@@ -30,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .info import InfoQuery, term_values
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
+from .lp import OPTIMAL, LpResult, maximize
 from .prob import (
     LAW_FAMILIES,
     ResourceLimitError,
@@ -132,6 +138,9 @@ class RateSystem:
     variables: tuple[str, ...]
 
     def __post_init__(self):
+        repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
+        if repeated:
+            raise ValidationError(f"variables declared more than once: {repeated}")
         used = {k for ineq in self.inequalities for k, _ in ineq.expr.vars}
         unknown = used - set(self.variables)
         if unknown:
@@ -274,47 +283,32 @@ def eliminate(system: RateSystem, var: str) -> RateSystem:
     return RateSystem(tuple(rest), remaining)
 
 
-def _is_redundant(candidate: Inequality, against: Inequality) -> bool:
-    """True when ``against`` implies ``candidate`` for nonnegative symbols."""
-    if candidate.expr.vars != against.expr.vars:
-        return False
-    if candidate.strict and not against.strict:
-        return False
-    diff = against.expr.sym_map()
-    for sym, c in candidate.expr.syms:
-        diff[sym] = diff.get(sym, Fraction(0)) - c
-    return all(c >= 0 for c in diff.values())
-
-
 def prune(system: RateSystem) -> RateSystem:
-    """Drop duplicates, trivially true rows, and symbol-dominated rows."""
-    rows: list[Inequality] = []
+    """Drop every row that another row implies, keeping the first of equal rows.
+
+    Rows are compared normalized.  For nonnegative symbols, ``e' < 0`` (or
+    ``<= 0``) implies ``e < 0`` (or ``<= 0``) when the two have the same
+    rate part, no symbol coefficient of ``e' - e`` is negative, and ``e`` is
+    strict only if ``e'`` is.  The always-true ``0 <= 0`` implies too, so a
+    rate-free non-strict row without a positive symbol coefficient goes.
+    """
+    symbols = system.symbols
+    # each row keyed by its rate part, strictness and symbol coefficients;
+    # the always-true row goes in first and keeps nothing
+    first: dict[tuple, Inequality | None] = {((), False, (0,) * len(symbols)): None}
     for ineq in system.inequalities:
         ineq = ineq.normalized(system.variables)
-        if ineq.expr.is_zero() and not ineq.strict:
-            continue  # 0 <= 0; a strict 0 < 0 is kept as the empty system
-        if (
-            not ineq.expr.vars
-            and not ineq.strict
-            and all(c <= 0 for _, c in ineq.expr.syms)
-        ):
-            continue  # -(nonnegative symbols) <= 0 always holds
-        rows.append(ineq)
+        coeffs = ineq.expr.sym_map()
+        key = (ineq.expr.vars, ineq.strict, tuple(coeffs.get(s, 0) for s in symbols))
+        first.setdefault(key, ineq)
 
-    kept: list[Inequality] = []
-    for i, ineq in enumerate(rows):
-        redundant = False
-        for j, other in enumerate(rows):
-            if i == j:
-                continue
-            if _is_redundant(ineq, other):
-                # mutual domination means duplicates: keep the first
-                if _is_redundant(other, ineq) and j > i:
-                    continue
-                redundant = True
-                break
-        if not redundant:
-            kept.append(ineq)
+    def implies(a: tuple, b: tuple) -> bool:
+        return a[0] == b[0] and a[1] >= b[1] and all(x >= y for x, y in zip(a[2], b[2]))
+
+    kept = [
+        ineq for key, ineq in first.items()
+        if ineq is not None and not any(k is not key and implies(k, key) for k in first)
+    ]
     used = {k for ineq in kept for k, _ in ineq.expr.vars}
     return RateSystem(tuple(kept), tuple(v for v in system.variables if v in used))
 
@@ -371,12 +365,15 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
     return out
 
 
-def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
-    """Exact max of the rate RB over the closure of the system.
+def _solve(system: RateSystem, binding: Mapping[str, Fraction]) -> tuple[LpResult, Fraction | None]:
+    """Bind the compiled rows once, maximize RB over them, and read the
+    smallest margin of any strict row at the optimum from the same rows.
 
     Strict rows are relaxed to non-strict; the closure has the same supremum.
     The binding is put over one common denominator ``den``, so each row's
     right-hand side is ``-total / (scale * den)`` for an integer ``total``.
+    A zero margin means the optimum sits on a boundary the strict system
+    excludes; it is None without an optimum or without strict rows.
     """
     if "RB" not in system.variables:
         raise ValidationError("objective variable 'RB' not in system")
@@ -392,30 +389,19 @@ def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
         (var_map, Fraction(-sum(c * nums[k] for k, c in terms), scale * den))
         for var_map, scale, terms in compiled
     ]
-    return maximize({"RB": 1}, rows, system.variables)
+    res = maximize({"RB": 1}, rows, system.variables)
+    if res.status != OPTIMAL:
+        return res, None
+    slacks = [
+        rhs - sum(c * res.point[v] for v, c in var_map.items())
+        for (var_map, rhs), ineq in zip(rows, system.inequalities) if ineq.strict
+    ]
+    return res, min(slacks, default=None)
 
 
-def strict_slack(
-    system: RateSystem,
-    binding: Mapping[str, Fraction],
-    point: Mapping[str, Fraction],
-) -> Fraction | None:
-    """Smallest margin of any originally-strict row at a feasible point.
-
-    Zero means the point sits on a boundary the strict system excludes;
-    None means the system has no strict rows.
-    """
-    slacks = []
-    for ineq in system.inequalities:
-        if not ineq.strict:
-            continue
-        total = Fraction(0)
-        for var, c in ineq.expr.vars:
-            total += c * point.get(var, Fraction(0))
-        for sym, c in ineq.expr.syms:
-            total += c * binding[str(sym)]
-        slacks.append(-total)
-    return min(slacks) if slacks else None
+def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
+    """Exact max of the rate RB over the closure of the system."""
+    return _solve(system, binding)[0]
 
 
 @dataclass(frozen=True)
@@ -467,17 +453,8 @@ def numeric_equiv(
         raise ValidationError("numeric equivalence needs at least one binding")
     comparisons = []
     for binding in bindings:
-        ra = max_rate(sys_a, binding)
-        rb = max_rate(sys_b, binding)
-
-        def opt_fields(system: RateSystem, res: LpResult):
-            if res.status != OPTIMAL:
-                return None, None
-            slack = strict_slack(system, binding, res.point)
-            return float(res.value), None if slack is None else float(slack)
-
-        va, sa = opt_fields(sys_a, ra)
-        vb, sb = opt_fields(sys_b, rb)
+        (ra, sa), (rb, sb) = _solve(sys_a, binding), _solve(sys_b, binding)
+        va, vb, sa, sb = (None if x is None else float(x) for x in (ra.value, rb.value, sa, sb))
         comparisons.append(BindingComparison(ra.status, rb.status, va, vb, sa, sb))
     return EquivReport(all(c.agree for c in comparisons), tuple(comparisons))
 
@@ -544,7 +521,10 @@ def parse_system(text: str) -> RateSystem:
             for term in body.split(" + "):
                 coeff, ident = _term(term.strip(), lineno)
                 if ident.startswith("I("):
-                    sym = InfoQuery.parse(ident)
+                    try:
+                        sym = InfoQuery.parse(ident)
+                    except ValidationError as exc:
+                        raise ValidationError(f"line {lineno}: {exc}") from None
                     syms_acc[sym] = syms_acc.get(sym, Fraction(0)) + coeff
                 else:
                     vars_acc[ident] = vars_acc.get(ident, Fraction(0)) + coeff

@@ -37,9 +37,17 @@ def _axes_meta(axes: tuple[Alphabet, ...]) -> list[list]:
     return [[a.id, a.size] for a in axes]
 
 
+def _size(value: Any, where: str) -> int:
+    """An alphabet size as a file gives it: an integer, not a float or a
+    bool that ``int`` would quietly truncate."""
+    if type(value) is not int:
+        raise ValidationError(f"{where}: alphabet size {value!r} is not an integer")
+    return value
+
+
 def _axes_from_meta(meta: Any, where: str) -> tuple[Alphabet, ...]:
     try:
-        return tuple(Alphabet(str(i), int(s)) for i, s in meta)
+        return tuple(Alphabet(str(i), _size(s, where)) for i, s in meta)
     except (TypeError, ValueError):
         raise ValidationError(f"{where}: malformed axis list {meta!r}") from None
 
@@ -132,7 +140,7 @@ def channel_from_dict(payload: dict) -> NetworkChannel:
     for var in CHANNEL_INPUTS + CHANNEL_OUTPUTS:
         if var not in sizes:
             raise ValidationError(f"channel: sizes is missing {var!r}")
-    alphabet = lambda v: Alphabet(v, _convert(int, sizes[v], f"channel.sizes.{v}"))
+    alphabet = lambda v: Alphabet(v, _size(sizes[v], f"channel.sizes.{v}"))
     given = tuple(map(alphabet, CHANNEL_INPUTS))
     target = tuple(map(alphabet, CHANNEL_OUTPUTS))
     data = _convert(_floats, _require(payload, "transition", "channel"), "channel.transition")

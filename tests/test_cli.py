@@ -343,6 +343,20 @@ class TestFm:
         assert out == ""
         assert err == "error: line 2: malformed term '1/0*RB'\n"
 
+    @pytest.mark.parametrize("text, message", [
+        # once printed "1*RB + 1*RB < 0", which parses back as 2*RB
+        ("vars: RB RB\n1*RB < 0\n", "variables declared more than once: ['RB']"),
+        ("vars: RB\n1*RB + 1*I(X0;Y0|) < 0\n", "line 2: unknown variable id ''"),
+        ("vars: RB\n1*I(Yh1) < 0\n", "line 2: malformed information term 'I(Yh1)'"),
+    ])
+    def test_malformed_system_exits_2(self, text, message, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["fm", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_row_cap_exits_3(self, tmp_path, capsys):
         # 40 rows bound RA above and 40 below, over 12 distinct terms; the
         # 1,600 pairs are refused before any is formed

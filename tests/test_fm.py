@@ -332,6 +332,67 @@ class TestPrune:
         assert rep.equivalent
 
 
+def pairwise_prune(system):
+    """Reference pruner: the earlier pairwise rule, special cases included."""
+
+    def redundant(candidate, against):
+        if candidate.expr.vars != against.expr.vars:
+            return False
+        if candidate.strict and not against.strict:
+            return False
+        diff = against.expr.sym_map()
+        for sym, c in candidate.expr.syms:
+            diff[sym] = diff.get(sym, Fraction(0)) - c
+        return all(c >= 0 for c in diff.values())
+
+    rows = []
+    for ineq in system.inequalities:
+        ineq = ineq.normalized(system.variables)
+        if ineq.expr.is_zero() and not ineq.strict:
+            continue
+        if not ineq.expr.vars and not ineq.strict and all(c <= 0 for _, c in ineq.expr.syms):
+            continue
+        rows.append(ineq)
+    kept = []
+    for i, ineq in enumerate(rows):
+        dropped = False
+        for j, other in enumerate(rows):
+            if i != j and redundant(ineq, other):
+                if redundant(other, ineq) and j > i:
+                    continue
+                dropped = True
+                break
+        if not dropped:
+            kept.append(ineq)
+    used = {k for ineq in kept for k, _ in ineq.expr.vars}
+    return fm.RateSystem(tuple(kept), tuple(v for v in system.variables if v in used))
+
+
+class TestPruneOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_pairwise_rule(self, data):
+        # few rates, symbols and small coefficients, so rate-free rows,
+        # duplicates of either strictness, positive multiples and the empty
+        # row all come up often
+        coeff = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                                 Fraction(-2), Fraction(1, 2), Fraction(-3, 2)])
+        pool = []
+        for k in range(data.draw(st.integers(1, 9))):
+            rate_vars = data.draw(st.dictionaries(st.sampled_from(["RB", "RA"]), coeff))
+            syms = data.draw(st.dictionaries(st.sampled_from([A, B]), coeff))
+            pool.append(fm.Inequality(expr(rate_vars, syms), data.draw(st.booleans()), f"r{k}"))
+        rows = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            row = data.draw(st.sampled_from(pool))
+            factor = data.draw(st.sampled_from([Fraction(1), Fraction(3), Fraction(2, 5)]))
+            strict = data.draw(st.sampled_from([row.strict, not row.strict]))
+            rows.append(fm.Inequality(row.expr.scaled(factor), strict, f"{row.provenance}*"))
+        used = {v for r in rows for v, _ in r.expr.vars}
+        s = system(rows, [v for v in ("RB", "RA") if v in used])
+        assert fm.prune(s) == pairwise_prune(s)
+
+
 class TestEliminateAll:
     @staticmethod
     def in_order(system, variables):
@@ -453,28 +514,34 @@ def fraction_rows_max_rate(system, binding, objective="RB"):
     return maximize({objective: 1}, rows, system.variables)
 
 
-class TestMaxRate:
-    SYMBOLS = list(T1_QUERIES.values())[:4]
+SYMBOLS = list(T1_QUERIES.values())[:4]
 
+
+def capped_system(data):
+    """A random small system and binding: mostly rows that cap the rates by
+    a combination of symbols, so that most systems are feasible and a scaled
+    row often binds."""
+    rate_coeff = st.fractions(-1, 3, max_denominator=9)
+    sym_coeff = st.fractions(-4, 1, max_denominator=9)
+    rows = [fm.Inequality(expr({"RB": 1}, {SYMBOLS[0]: -1}), True, "cap")]
+    for _ in range(data.draw(st.integers(0, 6))):
+        rate_vars = data.draw(st.dictionaries(st.sampled_from(["RB", "RA"]), rate_coeff))
+        syms = data.draw(st.dictionaries(st.sampled_from(SYMBOLS), sym_coeff))
+        rows.append(fm.Inequality(expr(rate_vars, syms), data.draw(st.booleans()), "r"))
+    used = {v for r in rows for v, _ in r.expr.vars}
+    s = system(rows, [v for v in ("RB", "RA") if v in used])
+    # non-dyadic values from a short list, so equal values cancel and
+    # some row constants come out exactly 0
+    value = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 7),
+                             Fraction(2), Fraction(11, 6), Fraction(1, 1024)])
+    return s, {str(sym): data.draw(value) for sym in SYMBOLS}
+
+
+class TestMaxRate:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_integer_binding_matches_fraction_rows(self, data):
-        # mostly rows that cap the rates by a combination of symbols, so
-        # that most systems are feasible and a scaled row often binds
-        rate_coeff = st.fractions(-1, 3, max_denominator=9)
-        sym_coeff = st.fractions(-4, 1, max_denominator=9)
-        rows = [fm.Inequality(expr({"RB": 1}, {self.SYMBOLS[0]: -1}), True, "cap")]
-        for _ in range(data.draw(st.integers(0, 6))):
-            rate_vars = data.draw(st.dictionaries(st.sampled_from(["RB", "RA"]), rate_coeff))
-            syms = data.draw(st.dictionaries(st.sampled_from(self.SYMBOLS), sym_coeff))
-            rows.append(fm.Inequality(expr(rate_vars, syms), data.draw(st.booleans()), "r"))
-        used = {v for r in rows for v, _ in r.expr.vars}
-        s = system(rows, [v for v in ("RB", "RA") if v in used])
-        # non-dyadic values from a short list, so equal values cancel and
-        # some row constants come out exactly 0
-        value = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 7),
-                                 Fraction(2), Fraction(11, 6), Fraction(1, 1024)])
-        binding = {str(sym): data.draw(value) for sym in self.SYMBOLS}
+        s, binding = capped_system(data)
         assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
 
     def test_zero_constant_rows(self):
@@ -499,6 +566,35 @@ class TestMaxRate:
         for binding in fm.sample_bindings(which, 6, seed=21):
             for s in systems:
                 assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
+
+
+def fraction_rows_slack(system, binding, point):
+    """The smallest margin of a strict row at ``point``, summed in Fractions
+    from each row's expression, or None without strict rows."""
+    margins = [
+        -(sum(c * point[v] for v, c in ineq.expr.vars)
+          + sum(c * binding[str(sym)] for sym, c in ineq.expr.syms))
+        for ineq in system.inequalities if ineq.strict
+    ]
+    return min(margins, default=None)
+
+
+class TestStrictSlack:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_random_systems_match_expression_sums(self, data):
+        s, binding = capped_system(data)
+        c = fm.numeric_equiv(s, s, [binding]).comparisons[0]
+        res = fm.max_rate(s, binding)
+        want = fraction_rows_slack(s, binding, res.point) if res.status == OPTIMAL else None
+        assert c.slack_a == c.slack_b == (None if want is None else float(want))
+
+    def test_no_strict_rows_gives_none(self):
+        capped = system([fm.Inequality(expr({"RB": 1}, {A: -1}), False, "cap")], ("RB",))
+        binding = {str(A): Fraction(1, 3)}
+        c = fm.numeric_equiv(capped, capped, [binding]).comparisons[0]
+        assert c.max_a == pytest.approx(1 / 3)
+        assert c.slack_a is None and c.slack_b is None
 
 
 class TestSchemeReduction:
@@ -712,6 +808,7 @@ class TestTextFormat:
             "vars: RB\n1e400*RB < 0\n",  # not an integer or integer ratio
             "vars: RB\n1*RB + 1*I(X0;Y0|) < 0\n",  # empty conditioning set
             pytest.param(f"vars: RB\n{'1' * 5000}*RB < 0\n", id="more-digits-than-int-reads"),
+            "vars: RB RB\n1*RB < 0\n",  # variable declared twice
         ],
     )
     def test_malformed_rejected(self, bad):

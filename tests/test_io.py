@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tworelay import ValidationError, channel_preset, load_channel, load_law
+from tworelay import ValidationError, channel_preset, cli, load_channel, load_law
 from tworelay import io as tio
 from tworelay.prob import (
     Alphabet,
@@ -287,6 +287,31 @@ class TestLoading:
         path = tmp_path / "absent.json"
         with pytest.raises(ValidationError, match="law file .*absent.json"):
             load_law(str(path))
+
+    @pytest.mark.parametrize("kind, size, where", [
+        ("law", 2.5, "law.components.px1"),  # int() would read size 2
+        ("channel", True, "channel.sizes.Y1"),  # int() would read size 1
+    ])
+    def test_non_integer_size_exits_2(self, kind, size, where, tmp_path, capsys):
+        channel = channel_preset("identity-direct")  # Y1 has one symbol
+        chan = tio.channel_to_dict(channel)
+        law = tio.law_to_dict(uniform_t1_law(channel))  # px1 over two symbols
+        if kind == "law":
+            law["components"]["px1"]["axes"] = [["X1", size]]
+        else:
+            chan["sizes"]["Y1"] = size
+        paths = {}
+        for name, payload in (("channel", chan), ("law", law)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(tio.dumps(payload))
+        with pytest.raises(ValidationError, match=f"^{where}: "):
+            (load_law if kind == "law" else load_channel)(str(paths[kind]))
+        code = cli.main(["eval", "--channel", str(paths["channel"]),
+                         "--law", str(paths["law"]), "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where}: ")
 
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
