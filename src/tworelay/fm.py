@@ -102,9 +102,6 @@ class LinearExpr:
     def __sub__(self, other: "LinearExpr") -> "LinearExpr":
         return self + other.scaled(Fraction(-1))
 
-    def is_zero(self) -> bool:
-        return not self.vars and not self.syms
-
 
 @dataclass(frozen=True)
 class Inequality:

@@ -38,8 +38,8 @@ def _axes_meta(axes: tuple[Alphabet, ...]) -> list[list]:
 
 
 def _size(value: Any, where: str) -> int:
-    """An alphabet size as a file gives it: an integer, not a float or a
-    bool that ``int`` would quietly truncate."""
+    """An alphabet size as a file gives it: an integer, not a float that
+    ``int`` would truncate or a bool it would read as 0 or 1."""
     if type(value) is not int:
         raise ValidationError(f"{where}: alphabet size {value!r} is not an integer")
     return value

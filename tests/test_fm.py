@@ -83,10 +83,6 @@ class TestLinearExpr:
         e = expr({"RB": Fraction(2, 3)}).scaled(Fraction(3, 4))
         assert e.var_map() == {"RB": Fraction(1, 2)}
 
-    def test_is_zero(self):
-        assert expr().is_zero()
-        assert not expr({"RB": 1}).is_zero()
-
 
 class TestInequality:
     def test_normalization_scales_leading_variable(self):
@@ -348,7 +344,7 @@ def pairwise_prune(system):
     rows = []
     for ineq in system.inequalities:
         ineq = ineq.normalized(system.variables)
-        if ineq.expr.is_zero() and not ineq.strict:
+        if not ineq.expr.vars and not ineq.expr.syms and not ineq.strict:
             continue
         if not ineq.expr.vars and not ineq.strict and all(c <= 0 for _, c in ineq.expr.syms):
             continue
