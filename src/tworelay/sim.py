@@ -18,8 +18,9 @@ the drawn observation pair, the number of typical book entries is binomial,
 so the hit probability of an astronomically large book is computable
 without building it.  Each trial still draws its pair from its own seeded
 generator, but a slice of trials is scored at once: one ``bincount`` gives
-every trial's (x1, y1) group counts, one ``binom.logpmf`` call scores every
-admissible count of every group, and one ``logsumexp`` reduces the windows.
+every trial's (x1, y1) group counts, one log-binomial expression scores every
+admissible count of every group, and one ``logsumexp`` reduces the windows;
+both come from ``scipy.special``, imported on first use.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import binom
 
 from .prob import (
     CondPmf,
@@ -477,10 +476,12 @@ def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float
     within each (x1, y1) position group the count landing on quantization
     letter 0 is binomial, the letter-1 count is its complement, and the
     groups are independent.  Every (trial, group) window of admissible
-    letter-0 counts is scored in one ``binom.logpmf`` call per slice of
-    trials, padded to the widest window with -inf.  Binary quantization
-    alphabets only.
+    letter-0 counts is scored at once per slice of trials, padded to the
+    widest window with -inf, by ``binom.logpmf``'s own formula from
+    ``scipy.special``; every count lies in its support, so the values are
+    ``binom.logpmf``'s bit for bit.  Binary quantization alphabets only.
     """
+    from scipy.special import gammaln, logsumexp, xlog1py, xlogy
     trials, n = x1.shape
     k1, ky, kq = (axis.size for axis in p_triple.axes)
     if kq != 2:
@@ -505,12 +506,11 @@ def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float
         rows = slice(start, start + step)
         k = lo[rows, :, None] + np.arange(width)
         inside = k <= hi[rows, :, None]
+        m, p = (np.broadcast_to(a, k.shape)[inside] for a in (count[rows, :, None], p_hit[:, None]))
         logs = np.full(k.shape, -np.inf)
-        logs[inside] = binom.logpmf(
-            k[inside],
-            np.broadcast_to(count[rows, :, None], k.shape)[inside],
-            np.broadcast_to(p_hit[:, None], k.shape)[inside],
-        )
+        k = k[inside].astype(np.float64)
+        logs[inside] = (gammaln(m + 1) - (gammaln(k + 1) + gammaln(m - k + 1))
+                        + xlogy(k, p) + xlog1py(m - k, -p))
         log_q[rows] = logsumexp(logs, axis=-1).sum(axis=-1)
     return log_q
 

@@ -554,19 +554,27 @@ def _entry_point_wrapper(bindir):
 
 
 @pytest.fixture(scope="module")
-def console_script(tmp_path_factory):
+def child_env():
+    """An environment whose child interpreters import this `tworelay`.
+
+    PYTHONPATH is made absolute so the child imports it whatever its
+    working directory.
+    """
+    env = dict(os.environ)
+    root = str(Path(tworelay.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
+    return env
+
+
+@pytest.fixture(scope="module")
+def console_script(tmp_path_factory, child_env):
     """The `tworelay` executable and an environment that runs the code under test.
 
     An installed script on PATH is used as is; otherwise the entry point
     declared in pyproject.toml is wrapped the way pip would install it.
-    PYTHONPATH is made absolute so the child imports this `tworelay`
-    whatever its working directory.
     """
     exe = shutil.which("tworelay") or _entry_point_wrapper(tmp_path_factory.mktemp("bin"))
-    env = dict(os.environ)
-    root = str(Path(tworelay.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (root, env.get("PYTHONPATH"))))
-    return exe, env
+    return exe, child_env
 
 
 class TestInstalledScript:
@@ -586,3 +594,59 @@ class TestInstalledScript:
              "--law", files["law_t1"], "--theorem", "t1"],
             capture_output=True, text=True, timeout=120, env=env)
         assert done.returncode == 2, done.stderr
+
+    def test_python_m_runs_the_command(self, files, child_env):
+        done = subprocess.run([sys.executable, "-m", "tworelay", "--help"],
+                              capture_output=True, text=True, timeout=120, env=child_env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: tworelay")
+        done = subprocess.run(
+            [sys.executable, "-m", "tworelay", "eval", "--channel", files["truncated"],
+             "--law", files["law_t1"], "--theorem", "t1"],
+            capture_output=True, text=True, timeout=120, env=child_env)
+        assert done.returncode == 2, done.stderr
+
+
+# runs its first argument in a fresh interpreter, stdout silenced, and prints
+# the scipy modules loaded by then
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def scipy_loaded_after(code, env):
+    done = subprocess.run([sys.executable, "-c", SCIPY_PROBE, code],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestImportPath:
+    """scipy is loaded only by the analytic covering path, and then only
+    ``scipy.special``."""
+
+    def test_import_and_commands_leave_scipy_unloaded(self, files, child_env):
+        argvs = [
+            ["eval", "--channel", files["chan"], "--law", files["law_t1"], "--theorem", "t1"],
+            ["optimize", "--channel", files["chan"], "--theorem", "t1", "--mode", "grid",
+             "--resolution", "2"],
+            ["fm", "t1"],
+        ]
+        code = ("import tworelay\n"
+                "from tworelay import cli\n"
+                f"codes = [cli.main(argv) for argv in {argvs!r}]\n"
+                "assert codes == [0, 0, 0], codes\n")
+        assert scipy_loaded_after(code, child_env) == []
+
+    def test_analytic_covering_loads_only_scipy_special(self, files, child_env):
+        code = ("from tworelay import io, sim\n"
+                f"ch = io.load_channel({files['chan_cov']!r})\n"
+                f"law = io.load_law({files['law_cov']!r})\n"
+                # 0.5 bits is above the 1 - h(1/4) covering threshold
+                "assert sim.covering_experiment(law, ch, 0.5, n=1000, trials=3, seed=0) == 1\n")
+        loaded = scipy_loaded_after(code, child_env)
+        assert "scipy.special" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.stats")]

@@ -1,9 +1,13 @@
 """The package's modules import each other only downward.
 
 Layers, lowest first: ``prob``; then ``info``, ``lp`` and ``io``; then
-``rates``; then ``fm``, ``optimize`` and ``sim``; then ``cli``.  A module
-may import from a lower layer only, at module level or inside a function.
-``__init__`` re-exports the public surface and is exempt.
+``rates``; then ``fm``, ``optimize`` and ``sim``; then ``cli``; then
+``__main__``, which runs ``cli``.  A module may import from a lower layer
+only, at module level or inside a function.  ``__init__`` re-exports the
+public surface and is exempt.
+
+No module imports scipy at module level, so ``import tworelay`` does not
+load it; a function that needs scipy imports it where it is used.
 """
 
 import ast
@@ -13,7 +17,10 @@ import pytest
 
 import tworelay
 
-LAYERS = (("prob",), ("info", "lp", "io"), ("rates",), ("fm", "optimize", "sim"), ("cli",))
+LAYERS = (
+    ("prob",), ("info", "lp", "io"), ("rates",), ("fm", "optimize", "sim"), ("cli",),
+    ("__main__",),
+)
 LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
 PACKAGE = Path(tworelay.__file__).parent
 
@@ -51,3 +58,39 @@ def test_imports_go_downward(module):
     # a name that is no module comes from ``__init__``, above every layer
     upward = sorted(m for m in imported if LAYER.get(m, len(LAYERS)) >= LAYER[module])
     assert not upward, f"{module} imports {upward} from its own layer or above"
+
+
+def load_time_imports(source: str) -> set[str]:
+    """Absolute modules a source file imports when it is loaded: every import
+    outside a function body, including those under ``if``, ``try`` or a class."""
+    found, stack = set(), [ast.parse(source)]
+    while stack:
+        for child in ast.iter_child_nodes(stack.pop()):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                found.add(child.module)
+            stack.append(child)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_level_scipy(path):
+    eager = sorted(m for m in load_time_imports(path.read_text(encoding="utf-8"))
+                   if m.partition(".")[0] == "scipy")
+    assert not eager, f"{path.name} imports {eager} at module level"
+
+
+def test_load_time_imports_skip_function_bodies():
+    source = (
+        "import numpy as np\n"
+        "try:\n    import scipy.stats\nexcept ImportError:\n    pass\n"
+        "class A:\n    from scipy import optimize\n"
+        "def f():\n    from scipy.special import gammaln\n"
+        "async def g():\n    import scipy.sparse\n"
+        "h = lambda: __import__('scipy.linalg')\n"
+        "from . import sim\n"
+    )
+    assert load_time_imports(source) == {"numpy", "scipy.stats", "scipy"}

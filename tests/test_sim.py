@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 from scipy.stats import binom
 
 from tworelay.info import InfoQuery, mutual_info
@@ -199,6 +199,46 @@ def reference_log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, eps):
             logs = binom.logpmf(np.arange(lo, hi + 1), group, float(book_rows[a, 0]))
             total += float(logsumexp(logs))
     return total
+
+
+def log_binomial(k, n, p):
+    """The log-binomial expression ``sim._log_hit_probability`` evaluates:
+    ``binom.logpmf``'s own formula, in its order of operations."""
+    k = np.asarray(k, dtype=np.float64)
+    return gammaln(n + 1) - (gammaln(k + 1) + gammaln(n - k + 1)) + xlogy(k, p) + xlog1py(n - k, -p)
+
+
+def binom_log_hit_probability(x1, y1, p_book, p_triple, eps):
+    """The batched analytic path in its earlier form, one ``binom.logpmf``
+    call per slice: the same windows, padding and slices, so its values must
+    match ``sim._log_hit_probability`` bit for bit."""
+    trials, n = x1.shape
+    k1, ky, kq = (axis.size for axis in p_triple.axes)
+    groups = k1 * ky
+    (lo0, hi0), (lo1, hi1) = (
+        np.array([sim._count_window(p, n, eps) for p in column]).T
+        for column in p_triple.mass.reshape(groups, kq).T
+    )
+    p_hit = np.repeat(p_book.mass.reshape(k1, kq)[:, 0], ky)
+    flat = np.ravel_multi_index((x1, y1), (k1, ky)) + groups * np.arange(trials)[:, None]
+    count = np.bincount(flat.reshape(-1), minlength=trials * groups).reshape(trials, groups)
+    lo = np.maximum(lo0, count - hi1)
+    hi = np.minimum(hi0, count - lo1)
+    width = max(int((hi - lo).max()) + 1, 1)
+    log_q = np.empty(trials)
+    step = max(1, sim._SLICE // (groups * width))
+    for start in range(0, trials, step):
+        rows = slice(start, start + step)
+        k = lo[rows, :, None] + np.arange(width)
+        inside = k <= hi[rows, :, None]
+        logs = np.full(k.shape, -np.inf)
+        logs[inside] = binom.logpmf(
+            k[inside],
+            np.broadcast_to(count[rows, :, None], k.shape)[inside],
+            np.broadcast_to(p_hit[:, None], k.shape)[inside],
+        )
+        log_q[rows] = logsumexp(logs, axis=-1).sum(axis=-1)
+    return log_q
 
 
 def covering_law(data):
@@ -682,6 +722,45 @@ class TestCoveringExperiment:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
                 frac = covering_experiment(law, ch, exponent / n, n, trials, seed, eps)
                 assert frac == successes / trials
+
+    def test_log_binomial_is_binom_logpmf_bitwise(self):
+        # every count the analytic path scores lies in [0, n], n <= 2^24
+        rng = np.random.default_rng(20240613)
+        size = 200_000
+        n = np.minimum((2.0 ** rng.uniform(0, 24.01, size)).astype(np.int64), sim.MAX_SYMBOLS)
+        n[:1000] = np.arange(1000) % 4
+        k = np.minimum((rng.random(size) * (n + 1)).astype(np.int64), n)
+        k[1000:3000:2], k[1001:3000:2] = 0, n[1001:3000:2]
+        p = rng.random(size)
+        p[rng.random(size) < 0.1] = 0.0
+        p[rng.random(size) < 0.1] = 1.0
+        p[rng.random(size) < 0.05] = 1e-300
+        p[rng.random(size) < 0.05] = 1 - 2.0 ** -52
+        want = binom.logpmf(k, n, p)
+        got = log_binomial(k, n, p)
+        assert np.isneginf(want).any() and np.isfinite(want).any()
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_analytic_path_matches_binom_logpmf_form_bitwise(self, data):
+        ch, law = covering_law(data)
+        n = data.draw(st.integers(1, 3000))
+        eps = data.draw(st.floats(0.01, 0.9))
+        trials = data.draw(st.integers(1, 6))
+        seed = data.draw(st.integers(0, 10**6))
+        joint = assemble_joint_t1(ch, law)
+        p_pair = marginalize(joint, ("X1", "Y1"))
+        p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
+        p_book = conditional(joint, ("Yh1",), ("X1",))
+        pairs = [sim._draw_joint(np.random.default_rng([seed, t]), p_pair, n)
+                 for t in range(trials)]
+        x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
+        for slice_size in (sim._SLICE, 7):
+            with mock.patch.object(sim, "_SLICE", slice_size):
+                got = sim._log_hit_probability(x1, y1, p_book, p_triple, eps)
+                want = binom_log_hit_probability(x1, y1, p_book, p_triple, eps)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_every_entry_typical_is_a_certain_hit(self):
         # the pinned law copies a constant observation, so every book entry is
