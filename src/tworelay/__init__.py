@@ -57,7 +57,6 @@ from .prob import (
     random_t2_law,
     uniform_t1_law,
     uniform_t2_law,
-    validate,
 )
 from .rates import (
     ConstraintCheck,
@@ -150,6 +149,5 @@ __all__ = [
     "typical",
     "uniform_t1_law",
     "uniform_t2_law",
-    "validate",
     "__version__",
 ]

@@ -12,8 +12,7 @@ claims are settled numerically on sampled bindings, never syntactically.
 Pruning has one rule: a row goes when another row, or the always-true
 ``0 <= 0``, implies it for nonnegative symbols, and of equal rows the first
 stays.  The numeric check binds each system's compiled rows once per
-binding; the LP maximum and the strict rows' margin at its optimum are both
-read from those bound rows.
+binding and reads the exact LP maximum of the rate from those bound rows.
 
 The two built-in systems are the per-stage inequality sets of the two coding
 schemes; the two built-in target systems are the corresponding single-letter
@@ -362,15 +361,13 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
     return out
 
 
-def _solve(system: RateSystem, binding: Mapping[str, Fraction]) -> tuple[LpResult, Fraction | None]:
-    """Bind the compiled rows once, maximize RB over them, and read the
-    smallest margin of any strict row at the optimum from the same rows.
+def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
+    """Exact max of the rate RB over the closure of the system.
 
     Strict rows are relaxed to non-strict; the closure has the same supremum.
-    The binding is put over one common denominator ``den``, so each row's
-    right-hand side is ``-total / (scale * den)`` for an integer ``total``.
-    A zero margin means the optimum sits on a boundary the strict system
-    excludes; it is None without an optimum or without strict rows.
+    The compiled rows are bound once: the binding is put over one common
+    denominator ``den``, so each row's right-hand side is
+    ``-total / (scale * den)`` for an integer ``total``.
     """
     if "RB" not in system.variables:
         raise ValidationError("objective variable 'RB' not in system")
@@ -386,19 +383,7 @@ def _solve(system: RateSystem, binding: Mapping[str, Fraction]) -> tuple[LpResul
         (var_map, Fraction(-sum(c * nums[k] for k, c in terms), scale * den))
         for var_map, scale, terms in compiled
     ]
-    res = maximize({"RB": 1}, rows, system.variables)
-    if res.status != OPTIMAL:
-        return res, None
-    slacks = [
-        rhs - sum(c * res.point[v] for v, c in var_map.items())
-        for (var_map, rhs), ineq in zip(rows, system.inequalities) if ineq.strict
-    ]
-    return res, min(slacks, default=None)
-
-
-def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
-    """Exact max of the rate RB over the closure of the system."""
-    return _solve(system, binding)[0]
+    return maximize({"RB": 1}, rows, system.variables)
 
 
 @dataclass(frozen=True)
@@ -407,10 +392,6 @@ class BindingComparison:
     status_b: str
     max_a: float | None
     max_b: float | None
-    # smallest margin of any originally-strict row at each LP optimum;
-    # zero flags a supremum the strict system only approaches
-    slack_a: float | None = None
-    slack_b: float | None = None
 
     @property
     def agree(self) -> bool:
@@ -450,9 +431,9 @@ def numeric_equiv(
         raise ValidationError("numeric equivalence needs at least one binding")
     comparisons = []
     for binding in bindings:
-        (ra, sa), (rb, sb) = _solve(sys_a, binding), _solve(sys_b, binding)
-        va, vb, sa, sb = (None if x is None else float(x) for x in (ra.value, rb.value, sa, sb))
-        comparisons.append(BindingComparison(ra.status, rb.status, va, vb, sa, sb))
+        ra, rb = max_rate(sys_a, binding), max_rate(sys_b, binding)
+        va, vb = (None if x is None else float(x) for x in (ra.value, rb.value))
+        comparisons.append(BindingComparison(ra.status, rb.status, va, vb))
     return EquivReport(all(c.agree for c in comparisons), tuple(comparisons))
 
 
@@ -494,8 +475,8 @@ def parse_system(text: str) -> RateSystem:
     """Inverse of format_system; tolerates comments and blank lines."""
     variables: tuple[str, ...] | None = None
     rows: list[Inequality] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("vars:"):

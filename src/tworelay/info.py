@@ -200,13 +200,10 @@ def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:
     """Evaluate a table of information terms on one joint, sharing marginals.
 
-    ``joint`` must be a validated :class:`JointPmf`, whose entries are finite
-    and non-negative; then the result agrees with
-    :func:`mutual_info` query by query, including its clamps and
-    its negative check, up to floating-point summation order.  A
-    ``JointPmf.raw`` joint skips that validation: ``mutual_info`` rejects its
-    bad cells in ``marginalize``, while here cells that are not positive are
-    left out of the entropies.
+    Every :class:`JointPmf` is checked finite and non-negative when it is
+    built, so the result agrees with :func:`mutual_info` query by query,
+    including its clamps and its negative check, up to floating-point
+    summation order.
     """
     plan = term_plan(queries, joint)
     return dict(zip(plan.names, plan.terms(plan.marginals(joint.mass)).tolist()))

@@ -79,7 +79,8 @@ def _require(payload: dict, key: str, where: str) -> Any:
 
 def _check_version(payload: dict, where: str) -> None:
     version = _require(payload, "format_version", where)
-    if version != FORMAT_VERSION:
+    # by type as in _size: True == 1 and 1.0 == 1 would pass a plain !=
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValidationError(f"{where}: format_version {version!r}, expected {FORMAT_VERSION}")
 
 

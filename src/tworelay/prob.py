@@ -11,6 +11,8 @@ Conventions used throughout the package:
   tensors over the same variable set always agree axis-by-axis.
 * Conditional tensors store the conditioning axes first (canonically sorted),
   then the target axes (canonically sorted); each conditional slice is a pmf.
+* Every joint and conditional tensor is checked once, where it is built, by
+  one routine; there is no unchecked constructor.
 * Alphabets are small by design: the library targets exhaustive desk-scale
   computation, not large-alphabet numerics.
 """
@@ -82,19 +84,33 @@ class Alphabet:
             )
 
 
-def _clamp_tiny_negatives(mass: np.ndarray) -> np.ndarray:
-    """Zero out negativity within the clamp tolerance; larger negativity errors.
+def _checked_mass(mass: Any, shape: tuple[int, ...], n_given: int, where: str) -> np.ndarray:
+    """``mass`` as a read-only float copy of ``shape``, once each of its
+    ``n_given`` leading slices is a pmf; every tensor is checked here.
 
-    NaN and infinite entries error too: every comparison with NaN is false, so
-    the sign and normalization checks alone would let them through.
+    The entry cap comes before any pass over the data.  NaN and infinite
+    entries error: every comparison with NaN is false, so the sign and
+    normalization checks alone would let them through.  Negativity within
+    the clamp tolerance is stored as 0.0; larger negativity errors.
     """
+    mass = np.asarray(mass, dtype=float)
+    if mass.shape != shape:
+        raise ValidationError(f"{where}: mass shape {mass.shape}, expected {shape}")
+    if mass.size > MAX_JOINT_ENTRIES:
+        raise ResourceLimitError(f"{where}: {mass.size} entries, cap is {MAX_JOINT_ENTRIES}")
     if not np.isfinite(mass).all():
-        raise ValidationError("tensor has non-finite entries (NaN or infinity)")
-    worst = float(mass.min()) if mass.size else 0.0
+        raise ValidationError(f"{where}: non-finite entries (NaN or infinity)")
+    worst = float(mass.min())
     if worst < -NEGATIVITY_CLAMP:
-        raise ValidationError(f"tensor entry {worst} below -{NEGATIVITY_CLAMP}")
+        raise ValidationError(f"{where}: entry {worst} below -{NEGATIVITY_CLAMP}")
     if worst < 0.0:
         mass = np.where(mass < 0.0, 0.0, mass)
+    totals = np.add.reduce(mass.reshape(n_given, -1), axis=1)
+    off = float(np.maximum.reduce(np.abs(totals - 1.0)))
+    if off > NORMALIZATION_TOL:
+        raise ValidationError(f"{where}: slice mass off by {off}")
+    mass = mass.copy()
+    mass.setflags(write=False)
     return mass
 
 
@@ -116,31 +132,8 @@ class JointPmf:
     def __post_init__(self):
         axes = _check_axes(self.axes, "JointPmf")
         object.__setattr__(self, "axes", axes)
-        mass = np.asarray(self.mass, dtype=float)
-        if mass.shape != tuple(a.size for a in axes):
-            raise ValidationError(
-                f"JointPmf: mass shape {mass.shape} does not match axes "
-                f"{[(a.id, a.size) for a in axes]}"
-            )
-        if mass.size > MAX_JOINT_ENTRIES:
-            raise ResourceLimitError(
-                f"joint tensor has {mass.size} entries, cap is {MAX_JOINT_ENTRIES}"
-            )
-        mass = _clamp_tiny_negatives(mass)
-        total = float(mass.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValidationError(f"JointPmf: total mass {total} not within tolerance of 1")
-        mass = mass.copy()
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-
-    @classmethod
-    def raw(cls, axes: Sequence[Alphabet], mass: np.ndarray) -> "JointPmf":
-        """Bypass construction checks.  For diagnostics and tests only."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "axes", tuple(axes))
-        object.__setattr__(obj, "mass", np.asarray(mass, dtype=float))
-        return obj
+        shape = tuple(a.size for a in axes)
+        object.__setattr__(self, "mass", _checked_mass(self.mass, shape, 1, "JointPmf"))
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -183,28 +176,9 @@ class CondPmf:
             raise ValidationError(f"CondPmf: axes {sorted(overlap)} both given and target")
         object.__setattr__(self, "given", given)
         object.__setattr__(self, "target", target)
-        mass = np.asarray(self.mass, dtype=float)
-        shape = tuple(a.size for a in given) + tuple(a.size for a in target)
-        if mass.shape != shape:
-            raise ValidationError(f"CondPmf: mass shape {mass.shape}, expected {shape}")
-        mass = _clamp_tiny_negatives(mass)
+        shape = tuple(a.size for a in given + target)
         n_given = math.prod(a.size for a in given)
-        totals = mass.reshape(n_given, -1).sum(axis=1)
-        worst = float(np.abs(totals - 1.0).max())
-        if worst > NORMALIZATION_TOL:
-            raise ValidationError(f"CondPmf: slice mass off by {worst}")
-        mass = mass.copy()
-        mass.setflags(write=False)
-        object.__setattr__(self, "mass", mass)
-
-    @classmethod
-    def raw(cls, given: Sequence[Alphabet], target: Sequence[Alphabet], mass: np.ndarray) -> "CondPmf":
-        """Bypass construction checks.  For diagnostics and tests only."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "given", tuple(given))
-        object.__setattr__(obj, "target", tuple(target))
-        object.__setattr__(obj, "mass", np.asarray(mass, dtype=float))
-        return obj
+        object.__setattr__(self, "mass", _checked_mass(self.mass, shape, n_given, "CondPmf"))
 
     @property
     def given_ids(self) -> tuple[str, ...]:
@@ -213,31 +187,6 @@ class CondPmf:
     @property
     def target_ids(self) -> tuple[str, ...]:
         return tuple(a.id for a in self.target)
-
-
-@dataclass(frozen=True)
-class PmfDiagnostics:
-    """Pure report from :func:`validate`; never raises."""
-
-    max_negativity: float
-    max_normalization_deviation: float
-    passed: bool
-
-
-def validate(pmf: JointPmf | CondPmf) -> PmfDiagnostics:
-    """Report finiteness, negativity and normalization health of a (possibly raw) tensor."""
-    mass = np.asarray(pmf.mass, dtype=float)
-    max_neg = float(max(0.0, -mass.min())) if mass.size else 0.0
-    effective = np.where((mass < 0.0) & (mass >= -NEGATIVITY_CLAMP), 0.0, mass)
-    if isinstance(pmf, CondPmf):
-        n_given = math.prod(a.size for a in pmf.given)
-        totals = effective.reshape(n_given, -1).sum(axis=1)
-    else:
-        totals = np.array([effective.sum()])
-    max_dev = float(np.abs(totals - 1.0).max())
-    finite = bool(np.isfinite(mass).all())
-    passed = finite and max_neg <= NEGATIVITY_CLAMP and max_dev <= NORMALIZATION_TOL
-    return PmfDiagnostics(max_neg, max_dev, passed)
 
 
 def marginalize(joint: JointPmf, keep: Iterable[str]) -> JointPmf:

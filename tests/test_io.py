@@ -313,6 +313,25 @@ class TestLoading:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {where}: ")
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    @pytest.mark.parametrize("kind", ["channel", "law"])
+    def test_non_integer_format_version_exits_2(self, kind, version, tmp_path, capsys):
+        # True == 1 and 1.0 == 1, so only a type check refuses them
+        channel = channel_preset("identity-direct")
+        payloads = {"channel": tio.channel_to_dict(channel),
+                    "law": tio.law_to_dict(uniform_t1_law(channel))}
+        payloads[kind]["format_version"] = version
+        paths = {}
+        for name, payload in payloads.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(tio.dumps(payload))
+        code = cli.main(["eval", "--channel", str(paths["channel"]),
+                         "--law", str(paths["law"]), "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {kind}: format_version {version!r}, expected 1")
+
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]\n")

@@ -8,6 +8,9 @@ public surface and is exempt.
 
 No module imports scipy at module level, so ``import tworelay`` does not
 load it; a function that needs scipy imports it where it is used.
+
+No module calls ``object.__new__``, the one way to build a pmf around the
+checks its constructor runs.
 """
 
 import ast
@@ -94,3 +97,29 @@ def test_load_time_imports_skip_function_bodies():
         "from . import sim\n"
     )
     assert load_time_imports(source) == {"numpy", "scipy.stats", "scipy"}
+
+
+def object_new_calls(source: str) -> list[int]:
+    """Line numbers of every ``object.__new__`` call in a source file."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "object"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_object_new(path):
+    lines = object_new_calls(path.read_text(encoding="utf-8"))
+    assert not lines, f"{path.name} calls object.__new__ on lines {lines}"
+
+
+def test_object_new_calls_found():
+    source = (
+        "a = object.__new__(A)\n"
+        "def f():\n    return object.__new__(cls)\n"
+        "b = super().__new__(B)\n"
+        "c = A.__new__(A)\n"
+    )
+    assert object_new_calls(source) == [1, 3]

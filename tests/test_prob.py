@@ -30,7 +30,6 @@ from tworelay.prob import (
     random_t2_law,
     uniform_cond,
     uniform_pmf,
-    validate,
 )
 
 
@@ -290,7 +289,8 @@ class TestValidation:
     def test_cond_slice_normalization(self):
         x = Alphabet("X1", 2)
         y = Alphabet("Y1", 2)
-        bad = np.array([[0.5, 0.5], [0.6, 0.5]])
+        # slice sums 1.1 and 0.9: the total mass is right, each slice is not
+        bad = np.array([[0.6, 0.5], [0.4, 0.5]])
         with pytest.raises(ValidationError):
             CondPmf((x,), (y,), bad)
 
@@ -303,34 +303,52 @@ class TestValidation:
         with pytest.raises(ResourceLimitError):
             JointPmf(axes, huge)
 
-    def test_validate_reports_without_raising(self):
-        diag = validate(JointPmf.raw((Alphabet("X0", 2),), np.array([0.5, 0.499])))
-        assert not diag.passed
-        assert diag.max_normalization_deviation == pytest.approx(1e-3, rel=1e-6)
+    def test_cond_entry_cap(self):
+        given = tuple(Alphabet(k, 8) for k in ("X0", "X1", "X2", "V1", "V2"))
+        target = tuple(Alphabet(k, 8) for k in ("Y0", "Y1", "Y2", "Yh1", "Yh2"))
+        huge = np.broadcast_to(np.float64(0.0), (8,) * 10)
+        with pytest.raises(ResourceLimitError):
+            CondPmf(given, target, huge)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_joint_non_finite_rejected(self, bad):
-        with pytest.raises(ValidationError, match="non-finite"):
-            JointPmf((Alphabet("X1", 2),), np.array([bad, 0.5]))
+    @pytest.mark.parametrize("row, match", [
+        pytest.param([0.25, 0.25, 0.5], "mass shape", id="shape"),
+        pytest.param([np.nan, 0.5], "non-finite", id="nan"),
+        pytest.param([np.inf, 0.5], "non-finite", id="inf"),
+        pytest.param([-np.inf, 0.5], "non-finite", id="-inf"),
+        pytest.param([1.001, -0.001], "below", id="negative"),
+        pytest.param([0.5, 0.499], "slice mass off", id="off-normalization"),
+    ])
+    @pytest.mark.parametrize("kind", ["joint", "cond"])
+    def test_bad_mass_rejected(self, kind, row, match):
+        with pytest.raises(ValidationError, match=match):
+            build_pmf(kind, row)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_cond_non_finite_rejected(self, bad):
-        x = Alphabet("X1", 2)
-        y = Alphabet("Y1", 2)
-        with pytest.raises(ValidationError, match="non-finite"):
-            CondPmf((x,), (y,), np.array([[0.5, 0.5], [bad, 0.5]]))
+    @pytest.mark.parametrize("kind", ["joint", "cond"])
+    def test_tiny_negative_stored_as_zero(self, kind):
+        pmf, _ = build_pmf(kind, [1.0, -1e-15])
+        last = pmf.mass.flat[-1]
+        assert last == 0.0 and not np.signbit(last)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_validate_reports_non_finite(self, bad):
-        x = Alphabet("X1", 2)
-        y = Alphabet("Y1", 2)
-        assert not validate(JointPmf.raw((x,), np.array([bad, 0.5]))).passed
-        assert not validate(CondPmf.raw((x,), (y,), np.array([[0.5, 0.5], [bad, 0.5]]))).passed
+    @pytest.mark.parametrize("kind", ["joint", "cond"])
+    def test_stored_mass_is_a_read_only_copy(self, kind):
+        pmf, mass = build_pmf(kind, [0.25, 0.75])
+        before = mass.copy()
+        mass[...] = 0.5
+        np.testing.assert_array_equal(pmf.mass, before)
+        assert not pmf.mass.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pmf.mass[0] = 0.0
 
-    def test_validate_passes_clean_uniform(self):
-        diag = validate(uniform_pmf((Alphabet("X0", 4),)))
-        assert diag.passed
-        assert diag.max_negativity == 0.0
+
+def build_pmf(kind, row):
+    """A JointPmf over X1 whose mass is ``row``, or a CondPmf of Y1 given X1
+    whose first slice is uniform and whose second is ``row``, with the mass
+    array it was given."""
+    row = np.asarray(row, dtype=float)
+    if kind == "joint":
+        return JointPmf((Alphabet("X1", 2),), row), row
+    mass = np.stack([np.full(row.size, 1.0 / row.size), row])
+    return CondPmf((Alphabet("X1", 2),), (Alphabet("Y1", 2),), mass), mass
 
 
 def test_deterministic_cond_one_hot():

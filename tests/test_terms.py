@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay.info import InfoQuery, mutual_info, term_values
+from tworelay.info import InfoQuery, mutual_info, term_plan, term_values
 from tworelay.optimize import _get_slice, _grid_vectors, _set_slice, _slice_index, _slice_marginals
 from tworelay.prob import (
     Alphabet,
@@ -101,14 +101,14 @@ class TestCompiledTerms:
         assert abs(got["lr"] - mutual_info(joint, InfoQuery(left, right, cond))) <= TERM_TOL
 
     def test_negative_term_raises(self):
-        # raw mass with a negative cell: H(X0) = H(Y0) = 0 but H(X0,Y0) = 1.5,
-        # because the entropies leave the cell out.  mutual_info differs on this
-        # joint: its marginalize rejects the negative cell before any entropy.
+        # a mass no JointPmf would hold, fed to the plan directly: with the
+        # negative cell left out of the entropies, H(X0) = H(Y0) = 0 but
+        # H(X0,Y0) = 1.5
         mass = np.array([[0.5, 0.5], [0.5, -0.5]])
-        joint = JointPmf.raw((Alphabet("X0", 2), Alphabet("Y0", 2)), mass)
         queries = {"pair": InfoQuery(("X0",), ("Y0",)), "same": InfoQuery(("Y0",), ("X0",))}
+        plan = term_plan(queries, uniform_pmf((Alphabet("X0", 2), Alphabet("Y0", 2))))
         with pytest.raises(ValidationError, match=r"-1\.5 below -1e-10 for I\(X0;Y0\)"):
-            term_values(joint, queries)
+            plan.terms(plan.marginals(mass))
 
     @pytest.mark.parametrize("delta, clamped", [(1e-6, True), (1e-4, False)])
     def test_zero_clamp(self, delta, clamped):
