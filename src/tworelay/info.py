@@ -99,11 +99,11 @@ class _TermPlan:
     """A query table compiled against one joint shape, in the entropy basis.
 
     Every query is written as I(L;R|G) = H(LG) + H(RG) - H(LRG) - H(G) over
-    the distinct nonempty variable subsets.  ``steps[k] = (parent, axes)``
-    gets the marginal of subset k by summing ``axes`` (counted from the end)
-    out of the marginal of subset ``parent`` (the joint itself when
-    ``parent`` is -1), the smallest superset computed before it, so no array
-    larger than the joint is built.  ``offsets`` delimit each marginal in
+    the distinct nonempty variable ``subsets`` of the joint's ``ids``.
+    ``steps[k] = (parent, axes)`` gets the marginal of subset k by summing
+    ``axes`` (counted from the end) out of the marginal of subset ``parent``
+    (the joint itself when ``parent`` is -1), the smallest superset computed
+    before it, so no array larger than the joint is built.  ``offsets`` delimit each marginal in
     their flat concatenation and ``signs`` maps the subset entropies to the
     queries.
 
@@ -115,14 +115,17 @@ class _TermPlan:
 
     names: tuple[str, ...]
     queries: tuple[InfoQuery, ...]
+    ids: tuple[str, ...]
     shape: tuple[int, ...]
+    subsets: tuple[tuple[str, ...], ...]
     steps: tuple[tuple[int, tuple[int, ...]], ...]
     offsets: np.ndarray
     signs: np.ndarray
 
     def marginals(self, mass: np.ndarray) -> np.ndarray:
         """The concatenated subset marginals of a joint of this plan's shape,
-        or of joints stacked along leading axes: shape ``(..., cells)``."""
+        or of joints stacked along leading axes: shape ``(..., cells)``.  Only
+        the rank is read, so a slab (see :func:`slab_cells`) works too."""
         lead = mass.shape[: mass.ndim - len(self.shape)]
         out: list[np.ndarray] = []
         for parent, axes in self.steps:
@@ -185,7 +188,9 @@ def _compile_terms(
     return _TermPlan(
         tuple(name for name, _ in items),
         tuple(q for _, q in items),
+        ids,
         shape,
+        tuple(subsets),
         tuple(steps),
         offsets,
         signs,
@@ -195,6 +200,37 @@ def _compile_terms(
 def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
     """The compiled plan of a query table for joints shaped like ``joint``."""
     return _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
+
+
+@functools.lru_cache(maxsize=64)
+def _slab_index(plan: _TermPlan, fixed: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    size = dict(zip(plan.ids, plan.shape))
+    base, strides = [], []
+    for subset, offset in zip(plan.subsets, plan.offsets):
+        sizes = [size[v] for v in subset]
+        cells = offset + np.arange(math.prod(sizes)).reshape(sizes)
+        base.append(cells[tuple(slice(0, 1) if v in fixed else slice(None) for v in subset)].ravel())
+        step = {v: math.prod(sizes[i + 1:]) for i, v in enumerate(subset)}
+        strides.append(np.tile([step.get(v, 0) for v in fixed], (base[-1].size, 1)))
+    base, strides = np.concatenate(base), np.concatenate(strides)
+    base.setflags(write=False)
+    strides.setflags(write=False)
+    return base, strides
+
+
+def slab_cells(plan: _TermPlan, fixed: tuple[str, ...], at) -> np.ndarray:
+    """Where a slab's marginals sit in its joint's marginal stack.
+
+    A slab is a joint of ``plan``'s ids restricted to one value of each
+    variable in ``fixed``, with those axes kept at size 1;
+    :meth:`_TermPlan.marginals` gives its concatenated subset marginals.
+    Returns the index of each of them in the full joint's stack, with the
+    fixed variables' values along the last axis of ``at``: shape
+    ``(..., slab cells)``.  The index is linear in those values; its offset
+    and slopes are cached per plan and ``fixed``, in a bounded cache.
+    """
+    base, strides = _slab_index(plan, tuple(fixed))
+    return base + np.asarray(at, dtype=np.intp) @ strides.T
 
 
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:

@@ -15,26 +15,31 @@ grid
     ``MAX_GRID_VECTORS`` compositions in some slice is refused before any
     evaluation.  The search starts from the uniform law.
 random-restart
-    one move per simplex vertex: a golden-section line search along the
-    segment from the slice's current point toward that vertex (this is
+    one move per simplex vertex: a line search along the segment from the
+    slice's current point toward that vertex, 17 evenly spaced points and
+    then 16 inside the bracket of the best of them (this is
     ``local_refine``).  Seeded random laws are each refined, then merged by
     best value with ties broken toward the lower restart index.
 
 Scoring.  The joint is linear in each factor row, so while one slice moves,
 every marginal the rate terms need is a mix of the marginals at the slice's
-k simplex vertices.  Each slice assembles those k joints once; a grid then
-scores all its compositions as one matrix product and one entropy pass, and
-each line-search probe costs one entropy pass, with no law built.  Only a
-move's best candidate becomes a law, evaluated in full by
+k simplex vertices.  Only the slab of the joint where the factor's given
+variables equal the slice's cell depends on the row, so the ascent keeps
+the incumbent's marginals and each slice swaps in its slab's marginals at
+the k vertices, from one contraction of that slab.  Every move then scores
+its candidates in batches, as matrix products and entropy passes with no
+law built: a grid in one call, a line search in two.  Only a move's best
+candidate becomes a law, evaluated in full by
 ``eval_theorem1``/``eval_theorem2``; it replaces the incumbent only when
 that full evaluation beats it, so the reported objective, report and trace
 are full evaluations.  ``evaluations`` counts scored candidates, and ties go
 to the first candidate in scan order.
 
-Infeasible laws score minus infinity (``_merit``, shared by both scorers)
-under the first theorem, whose constraints gate achievability outright.  The
-second theorem's evaluator clamps its decode-and-forward rates instead, so
-infeasibility there is rarer but treated the same way when it happens.
+Infeasible laws score minus infinity (``_merit``, shared by the batch and
+the full scores) under the first theorem, whose constraints gate
+achievability outright.  The second theorem's evaluator clamps its
+decode-and-forward rates instead, so infeasibility there is rarer but
+treated the same way when it happens.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from . import io
-from .info import term_plan
+from .info import slab_cells, term_plan
 from .prob import (
     LAW_FAMILIES,
     InvariantError,
@@ -59,6 +64,7 @@ from .prob import (
     ValidationError,
     assemble_joint,
     random_law,
+    slice_slab,
     uniform_law,
 )
 from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2
@@ -189,22 +195,27 @@ def _check_grid(law, resolution: int) -> None:
             )
 
 
-def _slice_marginals(channel: NetworkChannel, law, queries, name: str, cell, k: int):
-    """The term plan of ``queries`` on the law's joint, and the marginal
-    stacks of the joints at the k vertices of one slice's simplex.
+def _slice_marginals(channel: NetworkChannel, law, plan, current, name: str, cell, k: int):
+    """The marginal stacks of the joints at the k vertices of one slice's
+    simplex, built from the law's own stack ``current`` (of ``plan``).
 
     The joint is linear in each factor row, so with the slice at ``w`` (a
     point of the simplex) every subset marginal is ``w @ V`` for the
     returned ``(k, cells)`` stack V: along the segment from a point ``base``
-    to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  The vertex
-    joints are assembled one at a time, so no more than one is held.
+    to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  Only the slab
+    of the joint where the factor's given variables equal ``cell`` depends
+    on the row, so vertex v's stack is ``current`` with the law's slab
+    marginals swapped for those of the slab at v, from one contraction of
+    the slab (:func:`tworelay.prob.slice_slab`); no law is built.
     """
-    stack = []
-    for vertex in np.eye(k):
-        joint = assemble_joint(channel, _set_slice(law, name, cell, vertex))
-        plan = term_plan(queries, joint)
-        stack.append(plan.marginals(joint.mass))
-    return plan, np.stack(stack)
+    pmf = getattr(law, name)
+    letters = np.unravel_index(np.arange(k), tuple(a.size for a in pmf.target))
+    at = np.column_stack([np.full(k, c) for c in cell] + list(letters))
+    cells = slab_cells(plan, tuple(a.id for a in pmf.given + pmf.target), at)
+    stack = np.zeros((k, current.size))
+    np.put_along_axis(stack, cells, plan.marginals(slice_slab(channel, law, name, cell)), axis=1)
+    stack += current - _get_slice(law, name, cell) @ stack
+    return stack
 
 
 def _merit(feasible, objective):
@@ -213,29 +224,20 @@ def _merit(feasible, objective):
     return np.where(feasible, objective, -math.inf)
 
 
-def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k: int):
-    """Score candidate vectors of one slice without building their laws.
-
-    The returned function maps one vector (to a float) or a ``(B, k)`` batch
-    (to an array) to its :func:`_merit`: one entropy pass over ``w @ V``
-    (see :func:`_slice_marginals`) and one :class:`tworelay.rates.Outcome`
-    per batch of ``_BATCH_CELLS`` cells.
+def _slice_scorer(theorem: str, plan, vertices: np.ndarray):
+    """Score a ``(B, k)`` batch of one slice's candidate vectors without
+    building their laws: their :func:`_merit` from one entropy pass over
+    ``w @ vertices`` (see :func:`_slice_marginals`) and one
+    :class:`tworelay.rates.Outcome` per batch of ``_BATCH_CELLS`` cells.
     """
-    queries, outcome = THEOREMS[theorem].queries, THEOREMS[theorem].outcome
-    plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
+    outcome = THEOREMS[theorem].outcome
     rows = max(1, _BATCH_CELLS // vertices.shape[1])
 
     def value(w: np.ndarray):
-        terms = plan.terms(w @ vertices)
-        result = outcome(dict(zip(plan.names, terms.tolist() if w.ndim == 1 else terms.T)))
+        result = outcome(dict(zip(plan.names, plan.terms(w @ vertices).T)))
         return _merit(result.feasible, result.objective)
 
-    def values(w: np.ndarray):
-        if w.ndim == 1:
-            return float(value(w))
-        return np.concatenate([value(w[i:i + rows]) for i in range(0, len(w), rows)])
-
-    return values
+    return lambda w: np.concatenate([value(w[i:i + rows]) for i in range(0, len(w), rows)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +245,12 @@ def _slice_scorer(channel: NetworkChannel, law, theorem: str, name: str, cell, k
 # ---------------------------------------------------------------------------
 
 # A move maps (slice scorer, current slice point) to (candidate, its value,
-# candidates scored); the ascent asks for a slice's moves by alphabet size.
+# candidates scored), scoring its candidates in batches; the ascent asks for
+# a slice's moves by alphabet size.
 Move = Callable[[Callable, np.ndarray], tuple[np.ndarray, float, int]]
 
-_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# line-move mixing weights: the segment, t = 0 (the current point) first
+_LINE_POINTS = np.linspace(0.0, 1.0, 17)
 
 
 def _grid_move(grid: np.ndarray, slice_value, point):
@@ -257,35 +261,25 @@ def _grid_move(grid: np.ndarray, slice_value, point):
 
 
 def _line_move(vertex: int, slice_value, base):
-    """A golden-section scan of the segment from ``base`` toward one vertex.
+    """The segment from ``base`` toward one vertex, in two scorer calls.
 
-    The scan assumes nothing about shape: every probe competes, so a
-    non-unimodal section simply refines less.  33 probes.
+    The first scores 17 evenly spaced points, ``base`` first; the second 16
+    points inside the bracket of the first maximum's neighbours.  The best
+    of the 33 wins, ties going to the first point scanned, so a move never
+    returns less than ``base``'s value.  Nothing is assumed about shape.
     """
     target = np.zeros(len(base))
     target[vertex] = 1.0
-    pts = []  # (value, mixing weight)
-
-    def probe(t: float):
-        value = slice_value((1.0 - t) * base + t * target)
-        pts.append((value, t))
-        return value
-
-    for t in (0.0, 0.5, 1.0):
-        probe(t)
-    lo, hi, a, b = 0.0, 1.0, 1.0 - _PHI, _PHI
-    va, vb = probe(a), probe(b)
-    for _ in range(28):
-        if va >= vb:
-            hi, b, vb = b, a, va
-            a = hi - _PHI * (hi - lo)
-            va = probe(a)
-        else:
-            lo, a, va = a, b, vb
-            b = lo + _PHI * (hi - lo)
-            vb = probe(b)
-    value, t = max(pts, key=lambda p: p[0])
-    return (1.0 - t) * base + t * target, value, len(pts)
+    segment = lambda t: (1.0 - t)[:, None] * base + t[:, None] * target
+    first = segment(_LINE_POINTS)
+    values = slice_value(first)
+    i = int(np.argmax(values))
+    lo, hi = _LINE_POINTS[max(i - 1, 0)], _LINE_POINTS[min(i + 1, len(_LINE_POINTS) - 1)]
+    second = segment(np.linspace(lo, hi, 18)[1:-1])
+    points = np.vstack([first, second])
+    values = np.concatenate([values, slice_value(second)])
+    i = int(np.argmax(values))
+    return points[i], float(values[i]), len(points)
 
 
 def _grid_moves(resolution: int, k: int) -> list[Move]:
@@ -308,6 +302,9 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     and value, the candidates scored, and the value after each acceptance.
     """
     evaluate = {"t1": eval_theorem1, "t2": eval_theorem2}[theorem]
+    joint = assemble_joint(channel, law)
+    plan = term_plan(THEOREMS[theorem].queries, joint)
+    current = plan.marginals(joint.mass)  # the incumbent's marginal stack
 
     def score(law):
         report = evaluate(channel, law)
@@ -321,7 +318,8 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
         for name, cell, k in _slice_index(law):
             if k == 1:
                 continue
-            slice_value = _slice_scorer(channel, law, theorem, name, cell, k)
+            vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
+            slice_value = _slice_scorer(theorem, plan, vertices)
             for move in moves(k):
                 vec, value, count = move(slice_value, _get_slice(law, name, cell))
                 evals += count
@@ -330,6 +328,7 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
                     value, rep = score(cand)
                     if value > best:
                         law, best, report = cand, value, rep
+                        current = plan.marginals(assemble_joint(channel, law).mass)
                         trace.append(best)
         if best == -math.inf or best - sweep_start <= cfg.tolerance:
             break
@@ -337,8 +336,9 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
 
 
 def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
-    """Polish a law by line searches toward its slices' simplex vertices;
-    never returns a worse one."""
+    """Polish a law by line searches toward its slices' simplex vertices,
+    each scoring 33 points of its segment in two batches; never returns a
+    worse one."""
     return _ascend(law, channel, theorem, cfg, _line_moves)[0]
 
 

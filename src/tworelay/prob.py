@@ -342,31 +342,34 @@ LAW_FAMILIES = {family.theorem: family for family in (T1Law, T2Law)}
 
 
 @functools.cache
-def _einsum_plan(family: type) -> tuple[str, tuple[str, ...], int]:
-    """einsum spec, output ids and channel operand position of a law family.
+def _einsum_plan(family: type):
+    """The joint's einsum operands for a law family, as factor names (None
+    for the channel transition) and variable ids, with its output ids and
+    einsum spec.
 
     The operands are the factors in field order with the channel transition
     right after p(x0|.); the order fixes einsum's multiplication order, and
     with it the last bits of the joint.
     """
+    names = [f.name for f in family.factors]
     terms = [f.given + f.target for f in family.factors]
     channel_at = 1 + next(k for k, f in enumerate(family.factors) if "X0" in f.target)
+    names.insert(channel_at, None)
     terms.insert(channel_at, CHANNEL_INPUTS + CHANNEL_OUTPUTS)
     out_ids = canonical_sorted({v for ids in terms for v in ids})
+    return tuple(names), tuple(terms), out_ids, _spec(terms, out_ids)
+
+
+def _spec(terms, out_ids) -> str:
     letters = lambda ids: "".join(_EINSUM_LETTER[v] for v in ids)
-    return ",".join(map(letters, terms)) + "->" + letters(out_ids), out_ids, channel_at
+    return ",".join(map(letters, terms)) + "->" + letters(out_ids)
 
 
-def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
-    """Joint pmf of the channel and the law over every variable of the law's family.
-
-    Alphabet sizes are checked by variable id, against the channel and across
-    the law's own factors.
-    """
-    spec, out_ids, channel_at = _einsum_plan(type(law))
+def _alphabets(channel: NetworkChannel, law: T1Law | T2Law) -> dict[str, Alphabet]:
+    """Every variable's alphabet, checked by variable id against the channel
+    and across the law's own factors."""
     transition = channel.transition
     seen = {a.id: (a, "channel") for a in transition.given + transition.target}
-    operands = []
     for f in law.factors:
         pmf = getattr(law, f.name)
         for a in pmf.given + pmf.target:
@@ -375,9 +378,54 @@ def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
                 raise ValidationError(
                     f"alphabet mismatch on {a.id}: law has {a.size}, {owner} has {first.size}"
                 )
-        operands.append(pmf.mass)
-    operands.insert(channel_at, transition.mass)
-    return JointPmf(tuple(seen[v][0] for v in out_ids), np.einsum(spec, *operands))
+    return {v: a for v, (a, _) in seen.items()}
+
+
+def _einsum(spec: str, operands, entries: int) -> np.ndarray:
+    """``np.einsum`` onto an output of ``entries`` entries, refused before
+    anything is allocated when that is above ``MAX_JOINT_ENTRIES``."""
+    if entries > MAX_JOINT_ENTRIES:
+        raise ResourceLimitError(f"joint of {entries} entries, cap is {MAX_JOINT_ENTRIES}")
+    return np.einsum(spec, *operands)
+
+
+def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
+    """Joint pmf of the channel and the law over every variable of the law's family.
+
+    Alphabet sizes are checked by variable id, against the channel and across
+    the law's own factors, and the entry cap before the product is formed.
+    """
+    names, _, out_ids, spec = _einsum_plan(type(law))
+    alphabets = _alphabets(channel, law)
+    axes = tuple(alphabets[v] for v in out_ids)
+    operands = [channel.transition.mass if n is None else getattr(law, n).mass for n in names]
+    return JointPmf(axes, _einsum(spec, operands, math.prod(a.size for a in axes)))
+
+
+def slice_slab(channel: NetworkChannel, law: T1Law | T2Law, name: str, cell) -> np.ndarray:
+    """The joint's slab where factor ``name``'s given variables equal ``cell``,
+    with that factor's row left out: a ``(k, ...)`` stack, one entry per
+    letter of the factor's (flattened) target.
+
+    The joint is linear in the row: with the row at ``w``, the slab's entries
+    at target letter v are ``w[v] * out[v]``.  The trailing axes are the
+    joint's, with the factor's given and target axes at size 1.  This is the
+    contraction of :func:`assemble_joint` with every operand indexed at
+    ``cell`` and the factor itself replaced by ones, under the same cap.
+    """
+    names, terms, out_ids, _ = _einsum_plan(type(law))
+    alphabets = _alphabets(channel, law)
+    factor = next(f for f in law.factors if f.name == name)
+    at = dict(zip(factor.given, cell))
+    operands = []
+    for n, ids in zip(names, terms):
+        mass = channel.transition.mass if n is None else getattr(law, n).mass
+        mass = mass[tuple(slice(at[v], at[v] + 1) if v in at else slice(None) for v in ids)]
+        operands.append(np.ones(mass.shape) if n == name else mass)
+    out = factor.target + tuple(v for v in out_ids if v not in factor.target)
+    shape = tuple(1 if v in at or v in factor.target else alphabets[v].size for v in out_ids)
+    k = math.prod(alphabets[v].size for v in factor.target)
+    return _einsum(_spec(terms, out), operands, k * math.prod(shape)).reshape((k,) + shape)
 
 
 # per-family names, for callers that name the family they assemble

@@ -117,6 +117,28 @@ def files(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def wide_files(tmp_path_factory):
+    """A channel and a second-theorem law with every alphabet at 8 letters:
+    their joint would hold 8^10 entries (8 GiB), above the entry cap."""
+    root = tmp_path_factory.mktemp("wide")
+    channel = NetworkChannel(uniform_cond(
+        tuple(Alphabet(v, 8) for v in ("X0", "X1", "X2")),
+        tuple(Alphabet(v, 8) for v in ("Y0", "Y1", "Y2"))))
+    out = {"chan": root / "chan.json", "law": root / "law.json"}
+    out["chan"].write_text(tio.dumps(tio.channel_to_dict(channel)))
+    out["law"].write_text(tio.dumps(tio.law_to_dict(uniform_t2_law(channel, 8, 8, 8, 8))))
+    return {k: str(v) for k, v in out.items()}
+
+
+@pytest.fixture
+def no_einsum(monkeypatch):
+    """Fail, rather than allocate, if any einsum runs."""
+    def refuse(*args, **kwargs):
+        pytest.fail("einsum ran on an over-cap joint")
+    monkeypatch.setattr(np, "einsum", refuse)
+
+
 def run_cli(argv, capsys):
     code = cli.main(argv)
     cap = capsys.readouterr()
@@ -181,6 +203,25 @@ class TestEval:
             assert out == ""
             assert err.startswith("error: ")
             assert fragment in err
+
+
+class TestEntryCap:
+    # the cap fires before the joint's einsum allocates anything
+    MESSAGE = "resource limit: joint of 1073741824 entries, cap is 100000000\n"
+
+    def test_eval_exits_3(self, wide_files, no_einsum, capsys):
+        code, out, err = run_cli(
+            ["eval", "--channel", wide_files["chan"], "--law", wide_files["law"],
+             "--theorem", "t2"], capsys)
+        assert (code, out, err) == (3, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("mode", ["grid", "random-restart"])
+    def test_optimize_exits_3(self, mode, wide_files, no_einsum, capsys):
+        code, out, err = run_cli(
+            ["optimize", "--channel", wide_files["chan"], "--theorem", "t2", "--mode", mode,
+             "--restarts", "1", "--v1-size", "8", "--v2-size", "8", "--yh1-size", "8",
+             "--yh2-size", "8"], capsys)
+        assert (code, out, err) == (3, "", self.MESSAGE)
 
 
 class TestOptimize:

@@ -262,6 +262,65 @@ class TestGridMode:
         assert r2.best_objective_bits >= r1.best_objective_bits - 1e-9
 
 
+class Recorder:
+    """A slice scorer that records each batch and its scores."""
+
+    def __init__(self, score):
+        self.score, self.batches, self.values = score, [], []
+
+    def __call__(self, w):
+        self.batches.append(np.array(w))
+        self.values.append(np.asarray(self.score(w), dtype=float))
+        return self.values[-1]
+
+
+class TestLineMove:
+    BASE = np.array([0.2, 0.5, 0.3])
+
+    def test_scores_33_candidates_in_two_calls(self):
+        scorer = Recorder(lambda w: -((w[:, 0] - 0.7) ** 2))
+        point, value, count = optimize._line_move(0, scorer, self.BASE)
+        assert count == 33
+        assert [len(b) for b in scorer.batches] == [17, 16]
+        assert scorer.batches[0][0].tolist() == self.BASE.tolist()  # t = 0 first
+        assert value == pytest.approx(0.0, abs=1e-3)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_on_the_segment_and_never_below_base(self, seed):
+        # noisy scores with minus infinity at random points
+        rng = np.random.default_rng(seed)
+        base = rng.dirichlet(np.ones(4))
+        vertex = int(rng.integers(4))
+        scorer = Recorder(lambda w: np.where(rng.random(len(w)) < 0.3, -math.inf,
+                                             rng.normal(size=len(w))))
+        point, value, _ = optimize._line_move(vertex, scorer, base)
+        values = np.concatenate(scorer.values)
+        assert value >= values[0] and value == values.max()
+        assert any(np.array_equal(point, w) for w in np.vstack(scorer.batches))
+        t = (point[vertex] - base[vertex]) / (1.0 - base[vertex])
+        assert -1e-12 <= t <= 1.0 + 1e-12
+        assert np.allclose(point, (1.0 - t) * base + t * np.eye(4)[vertex], atol=1e-12)
+
+    def test_ties_go_to_the_first_point_scanned(self):
+        # constant: the current point wins
+        point, value, _ = optimize._line_move(1, Recorder(lambda w: np.full(len(w), 2.0)), self.BASE)
+        assert point.tolist() == self.BASE.tolist() and value == 2.0
+        # the first batch's tie at t = 4/16 and 12/16 goes to 4/16, and the
+        # second batch, inside the bracket around 4/16, only ties it again
+        first = np.zeros(17)
+        first[[4, 12]] = 1.0
+        scores = iter([first, np.ones(16)])
+        scorer = Recorder(lambda w: next(scores))
+        point, value, _ = optimize._line_move(1, scorer, self.BASE)
+        assert point.tolist() == scorer.batches[0][4].tolist() and value == 1.0
+        assert np.all(scorer.batches[1][:, 1] > scorer.batches[0][3][1])
+        assert np.all(scorer.batches[1][:, 1] < scorer.batches[0][5][1])
+        # a better second-batch point beats every first-batch point
+        scores = iter([first, np.arange(16.0)])
+        point, value, _ = optimize._line_move(1, Recorder(lambda w: next(scores)), self.BASE)
+        assert value == 15.0
+
+
 class TestLocalRefine:
     def test_vertex_start_reaches_uniform_input(self):
         p = 0.11

@@ -9,7 +9,6 @@ point-mass factors, exercise zero cells and clamps.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -126,10 +125,29 @@ class TestCompiledTerms:
             term_values(joint, {"q": InfoQuery(("X0",), ("Y1",))})
 
 
-# mixing weights of the line search: its first three probes, its first
-# golden-section pair, and an arbitrary interior point
-PHI = (math.sqrt(5.0) - 1.0) / 2.0
-SEGMENT_WEIGHTS = (0.0, 0.5, 1.0, 1.0 - PHI, PHI)
+# mixing weights from the line search's first batch, whose first point is
+# the slice's current point; each example adds an arbitrary one
+SEGMENT_WEIGHTS = (0.0, 1.0 / 16.0, 0.5, 1.0)
+
+
+def _current_stack(channel, law, queries):
+    """The law's term plan and its own marginal stack, as the search keeps them."""
+    joint = assemble_joint(channel, law)
+    plan = term_plan(queries, joint)
+    return plan, plan.marginals(joint.mass)
+
+
+def _sparse_rows(factor, rng):
+    """The same factor with every slice's first letter at zero mass."""
+    if isinstance(factor, JointPmf):
+        mass = factor.mass.copy()
+        mass[0] = 0.0
+        return JointPmf(factor.axes, mass / mass.sum())
+    width = int(np.prod([a.size for a in factor.target]))
+    rows = rng.dirichlet(np.ones(width), size=factor.mass.size // width)
+    rows[:, 0] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    return CondPmf(factor.given, factor.target, rows.reshape(factor.mass.shape))
 
 
 class TestSliceLinearTerms:
@@ -139,18 +157,47 @@ class TestSliceLinearTerms:
     def test_every_candidate_matches_materialized_law(self, family, queries, data):
         channel, law = data.draw(pairs(family))
         name, cell, k = data.draw(st.sampled_from(_slice_index(law)))
-        plan, vertices = _slice_marginals(channel, law, queries, name, cell, k)
+        plan, current = _current_stack(channel, law, queries)
+        vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
         assert list(plan.names) == list(queries)
         base = _get_slice(law, name, cell)
         weights = SEGMENT_WEIGHTS + (data.draw(st.floats(0.0, 1.0)),)
         segments = [(1.0 - t) * base + t * vertex for vertex in np.eye(k) for t in weights]
         grid = _grid_vectors(k, data.draw(st.integers(2, 4)))
         candidates = np.vstack([grid, *segments])
-        batch = plan.terms(candidates @ vertices)  # the grid's batched path
+        batch = plan.terms(candidates @ vertices)  # the search's batched path
         for w, row in zip(candidates, batch):
-            single = plan.terms(w @ vertices)  # the line search's one-probe path
             joint = assemble_joint(channel, _set_slice(law, name, cell, w))
-            for q, got, one in zip(plan.queries, row, single):
-                want = mutual_info(joint, q)
-                assert abs(got - want) <= TERM_TOL, (q, w)
-                assert abs(one - want) <= TERM_TOL, (q, w)
+            for q, got in zip(plan.queries, row):
+                assert abs(got - mutual_info(joint, q)) <= TERM_TOL, (q, w)
+
+    @pytest.mark.parametrize("family, queries", [("t1", T1_QUERIES), ("t2", T2_QUERIES)])
+    def test_vertex_stack_matches_assembled_law_on_every_slice(self, family, queries):
+        # seeded: alphabets of 2-3 letters, every slice of every law, random
+        # simplex points with and without zero entries; in the last law every
+        # slice row puts zero mass on its first letter
+        rng = np.random.default_rng(20261019)
+        checked = set()
+        for trial in range(3):
+            size = lambda: int(rng.integers(2, 4))
+            channel = random_channel(rng, {v: size() for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")})
+            if family == "t1":
+                law = random_t1_law(rng, channel, size(), size())
+            else:
+                law = random_t2_law(rng, channel, size(), size(), size(), size())
+            if trial == 2:
+                factors = [getattr(law, f.name) for f in dataclasses.fields(law)]
+                law = type(law)(*(_sparse_rows(f, rng) for f in factors))
+            plan, current = _current_stack(channel, law, queries)
+            for name, cell, k in _slice_index(law):
+                vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
+                sparse = rng.dirichlet(np.ones(k))
+                sparse[rng.integers(k)] = 0.0
+                points = [rng.dirichlet(np.ones(k)), sparse / sparse.sum(), np.eye(k)[-1]]
+                for w, got in zip(points, plan.terms(np.array(points) @ vertices)):
+                    law_w = _set_slice(law, name, cell, w)
+                    want = term_values(assemble_joint(channel, law_w), queries)
+                    for key, value in zip(plan.names, got):
+                        assert abs(value - want[key]) <= TERM_TOL, (name, cell, key, w)
+                checked.add((name, 0.0 in _get_slice(law, name, cell)))
+        assert {("px1", False), ("px2", False), ("px1", True), ("px2", True)} <= checked
