@@ -34,21 +34,21 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .info import InfoQuery, term_values
+from .info import InfoQuery, term_plan
 from .lp import OPTIMAL, LpResult, maximize
 from .prob import (
     LAW_FAMILIES,
     ResourceLimitError,
     ValidationError,
-    assemble_joint,
-    random_channel,
-    random_law,
+    random_joints,
 )
 from .rates import THEOREMS, Scheme
 
 EQUIV_TOL = 1e-6
 # sampled bindings held at once; each t2 binding takes about 4.7 KB, so the
-# cap bounds a sample near 0.5 GB
+# cap bounds a sample near 0.5 GB.  The joints behind them are built in
+# stacks of at most prob.STACK_ENTRIES entries, so the transient arrays do
+# not grow with the count.
 MAX_BINDINGS = 100_000
 # rows one elimination step may form; the builtin reductions peak at 173
 MAX_FM_ROWS = 1000
@@ -334,17 +334,27 @@ def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
 # ---------------------------------------------------------------------------
 
 
+def _binding(plan, marginals: np.ndarray) -> dict[str, Fraction]:
+    """Every query of ``plan`` as an exact rational, by name, from one
+    joint's marginal stack."""
+    return {str(q): Fraction(v) for q, v in zip(plan.queries, plan.terms(marginals).tolist())}
+
+
 def binding_of(joint, which: str) -> dict[str, Fraction]:
     """Evaluate every information symbol of one scheme family on a joint."""
-    queries = _scheme(which, "binding family").queries
-    values = term_values(joint, queries)
-    return {str(q): Fraction(values[name]) for name, q in queries.items()}
+    plan = term_plan(_scheme(which, "binding family").queries, joint.ids, joint.mass.shape)
+    return _binding(plan, plan.marginals(joint.mass))
 
 
 def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fraction]]:
     """Evaluate every information symbol on seeded random binary channel+law pairs.
 
-    Returns one mapping from symbol name to exact rational value per draw.
+    Draw ``i`` is the pair that ``random_channel`` and then ``random_law``
+    draw from ``default_rng([seed, i])``.  The joints come in stacks
+    (:func:`tworelay.prob.random_joints`), each stack's marginals in one
+    pass; the terms are taken one joint at a time, so each binding is the
+    one :func:`binding_of` gives for its joint.  Returns one mapping from
+    symbol name to exact rational value per draw.
     """
     if which not in LAW_FAMILIES:
         raise ValidationError(f"unknown binding family {which!r}")
@@ -352,12 +362,12 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
         raise ValidationError(f"seed {seed} < 0")
     if count > MAX_BINDINGS:
         raise ResourceLimitError(f"{count} bindings exceed the cap of {MAX_BINDINGS}")
+    queries = _scheme(which, "binding family").queries
+    rngs = (np.random.default_rng([seed, i]) for i in range(count))
     out = []
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        channel = random_channel(rng)
-        law = random_law(LAW_FAMILIES[which], rng, channel, {})
-        out.append(binding_of(assemble_joint(channel, law), which))
+    for ids, stack in random_joints(LAW_FAMILIES[which], rngs):
+        plan = term_plan(queries, ids, stack.shape[1:])
+        out += [_binding(plan, marginals) for marginals in plan.marginals(stack)]
     return out
 
 

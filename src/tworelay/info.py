@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +35,8 @@ class InfoQuery:
     left: tuple[str, ...]
     right: tuple[str, ...]
     given: tuple[str, ...] = ()
+    # the text I(L;R|G), written once; equality stays with the three sets
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         left = canonical_sorted(self.left)
@@ -47,12 +49,16 @@ class InfoQuery:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "given", given)
+        body = f"{','.join(left)};{','.join(right)}"
+        if given:
+            body += f"|{','.join(given)}"
+        object.__setattr__(self, "_text", f"I({body})")
 
     def __str__(self) -> str:
-        body = f"{','.join(self.left)};{','.join(self.right)}"
-        if self.given:
-            body += f"|{','.join(self.given)}"
-        return f"I({body})"
+        return self._text
+
+    def __hash__(self) -> int:
+        return hash(self._text)
 
     @classmethod
     def parse(cls, text: str) -> "InfoQuery":
@@ -197,9 +203,9 @@ def _compile_terms(
     )
 
 
-def term_plan(queries: dict[str, InfoQuery], joint: JointPmf) -> _TermPlan:
-    """The compiled plan of a query table for joints shaped like ``joint``."""
-    return _compile_terms(tuple(queries.items()), joint.ids, joint.mass.shape)
+def term_plan(queries: dict[str, InfoQuery], ids: tuple[str, ...], shape: tuple[int, ...]) -> _TermPlan:
+    """The compiled plan of a query table for joints over ``ids`` of ``shape``."""
+    return _compile_terms(tuple(queries.items()), ids, shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -241,7 +247,7 @@ def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, flo
     including its clamps and its negative check, up to floating-point
     summation order.
     """
-    plan = term_plan(queries, joint)
+    plan = term_plan(queries, joint.ids, joint.mass.shape)
     return dict(zip(plan.names, plan.terms(plan.marginals(joint.mass)).tolist()))
 
 

@@ -303,7 +303,7 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     """
     evaluate = {"t1": eval_theorem1, "t2": eval_theorem2}[theorem]
     joint = assemble_joint(channel, law)
-    plan = term_plan(THEOREMS[theorem].queries, joint)
+    plan = term_plan(THEOREMS[theorem].queries, joint.ids, joint.mass.shape)
     current = plan.marginals(joint.mass)  # the incumbent's marginal stack
 
     def score(law):

@@ -12,7 +12,8 @@ Conventions used throughout the package:
 * Conditional tensors store the conditioning axes first (canonically sorted),
   then the target axes (canonically sorted); each conditional slice is a pmf.
 * Every joint and conditional tensor is checked once, where it is built, by
-  one routine; there is no unchecked constructor.
+  one routine, stacks of random joints included; there is no unchecked
+  constructor.
 * Alphabets are small by design: the library targets exhaustive desk-scale
   computation, not large-alphabet numerics.
 """
@@ -20,9 +21,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, ClassVar, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +38,9 @@ _EINSUM_LETTER = dict(zip(CANONICAL_ORDER, "abcdefghij"))
 
 MAX_ALPHABET_SIZE = 8
 MAX_JOINT_ENTRIES = 10**8
+# entries of one stacked joint that random_joints contracts at once: 16 t2 or
+# 64 t1 binary joints, so a stack's transient arrays stay near 0.1 MB
+STACK_ENTRIES = 1 << 14
 NEGATIVITY_CLAMP = 1e-12
 NORMALIZATION_TOL = 1e-12
 
@@ -479,12 +484,18 @@ def deterministic_cond(given: Sequence[Alphabet], target: Alphabet, table: np.nd
     return CondPmf(g, (target,), mass)
 
 
+def _dirichlet_rows(rng: np.random.Generator, n_rows: int, k: int) -> np.ndarray:
+    """``n_rows`` pmfs over ``k`` letters, each drawn from Dirichlet(1, ..., 1):
+    the one draw behind every random tensor, so the draw order is fixed here."""
+    return rng.dirichlet(np.ones(k), size=n_rows)
+
+
 def random_cond(rng: np.random.Generator, given: Sequence[Alphabet], target: Sequence[Alphabet]) -> CondPmf:
     g = tuple(given)
     t = tuple(target)
     n_rows = math.prod(a.size for a in g)
     k = math.prod(a.size for a in t)
-    rows = rng.dirichlet(np.ones(k), size=n_rows)
+    rows = _dirichlet_rows(rng, n_rows, k)
     shape = tuple(a.size for a in g) + tuple(a.size for a in t)
     return CondPmf(g, t, rows.reshape(shape))
 
@@ -525,6 +536,47 @@ def random_law(
 ):
     """Law of ``family`` with every conditional slice drawn from Dirichlet(1, ..., 1)."""
     return _law(family, channel, sizes, lambda given, target: random_cond(rng, given, target))
+
+
+def random_joints(
+    family: type, rngs: Iterable[np.random.Generator]
+) -> Iterator[tuple[tuple[str, ...], np.ndarray]]:
+    """Joints of random binary channel+law pairs of ``family``, one pair per
+    generator, in stacks along a leading axis of at most ``STACK_ENTRIES``
+    entries each; yields each stack's variable ids and mass.
+
+    Each generator draws exactly as :func:`random_channel` and then
+    :func:`random_law` draw from it: the channel's rows, then each factor's
+    rows in field order.  Each stacked operand is checked once by
+    :func:`_checked_mass`, as many rows at once as the pair's tensors hold
+    for the whole stack, and so is each stacked joint.  A stack is
+    :func:`assemble_joint`'s contraction with a leading batch axis, under
+    the same entry cap, and every joint in it is the one
+    :func:`assemble_joint` builds for its pair, bit for bit.
+    """
+    names, terms, out_ids, spec = _einsum_plan(family)
+    ids = dict(zip(names, terms))
+    n_given = {None: len(CHANNEL_INPUTS)} | {f.name: len(f.given) for f in family.factors}
+    drawn = (None,) + tuple(f.name for f in family.factors)  # the channel, then field order
+    lhs, rhs = spec.split("->")
+    batched = ",".join("..." + term for term in lhs.split(",")) + "->..." + rhs
+    per = max(1, STACK_ENTRIES // 2 ** len(out_ids))
+    rngs = iter(rngs)
+    while chunk := list(itertools.islice(rngs, per)):
+        n = len(chunk)
+        # every variable is binary, so tensor m holds 2**n_given[m] rows
+        draws = [
+            [_dirichlet_rows(rng, 2 ** n_given[m], 2 ** (len(ids[m]) - n_given[m])) for m in drawn]
+            for rng in chunk
+        ]
+        stacks = {}
+        for j, m in enumerate(drawn):
+            shape = (n,) + (2,) * len(ids[m])
+            stack = np.stack([d[j] for d in draws]).reshape(shape)
+            stacks[m] = _checked_mass(stack, shape, n * 2 ** n_given[m], f"{m or 'channel'} stack")
+        shape = (n,) + (2,) * len(out_ids)
+        joint = _einsum(batched, [stacks[m] for m in names], math.prod(shape))
+        yield out_ids, _checked_mass(joint, shape, n, "JointPmf stack")
 
 
 def uniform_law(family: type, channel: NetworkChannel, sizes: Mapping[str, int]):

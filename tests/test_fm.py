@@ -15,18 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay import cli, fm
+from tworelay import cli, fm, prob
 from tworelay.info import InfoQuery, binary_entropy
 from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
 from tworelay.prob import (
     CANONICAL_ORDER,
+    LAW_FAMILIES,
     Alphabet,
     CondPmf,
     JointPmf,
     NetworkChannel,
+    ResourceLimitError,
     T2Law,
     ValidationError,
+    assemble_joint,
     assemble_joint_t2,
+    random_channel,
+    random_law,
     uniform_cond,
 )
 from tworelay.rates import T1_QUERIES, T2_QUERIES, eval_theorem2
@@ -530,6 +535,107 @@ def capped_system(data):
     value = st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(5, 7),
                              Fraction(2), Fraction(11, 6), Fraction(1, 1024)])
     return s, {str(sym): data.draw(value) for sym in SYMBOLS}
+
+
+def one_at_a_time(which, count, seed):
+    """The bindings of ``sample_bindings``, one checked channel, law and joint
+    per draw."""
+    out = []
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        channel = random_channel(rng)
+        law = random_law(LAW_FAMILIES[which], rng, channel, {})
+        out.append(fm.binding_of(assemble_joint(channel, law), which))
+    return out
+
+
+def stack_size(which):
+    """Joints per stack: all that fit in ``STACK_ENTRIES``."""
+    ids = prob._einsum_plan(LAW_FAMILIES[which])[2]
+    return prob.STACK_ENTRIES // 2 ** len(ids)
+
+
+def spoil_one_row(monkeypatch, bad, at=15):
+    """Make draw number ``at`` (counting from 0) come back with its last row
+    replaced by ``bad(row)``."""
+    draw = prob._dirichlet_rows
+    calls = []
+
+    def spoiled(rng, n_rows, k):
+        rows = draw(rng, n_rows, k)
+        if len(calls) == at:
+            rows[-1] = bad(rows[-1])
+        calls.append(k)
+        return rows
+
+    monkeypatch.setattr(prob, "_dirichlet_rows", spoiled)
+    return calls
+
+
+class TestSampleBindings:
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    def test_bit_identical_to_one_law_at_a_time(self, which, seed, extra):
+        count = 1 if extra is None else stack_size(which) + extra
+        got = fm.sample_bindings(which, count, seed)
+        want = one_at_a_time(which, count, seed)
+        assert got == want
+        assert [list(b) for b in got] == [list(b) for b in want]
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_stacks_fill_the_entry_bound(self, which):
+        per = stack_size(which)
+        assert per > 1
+        rngs = (np.random.default_rng([3, i]) for i in range(per + 1))
+        stacks = [stack for _, stack in prob.random_joints(LAW_FAMILIES[which], rngs)]
+        assert [len(stack) for stack in stacks] == [per, 1]
+        assert stacks[0].size <= prob.STACK_ENTRIES
+        assert not stacks[0].flags.writeable
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_no_draws_give_no_bindings(self, count):
+        assert fm.sample_bindings("t2", count, 0) == []
+
+    @pytest.mark.parametrize("which, count, seed, error, match", [
+        ("t3", 5, 0, ValidationError, "unknown binding family 't3'"),
+        ("t1", 5, -1, ValidationError, "seed -1 < 0"),
+        ("t1", fm.MAX_BINDINGS + 1, 0, ResourceLimitError, "exceed the cap"),
+    ])
+    def test_refused_before_any_draw(self, monkeypatch, which, count, seed, error, match):
+        calls = spoil_one_row(monkeypatch, lambda row: row)  # only counts draws
+        with pytest.raises(error, match=match):
+            fm.sample_bindings(which, count, seed)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda row: np.full_like(row, np.nan), "non-finite entries"),
+        (lambda row: 1.1 * row, "slice mass off by"),
+    ], ids=["nan-row", "row-sums-to-1.1"])
+    def test_every_stacked_row_is_checked(self, monkeypatch, capsys, bad, match):
+        # draw 15 is the third t1 pair's p(x0|x1,x2): one row, mid-stack
+        spoil_one_row(monkeypatch, bad)
+        with pytest.raises(ValidationError, match=f"px0_given_x1x2 stack: {match}"):
+            fm.sample_bindings("t1", 8, 0)
+        spoil_one_row(monkeypatch, bad)
+        assert cli.main(["fm", "t1", "--check-against", "t1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: px0_given_x1x2 stack: ")
+        assert "Traceback" not in err
+
+    def test_stacked_joint_is_checked(self, monkeypatch):
+        contract = prob._einsum
+        monkeypatch.setattr(prob, "_einsum", lambda *args: 1.1 * contract(*args))
+        with pytest.raises(ValidationError, match="JointPmf stack: slice mass off by"):
+            fm.sample_bindings("t2", 3, 0)
+
+    def test_stacked_contraction_is_capped(self, monkeypatch):
+        # a full t1 stack's largest operand, the channel, has 64 * 64 entries
+        # and its joint 64 * 256: the contraction is refused, not the draws
+        monkeypatch.setattr(prob, "MAX_JOINT_ENTRIES", 10_000)
+        with pytest.raises(ResourceLimitError, match="joint of 16384 entries, cap is 10000"):
+            fm.sample_bindings("t1", 64, 0)
 
 
 class TestMaxRate:

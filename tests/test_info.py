@@ -139,6 +139,27 @@ class TestInfoQuery:
         q = InfoQuery(("Y0", "X0"), ("Y1",), ("X1",))
         assert str(q) == "I(X0,Y0;Y1|X1)"
 
+    @pytest.mark.parametrize("q", [
+        InfoQuery(("X0",), ("Y0",)),
+        InfoQuery(("Y0", "X0"), ("Y1",), ("X1",)),
+        InfoQuery(("Yh2", "V1"), ("Y2", "X0"), ("X2", "V2", "X1")),
+    ])
+    def test_parse_inverts_text(self, q):
+        assert InfoQuery.parse(str(q)) == q
+
+    def test_text_and_hash_ignore_id_order(self):
+        a = InfoQuery(("Y0", "X0"), ("Y2", "Y1"), ("X2", "X1"))
+        b = InfoQuery(("X0", "Y0"), ("Y1", "Y2"), ("X1", "X2"))
+        assert a == b
+        assert str(a) == str(b) == "I(X0,Y0;Y1,Y2|X1,X2)"
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_equality_is_by_sets(self):
+        a = InfoQuery(("X0",), ("Y0",), ("X1",))
+        assert a != InfoQuery(("Y0",), ("X0",), ("X1",))
+        assert a != InfoQuery(("X0",), ("Y0",))
+
     def test_missing_axis_in_joint_rejected(self):
         joint = uniform_pmf((Alphabet("X0", 2), Alphabet("Y0", 2)))
         with pytest.raises(ValidationError):

@@ -105,7 +105,7 @@ class TestCompiledTerms:
         # H(X0,Y0) = 1.5
         mass = np.array([[0.5, 0.5], [0.5, -0.5]])
         queries = {"pair": InfoQuery(("X0",), ("Y0",)), "same": InfoQuery(("Y0",), ("X0",))}
-        plan = term_plan(queries, uniform_pmf((Alphabet("X0", 2), Alphabet("Y0", 2))))
+        plan = term_plan(queries, ("X0", "Y0"), (2, 2))
         with pytest.raises(ValidationError, match=r"-1\.5 below -1e-10 for I\(X0;Y0\)"):
             plan.terms(plan.marginals(mass))
 
@@ -133,7 +133,7 @@ SEGMENT_WEIGHTS = (0.0, 1.0 / 16.0, 0.5, 1.0)
 def _current_stack(channel, law, queries):
     """The law's term plan and its own marginal stack, as the search keeps them."""
     joint = assemble_joint(channel, law)
-    plan = term_plan(queries, joint)
+    plan = term_plan(queries, joint.ids, joint.mass.shape)
     return plan, plan.marginals(joint.mass)
 
 
