@@ -11,6 +11,15 @@ Error accounting is first-failure-per-message: the seven stages are checked
 in pipeline order with ground-truth inputs (a failed stage does not corrupt
 the later blocks), so every failure is attributed to exactly one stage.
 
+``run_cf`` advances a slice of trials in lockstep, one block at a time:
+each trial draws its message index and channel uniforms from its own
+seeded generator, and the channel lookup and every covering and decoding
+mask are computed once per block for the whole slice.  The sender decodes
+by restricted decoding, as the paper's achievability proof does (Cover and
+El Gamal 1979, Thm. 7): it scores only the pairs whose two halves can
+belong to a typical pair, which leaves the pair mask of a full search
+unchanged bit for bit.
+
 Codebooks are materialized, so ``SimConfig`` caps their codewords and the
 symbols they and the sender's candidate pairs hold.  The covering experiment
 alone also has an analytic path for books far past the cap: conditioned on
@@ -73,14 +82,23 @@ class TypicalityParams:
             raise ValidationError(f"epsilon must be in (0, 1), got {self.epsilon}")
 
 
+def _cell_counts(flat: np.ndarray, size: int) -> np.ndarray:
+    """Per row of (..., n) cell indices, the count of each of ``size`` cells,
+    from one ``bincount`` over indices offset by the row's position."""
+    rows = flat.reshape(-1, flat.shape[-1])
+    offset = rows + np.arange(len(rows))[:, None] * size
+    counts = np.bincount(offset.reshape(-1), minlength=len(rows) * size)
+    return counts.reshape(*flat.shape[:-1], size)
+
+
 def _typical_mask(sequences, joint: JointPmf, eps: float) -> np.ndarray:
     """Robust joint typicality of every candidate in a stack of sequences.
 
     ``sequences`` holds one integer array per joint axis, shaped ``(..., n)``;
     the leading axes broadcast to the candidate shape that the bool result
-    takes.  Each slice of candidates is counted with one ``bincount`` over
-    cell indices offset by the candidate's position in the slice; when all
-    candidates fit one slice, the sequences are indexed as they broadcast.
+    takes.  Each slice of candidates is counted with one ``bincount``; when
+    all candidates fit one slice, the sequences are indexed as they
+    broadcast.
     """
     seqs = [np.asarray(s) for s in sequences]
     full = np.broadcast(*seqs)
@@ -98,11 +116,64 @@ def _typical_mask(sequences, joint: JointPmf, eps: float) -> np.ndarray:
         else:
             at = np.unravel_index(np.arange(start, stop), batch)
             flat = np.ravel_multi_index([v[at] for v in views], shape)
-        flat += np.arange(stop - start)[:, None] * p.size
-        counts = np.bincount(flat.reshape(-1), minlength=(stop - start) * p.size)
-        freq = counts.reshape(-1, p.size) / n
+        freq = _cell_counts(flat, p.size) / n
         mask[start:stop] = np.all(np.abs(freq - p) <= eps * p, axis=1)
     return mask.reshape(batch)
+
+
+def _count_windows(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell of ``p``, the least and greatest integer count k that passes
+    ``_typical_mask``'s test ``abs(k/n - p) <= eps*p``; lo > hi when none does.
+
+    k/n - p rounds monotonically in k, so the passing counts form an interval.
+    The closed-form ends ceil/floor(n*p*(1 -/+ eps)) and the float test's ends
+    differ by a few roundings of numbers below 2, far less than one count for
+    n <= MAX_SYMBOLS, so each end is off by at most one: it is corrected by
+    one step with the test's own float expression.
+    """
+    passes = lambda k: np.abs(k / n - p) <= eps * p
+    lo, hi = np.ceil(n * p * (1.0 - eps)), np.floor(n * p * (1.0 + eps))
+    lo = np.where(passes(lo - 1), lo - 1, np.where(passes(lo), lo, lo + 1))
+    hi = np.where(passes(hi + 1), hi + 1, np.where(passes(hi), hi, hi - 1))
+    return lo, hi
+
+
+def _sender_pairs(seqs, yh1: np.ndarray, yh2: np.ndarray, joint: JointPmf, eps: float):
+    """Restricted sender decoding for a slice of trials.
+
+    ``seqs`` holds the (trials, n) X1, X2, Y1 and Y2 sequences, ``yh1`` and
+    ``yh2`` the (trials, candidates, n) books, ``joint`` the law of (X1, X2,
+    Y1, Y2, Yh1, Yh2).  A typical pair has every cell count in its window,
+    so a half cell such as (x1, x2, y1, y2, yh1) has its count within the
+    sums of the windows it adds up.  Only the product of each trial's z1 and
+    z2 candidates that meet this is scored; every other pair is not typical.
+    Yields (trial, z1, z2, typical) of the scored pairs, a slice at a time.
+    """
+    n = seqs[0].shape[-1]
+    lo, hi = _count_windows(joint.mass, n, eps)
+    base = np.ravel_multi_index(seqs, joint.mass.shape[:4])[:, None]
+    alive = []
+    # a half cell (x1, x2, y1, y2, yh) sums the cells over the other book's axis
+    for book, keep, other in ((yh1, 4, 5), (yh2, 5, 4)):
+        low, high = lo.sum(other).reshape(-1), hi.sum(other).reshape(-1)
+        half = _cell_counts(base * joint.mass.shape[keep] + book, low.size)
+        alive.append(np.all((low <= half) & (half <= high), axis=-1))
+    # every z1 survivor runs through its trial's z2 survivors: pair k is in
+    # the run of survivor r = searchsorted(ends, k), which starts at ends[r]
+    # minus the run length, and each trial's z2 survivors start at first[t]
+    trial, i = np.nonzero(alive[0])
+    per_trial = np.count_nonzero(alive[1], axis=1)
+    first, j = np.cumsum(per_trial) - per_trial, np.nonzero(alive[1])[1]
+    ends = np.cumsum(per_trial[trial])
+    total = int(ends[-1]) if len(ends) else 0
+    step = max(1, _SLICE // n)
+    for start in range(0, total, step):
+        k = np.arange(start, min(start + step, total))
+        r = np.searchsorted(ends, k, side="right")
+        t = trial[r]
+        pj = j[first[t] + k - (ends[r] - per_trial[t])]
+        typ = _typical_mask((*(s[t] for s in seqs), yh1[t, i[r]], yh2[t, pj]), joint, eps)
+        yield t, i[r], pj, typ
 
 
 def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> bool:
@@ -275,28 +346,50 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 
+def _cdf(rows: np.ndarray) -> np.ndarray:
+    cdf = rows.cumsum(1)
+    cdf /= cdf[:, -1:]
+    return cdf
+
+
+def _lookup(cdf: np.ndarray, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF lookup of (rows, n) uniforms.
+
+    ``cells`` gives each position's row of ``cdf``, as one (n,) array for
+    every row of uniforms or one (rows, n) array.  A row's uniforms fill its
+    positions in stable cell order: the order of one ``rng.choice(targets,
+    size, p=row)`` call per cell in index order.  A one-row table needs no
+    ordering.  Otherwise the lookup counts the cdf entries at or below the
+    uniform, as ``searchsorted(..., side="right")`` does; the last entry is
+    exactly 1, above every uniform.
+    """
+    if len(cdf) == 1:
+        return cdf[0].searchsorted(u, side="right")
+    order = np.argsort(cells, axis=-1, kind="stable")
+    sorted_rows = cdf[np.take_along_axis(cells, order, -1)]
+    drawn = np.zeros(u.shape, dtype=np.int64)
+    for target in range(cdf.shape[1] - 1):
+        drawn += sorted_rows[..., target] <= u
+    out = np.empty_like(drawn)
+    np.put_along_axis(out, np.broadcast_to(order, u.shape), drawn, -1)
+    return out
+
+
 def _sample(rng, rows: np.ndarray, cells: np.ndarray, count: int | None = None) -> np.ndarray:
     """Inverse-CDF draw of a target index per position from the row its cell selects.
 
     ``rows`` is a (cells, targets) table of pmfs and ``cells`` the row index
     of each of the n positions.  Returns (count, n) indices, or (n,) when no
     count is given.  Uniforms are consumed codeword by codeword, then cell by
-    cell in index order, then by position: the order of one
-    ``rng.choice(targets, size, p=row)`` call per codeword and cell.
+    cell in index order, then by position (see ``_lookup``).
     """
-    cdf = rows.cumsum(1)
-    cdf /= cdf[:, -1:]
-    order = np.argsort(cells, kind="stable")
-    bounds = np.searchsorted(cells[order], np.arange(len(rows) + 1))
+    cdf = _cdf(rows)
     n = len(cells)
     out = np.empty((1 if count is None else count, n), dtype=np.int64)
     step = max(1, _SLICE // n)
     for start in range(0, len(out), step):
         u = rng.random((min(step, len(out) - start), n))
-        drawn = np.empty(u.shape, dtype=np.int64)
-        for cell, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-            drawn[:, lo:hi] = cdf[cell].searchsorted(u[:, lo:hi], side="right")
-        out[start : start + len(u), order] = drawn
+        out[start : start + len(u)] = _lookup(cdf, cells, u)
     return out[0] if count is None else out
 
 
@@ -355,19 +448,21 @@ def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebook
 # ---------------------------------------------------------------------------
 
 
-def _first(mask: np.ndarray) -> int | None:
-    return int(mask.argmax()) if mask.any() else None
-
-
-def _only(mask: np.ndarray, index) -> bool:
-    """True when ``index`` is the one typical candidate; ties are errors."""
-    return bool(mask[index]) and np.count_nonzero(mask) == 1
+def _only(mask: np.ndarray, *index) -> np.ndarray:
+    """Per trial (the leading axis of ``mask``), True when ``index`` is the
+    one typical candidate; ties are errors."""
+    flat = mask.reshape(len(mask), -1)
+    at = flat[np.arange(len(flat)), np.ravel_multi_index(index, mask.shape[1:])]
+    return at & (np.count_nonzero(flat, axis=1) == 1)
 
 
 def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
+    """Run ``cfg.trials`` trials, a slice at a time in lockstep.  A covering
+    miss is its trial's first failure, so the placeholder index it carries
+    into the later stages never decides a count."""
     books, bins = build(channel, law, cfg)
     joint = assemble_joint(channel, law)
-    eps = cfg.typicality.epsilon
+    eps, n = cfg.typicality.epsilon, cfg.n
 
     m_cover1 = marginalize(joint, ("X1", "Y1", "Yh1"))
     m_cover2 = marginalize(joint, ("X2", "Y2", "Yh2"))
@@ -377,76 +472,90 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     m_list2 = marginalize(joint, ("X2", "Y0", "Yh2"))
     m_msg = marginalize(joint, ("X0", "X1", "X2", "Y0", "Yh1", "Yh2"))
 
+    tr = channel.transition
+    g_shape = tuple(a.size for a in tr.given)
+    t_shape = tuple(a.size for a in tr.target)
+    cdf = _cdf(tr.mass.reshape(math.prod(g_shape), math.prod(t_shape)))
+    # per-cell views of the books, indexed by each trial's relay cells
+    x0_by_cell = books.x0.transpose(1, 2, 0, 3)
+    yh1_by_cell, yh2_by_cell = books.yh1.swapaxes(0, 1), books.yh2.swapaxes(0, 1)
+
     sizes = cfg.book_sizes()
-    counts = {stage: 0 for stage in STAGES}
-    decoded = 0
+    # a trial's candidates times their cells or symbols bound each slice
+    widest = max(sizes["w"], sizes["z1"], sizes["z2"], sizes["s1"] * sizes["s2"], cdf.shape[1])
+    step = max(1, _SLICE // (widest * max(n, m_sender.mass.size)))
+    counts = np.zeros(len(STAGES), dtype=np.int64)
 
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, 1, trial])
-        blocks = []
-        s1_cur, s2_cur = 0, 0
-        # transmit all B blocks first; the message of the last block is a
-        # placeholder since only B-1 messages are decodable
+    def transmit(rngs, s1, s2, last):
+        # the last block's message is a placeholder: only B-1 are decodable
+        w = np.zeros(len(rngs), dtype=np.int64)
+        u = np.empty((len(rngs), n))
+        for k, rng in enumerate(rngs):
+            if not last:
+                w[k] = rng.integers(0, sizes["w"])
+            u[k] = rng.random(n)
+        x0, x1, x2 = x0_by_cell[s1, s2, w], books.x1[s1], books.x2[s2]
+        cells = np.ravel_multi_index((x0, x1, x2), g_shape)
+        y0, y1, y2 = np.unravel_index(_lookup(cdf, cells, u), t_shape)
+        yh1, yh2 = yh1_by_cell[s1], yh2_by_cell[s2]
+        cover1 = _typical_mask((x1[:, None], y1[:, None], yh1), m_cover1, eps)
+        cover2 = _typical_mask((x2[:, None], y2[:, None], yh2), m_cover2, eps)
+        return dict(w=w, s1=s1, s2=s2, x1=x1, x2=x2, y0=y0, y1=y1, y2=y2, yh1=yh1, yh2=yh2,
+                    hit1=cover1.any(1), hit2=cover2.any(1),
+                    z1=cover1.argmax(1), z2=cover2.argmax(1))
+
+    def decode(cur, nxt):
+        # stage results in STAGES order; a trial's first failure is its stage
+        trials = np.arange(len(cur["w"]))
+        # per trial: typical pairs, and whether the relays' own pair is one
+        typical_pairs = np.zeros(len(trials), dtype=np.int64)
+        own = np.zeros(len(trials), dtype=bool)
+        for t, i, j, typ in _sender_pairs(
+            (cur["x1"], cur["x2"], cur["y1"], cur["y2"]), cur["yh1"], cur["yh2"], m_sender, eps
+        ):
+            typical_pairs += np.bincount(t[typ], minlength=len(trials))
+            own[t[typ & (i == cur["z1"][t]) & (j == cur["z2"][t])]] = True
+        cells = _typical_mask(
+            (books.x1[:, None], books.x2, nxt["y0"][:, None, None]), m_pair, eps
+        )
+        hits1 = _typical_mask((cur["x1"][:, None], cur["y0"][:, None], cur["yh1"]), m_list1, eps)
+        hits2 = _typical_mask((cur["x2"][:, None], cur["y0"][:, None], cur["yh2"]), m_list2, eps)
+        messages = _typical_mask(
+            (x0_by_cell[cur["s1"], cur["s2"]], cur["x1"][:, None], cur["x2"][:, None],
+             cur["y0"][:, None], cur["yh1"][trials, cur["z1"]][:, None],
+             cur["yh2"][trials, cur["z2"]][:, None]),
+            m_msg, eps,
+        )
+        passed = np.stack([
+            cur["hit1"],
+            cur["hit2"],
+            own & (typical_pairs == 1),
+            _only(cells, nxt["s1"], nxt["s2"]),
+            _only(hits1 & (bins.bin1 == nxt["s1"][:, None]), cur["z1"]),
+            _only(hits2 & (bins.bin2 == nxt["s2"][:, None]), cur["z2"]),
+            _only(messages, cur["w"]),
+        ])
+        failed = ~passed.all(0)
+        return np.bincount((~passed).argmax(0)[failed], minlength=len(STAGES))
+
+    for start in range(0, cfg.trials, step):
+        rngs = [np.random.default_rng([cfg.seed, 1, trial])
+                for trial in range(start, min(start + step, cfg.trials))]
+        s1 = s2 = np.zeros(len(rngs), dtype=np.int64)
+        prev = None
         for b in range(cfg.blocks):
-            w = int(rng.integers(0, sizes["w"])) if b < cfg.blocks - 1 else 0
-            x0_seq = books.x0[w, s1_cur, s2_cur]
-            x1_seq = books.x1[s1_cur]
-            x2_seq = books.x2[s2_cur]
-            y0, y1, y2 = _draw_cond(rng, channel.transition, (x0_seq, x1_seq, x2_seq))
-            z1 = _first(_typical_mask((x1_seq, y1, books.yh1[:, s1_cur]), m_cover1, eps))
-            z2 = _first(_typical_mask((x2_seq, y2, books.yh2[:, s2_cur]), m_cover2, eps))
-            blocks.append(
-                dict(w=w, s1=s1_cur, s2=s2_cur, z1=z1, z2=z2,
-                     y0=y0, y1=y1, y2=y2, x1=x1_seq, x2=x2_seq)
-            )
+            cur = transmit(rngs, s1, s2, last=b == cfg.blocks - 1)
+            if prev is not None:
+                counts += decode(prev, cur)
             # ground-truth carryover; a covering miss forwards cell 0
-            s1_cur = int(bins.bin1[z1]) if z1 is not None else 0
-            s2_cur = int(bins.bin2[z2]) if z2 is not None else 0
+            s1 = np.where(cur["hit1"], bins.bin1[cur["z1"]], 0)
+            s2 = np.where(cur["hit2"], bins.bin2[cur["z2"]], 0)
+            prev = cur
 
-        for b in range(cfg.blocks - 1):
-            decoded += 1
-            cur, nxt = blocks[b], blocks[b + 1]
-            if cur["z1"] is None:
-                counts["relay1-covering"] += 1
-                continue
-            if cur["z2"] is None:
-                counts["relay2-covering"] += 1
-                continue
-
-            # every (z1, z2) pair: a (z1, 1, n) stack against a (z2, n) one
-            pairs = _typical_mask(
-                (cur["x1"], cur["x2"], cur["y1"], cur["y2"],
-                 books.yh1[:, cur["s1"], None], books.yh2[:, cur["s2"]]),
-                m_sender, eps,
-            )
-            if not _only(pairs, (cur["z1"], cur["z2"])):
-                counts["sender-joint-covering"] += 1
-                continue
-
-            cells = _typical_mask((books.x1[:, None], books.x2, nxt["y0"]), m_pair, eps)
-            if not _only(cells, (nxt["s1"], nxt["s2"])):
-                counts["receiver-(s1,s2)"] += 1
-                continue
-
-            hits1 = _typical_mask((cur["x1"], cur["y0"], books.yh1[:, cur["s1"]]), m_list1, eps)
-            if not _only(hits1 & (bins.bin1 == nxt["s1"]), cur["z1"]):
-                counts["receiver-bin-intersection-1"] += 1
-                continue
-            hits2 = _typical_mask((cur["x2"], cur["y0"], books.yh2[:, cur["s2"]]), m_list2, eps)
-            if not _only(hits2 & (bins.bin2 == nxt["s2"]), cur["z2"]):
-                counts["receiver-bin-intersection-2"] += 1
-                continue
-
-            messages = _typical_mask(
-                (books.x0[:, cur["s1"], cur["s2"]], cur["x1"], cur["x2"], cur["y0"],
-                 books.yh1[cur["z1"], cur["s1"]], books.yh2[cur["z2"], cur["s2"]]),
-                m_msg, eps,
-            )
-            if not _only(messages, cur["w"]):
-                counts["receiver-message"] += 1
-
+    decoded = cfg.trials * (cfg.blocks - 1)
+    stage_errors = dict(zip(STAGES, counts.tolist()))
     return SimStats(
-        counts, cfg.trials, decoded, cfg.n, cfg.blocks, cfg.quantized_rates()
+        stage_errors, cfg.trials, decoded, cfg.n, cfg.blocks, cfg.quantized_rates()
     )
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.special import gammaln, logsumexp, xlog1py, xlogy
 from scipy.stats import binom
 
 from tworelay.info import InfoQuery, mutual_info
-from tworelay.io import channel_preset
+from tworelay.io import channel_preset, dumps
 from tworelay.prob import (
     Alphabet,
     CondPmf,
@@ -31,6 +32,7 @@ from tworelay.prob import (
     point_mass,
     random_channel,
     random_t1_law,
+    uniform_cond,
     uniform_pmf,
     uniform_t1_law,
 )
@@ -49,6 +51,8 @@ from tworelay.sim import (
     run_cf,
     typical,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def copy_table():
@@ -110,6 +114,112 @@ def covering_fixture(alpha):
         deterministic_cond((one["X2"], one["Y2"]), one["Yh2"], np.zeros((1, 1), dtype=np.int64)),
     )
     return NetworkChannel(tr), law
+
+
+def flip_law(alpha, pin_inputs=True):
+    """Uniform X0; each quantizer copies its observation and flips it with
+    probability alpha; relay inputs pinned to 0 or uniform."""
+    a = {v: Alphabet(v, 2) for v in ("X0", "X1", "X2", "Y1", "Y2", "Yh1", "Yh2")}
+    table = np.zeros((2, 2, 2))
+    for y in range(2):
+        table[:, y, y] = 1.0 - alpha
+        table[:, y, 1 - y] = alpha
+    relay_input = point_mass if pin_inputs else lambda axis, _: uniform_pmf(axis)
+    return T1Law(
+        relay_input(a["X1"], 0),
+        relay_input(a["X2"], 0),
+        uniform_cond((a["X1"], a["X2"]), (a["X0"],)),
+        CondPmf((a["X1"], a["Y1"]), (a["Yh1"],), table),
+        CondPmf((a["X2"], a["Y2"]), (a["Yh2"],), table),
+    )
+
+
+def golden_run_cf_cases():
+    """(name, channel, law, config) of every ``run_cf`` output pinned in
+    ``golden/run_cf_stats.json``: the benchmark's four configurations at seed
+    7, binary-symmetric and broadcast channels at n from 1 to 48 (covering
+    misses, sender ties among up to 256 candidate pairs, sender successes
+    followed by receiver-stage errors, and 40 trials of 64-entry books that
+    span several trial slices), then random
+    channel/law pairs with alphabets of 1 to 3 letters, some with zero-mass
+    cells."""
+    def cfg(n, bits, eps, trials, seed, blocks=3):
+        return SimConfig(n=n, blocks=blocks, rates=T1Rates(*(b / n for b in bits)),
+                         typicality=TypicalityParams(eps), trials=trials, seed=seed)
+
+    def bsc(p0, p1, p2):
+        return channel_preset("binary-symmetric-links", crossover={"Y0": p0, "Y1": p1, "Y2": p2})
+
+    cases = [
+        ("decode-heavy", bsc(.05, .05, .05), flip_law(0.25), cfg(48, (6, 6, 6, 0, 0), 0.7, 10, 7)),
+        ("build-heavy", bsc(.05, .05, .05), flip_law(0.25), cfg(16, (8, 4, 4, 4, 4), 0.7, 1, 7)),
+        ("noisy-direct", broadcast_channel(0.3), pinned_law(), cfg(10, (0,) * 5, 0.3, 40, 7)),
+        ("noiseless", broadcast_channel(), pinned_law(), cfg(8, (0,) * 5, 0.1, 50, 7)),
+        ("bsc-n1", bsc(.1, .1, .1), uniform_t1_law(bsc(.1, .1, .1)),
+         cfg(1, (1, 1, 1, 0, 0), 0.5, 12, 1, blocks=4)),
+        ("bsc-n2", bsc(.05, .2, .3), uniform_t1_law(bsc(.05, .2, .3)),
+         cfg(2, (1, 2, 1, 1, 0), 0.9, 12, 2)),
+        ("bsc-n3", bsc(0, 0, 0), uniform_t1_law(bsc(0, 0, 0)), cfg(3, (1, 1, 1, 1, 1), 0.6, 10, 3)),
+        ("bsc-n5", bsc(.1, .05, .05), flip_law(0.1, False), cfg(5, (1, 2, 2, 1, 1), 0.8, 10, 4)),
+        ("bsc-n12", bsc(.05, .05, .05), uniform_t1_law(bsc(.05, .05, .05)),
+         cfg(12, (1, 1, 1, 1, 1), 0.35, 30, 3)),
+        ("bsc-n12-wide", bsc(.05, .05, .05), uniform_t1_law(bsc(.05, .05, .05)),
+         cfg(12, (1, 2, 2, 1, 1), 0.35, 6, 3)),
+        ("bsc-n16-ties", bsc(.05, .05, .05), flip_law(0.25), cfg(16, (2, 4, 4, 0, 0), 0.9, 10, 5)),
+        ("bsc-n20-miss", bsc(.1, .2, .2), flip_law(0.05), cfg(20, (2, 1, 1, 0, 0), 0.3, 10, 6)),
+        ("bsc-n24", bsc(.05, .1, .1), flip_law(0.2, False), cfg(24, (3, 3, 3, 1, 1), 0.5, 10, 8)),
+        ("bsc-n32-slices", bsc(.05, .05, .05), flip_law(0.25),
+         cfg(32, (4, 6, 6, 0, 0), 0.7, 40, 9)),
+        ("bsc-n40", bsc(.02, .1, .15), flip_law(0.15), cfg(40, (5, 4, 5, 1, 0), 0.6, 8, 10)),
+        ("bsc-n48-bins", bsc(.05, .05, .05), flip_law(0.25, False),
+         cfg(48, (4, 5, 5, 2, 2), 0.7, 6, 11)),
+        ("bsc-n48-uniform", bsc(.05, .05, .05), uniform_t1_law(bsc(.05, .05, .05)),
+         cfg(48, (1, 0, 0, 1, 1), 0.8, 10, 20)),
+        ("bsc-n36", bsc(.05, .05, .05), flip_law(0.3, False),
+         cfg(36, (3, 3, 3, 2, 2), 0.95, 10, 24)),
+        ("bsc-n48-survivors", bsc(.1, .05, .3), flip_law(0.4),
+         cfg(48, (2, 2, 5, 0, 0), 0.5, 10, 30)),
+        ("broadcast-n14-bins", broadcast_channel(), flip_law(0.3),
+         cfg(14, (2, 3, 2, 1, 1), 0.9, 8, 17)),
+        ("broadcast-n32-survivors", broadcast_channel(), flip_law(0.4),
+         cfg(32, (1, 4, 4, 0, 0), 0.95, 6, 1)),
+        ("broadcast-n35-sender", broadcast_channel(), flip_law(0.3),
+         cfg(35, (2, 1, 1, 0, 0), 0.99, 8, 37)),
+        ("broadcast-n38-sender", broadcast_channel(0.1), flip_law(0.3),
+         cfg(38, (2, 3, 3, 0, 0), 0.9, 8, 92)),
+        ("broadcast-n48-ties", broadcast_channel(0.1), flip_law(0.3),
+         cfg(48, (1, 3, 3, 0, 0), 0.7, 6, 1)),
+        ("flip-n6", broadcast_channel(0.1), pinned_law(), cfg(6, (2, 0, 0, 0, 0), 0.5, 20, 12)),
+        ("flip-n30", broadcast_channel(0.2), pinned_law(),
+         cfg(30, (3, 0, 0, 0, 0), 0.4, 15, 13, blocks=4)),
+        ("flip-n44", broadcast_channel(0.25), pinned_law(), cfg(44, (4, 0, 0, 0, 0), 0.6, 12, 25)),
+    ]
+    rng = np.random.default_rng(4041)
+    for k in range(20):
+        sizes = {v: int(rng.integers(1, 4)) for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")}
+        ch = random_channel(rng, sizes)
+        law = random_t1_law(rng, ch, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        if k % 3 == 0:
+            law = dataclasses.replace(
+                law,
+                pyh1_given_x1y1=without_first_letter(law.pyh1_given_x1y1),
+                px0_given_x1x2=without_first_letter(law.px0_given_x1x2),
+            )
+        n = int(rng.integers(1, 49))
+        bits = [int(rng.integers(0, 3)) for _ in range(3)]
+        bits += [int(rng.integers(0, 2)) for _ in range(2)]
+        bits[1] += k % 2 * int(rng.integers(0, 4))
+        bits[2] += k % 2 * int(rng.integers(0, 4))
+        eps = float(rng.choice([0.35, 0.6, 0.8, 0.95]))
+        trials, blocks = int(rng.integers(4, 13)), int(rng.integers(2, 5))
+        cases.append((f"random-{k}", ch, law, cfg(n, bits, eps, trials, k, blocks)))
+    return cases
+
+
+def golden_run_cf_text():
+    """The ``SimStats.to_dict()`` of every golden case, as one JSON text."""
+    return dumps({name: run_cf(ch, law, cfg).to_dict()
+                  for name, ch, law, cfg in golden_run_cf_cases()})
 
 
 def zero_rates():
@@ -480,10 +590,13 @@ class TestBuild:
         assert books.x0.shape == (1, 1, 1, 8)
         assert bins.bin1.tolist() == [0]
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(10))
     def test_books_match_codeword_by_codeword_draws(self, seed):
         rng = np.random.default_rng([77, seed])
         sizes = {v: int(rng.integers(1, 4)) for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")}
+        if seed >= 8:
+            # one-letter relay inputs: every conditional book law has one row
+            sizes["X1"] = sizes["X2"] = 1
         ch = random_channel(rng, sizes)
         law = random_t1_law(rng, ch, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         if seed % 2:
@@ -600,22 +713,110 @@ class TestRunCf:
         j = uniform_pmf(Alphabet("X0", 2))
         seq = np.array([0, 1] * 8)
         mask = sim._typical_mask((np.stack([seq, seq]),), j, 0.1)
-        # two candidates pass the test, so no unique winner exists
-        assert not sim._only(mask, 0) and not sim._only(mask, 1)
-        assert sim._first(mask) == 0
+        # two candidates pass the test, so no unique winner exists, for a
+        # trial owning either one; a lone typical candidate is a winner
+        assert mask.tolist() == [True, True]
+        assert not sim._only(np.stack([mask, mask]), np.array([0, 1])).any()
+        assert sim._only(np.array([[True, False]]), np.array([0])).all()
 
     def test_slicing_leaves_runs_unchanged(self):
-        ch = channel_preset("binary-symmetric-links", crossover={"Y0": 0.05, "Y1": 0.05, "Y2": 0.05})
-        law = uniform_t1_law(ch)
+        # a trial of either run takes 512 slice units (8 candidates or
+        # channel outputs, times 64 sender cells), so the patched slices hold
+        # 1, 1, 1 and 5 trials: every run crosses trial-slice boundaries
+        bsc = channel_preset("binary-symmetric-links", crossover={"Y0": 0.05, "Y1": 0.05, "Y2": 0.05})
         r = 1 / 12
-        cfg = SimConfig(
-            n=12, blocks=3, rates=T1Rates(r, 2 * r, 2 * r, r, r),
-            typicality=TypicalityParams(0.35), trials=6, seed=3,
+        runs = [
+            # relay-1 covering misses in every block
+            (bsc, uniform_t1_law(bsc), SimConfig(
+                n=12, blocks=3, rates=T1Rates(r, 2 * r, 2 * r, r, r),
+                typicality=TypicalityParams(0.35), trials=6, seed=3,
+            )),
+            # relay-2 misses, sender ties and successes, receiver errors
+            (broadcast_channel(0.1), flip_law(0.3), SimConfig(
+                n=38, blocks=3, rates=T1Rates(*(b / 38 for b in (2, 3, 3, 0, 0))),
+                typicality=TypicalityParams(0.9), trials=8, seed=92,
+            )),
+        ]
+        for ch, law, cfg in runs:
+            whole = run_cf(ch, law, cfg).to_dict()
+            for slice_size in (1, 30, 1000, 2600):
+                with mock.patch.object(sim, "_SLICE", slice_size):
+                    assert run_cf(ch, law, cfg).to_dict() == whole
+
+    def test_count_windows_are_the_exact_passing_counts(self):
+        # every cell mass w/W at n = W*m, so counts sit on window ends; at
+        # p = 3/4, n = 12 and eps = 1/3, n*p*(1 - eps) rounds to just above
+        # 6 while the count 6 passes, so the closed-form end alone is too high
+        eps_values = (0.1, 0.2, 0.25, 1 / 3, 0.35, 0.5, 0.6, 2 / 3, 0.7, 0.75, 0.9, 0.95)
+        masses = np.array([w / total for total in range(1, 13) for w in range(total + 1)])
+        for n in range(1, 49):
+            k = np.arange(2 * n + 2)[:, None]
+            for eps in eps_values:
+                lo, hi = sim._count_windows(masses, n, eps)
+                passes = np.abs(k / n - masses) <= eps * masses
+                inside = (lo <= k) & (k <= hi)
+                assert np.array_equal(passes, inside), (n, eps)
+        lo, hi = sim._count_windows(np.array([0.75]), 12, 1 / 3)
+        assert (lo, hi) == (6, 12) and 12 * 0.75 * (1 - 1 / 3) > 6
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_restricted_sender_pairs_match_full_product(self, data):
+        # exact-type sequences of a joint with integer cell weights, split
+        # into the relay observations and two books whose candidates are the
+        # true half (typical at any epsilon), the same with one symbol moved
+        # (a count off by one, on the window boundary at w*m = 4 and eps 0.25,
+        # 3 and 1/3, or 2 and 0.5), or uniform noise
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=6, max_size=6))
+        names = ("X1", "X2", "Y1", "Y2", "Yh1", "Yh2")
+        axes = tuple(Alphabet(v, k) for v, k in zip(names, sizes))
+        cells = math.prod(sizes)
+        weights = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=cells, max_size=cells)), dtype=float
         )
-        whole = run_cf(ch, law, cfg).to_dict()
-        for slice_size in (1, 30):
+        weights[data.draw(st.integers(0, cells - 1))] += 1
+        joint = JointPmf(axes, (weights / weights.sum()).reshape(sizes))
+        base = np.repeat(np.arange(cells), weights.astype(int) * data.draw(st.integers(1, 3)))
+        eps = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        kinds = [["exact"] + data.draw(st.lists(st.sampled_from(["exact", "moved", "noise"]),
+                                                max_size=4)) for _ in range(2)]
+        seqs, books = [], ([], [])
+        for _ in range(data.draw(st.integers(1, 3))):
+            letters = np.unravel_index(rng.permutation(base), sizes)
+            seqs.append(letters[:4])
+            for book, true, size, kind in zip(books, letters[4:], sizes[4:], kinds):
+                stack = []
+                for k in kind:
+                    seq = true.copy()
+                    if k == "moved":
+                        seq[rng.integers(len(seq))] = rng.integers(size)
+                    elif k == "noise":
+                        seq = rng.integers(size, size=len(seq))
+                    stack.append(seq)
+                book.append(stack)
+        seqs = tuple(np.array(s) for s in zip(*seqs))
+        yh1, yh2 = (np.array(book) for book in books)
+
+        full = sim._typical_mask(
+            (*(s[:, None, None] for s in seqs), yh1[:, :, None], yh2[:, None, :]), joint, eps
+        )
+        assert full[:, 0, 0].all()
+        for slice_size in (sim._SLICE, 1, 7 * len(base)):
+            restricted = np.zeros(full.shape, dtype=bool)
+            scored = np.zeros(full.shape, dtype=int)
             with mock.patch.object(sim, "_SLICE", slice_size):
-                assert run_cf(ch, law, cfg).to_dict() == whole
+                for t, i, j, typ in sim._sender_pairs(seqs, yh1, yh2, joint, eps):
+                    restricted[t, i, j] = typ
+                    np.add.at(scored, (t, i, j), 1)
+            assert np.array_equal(restricted, full)
+            assert scored.max() <= 1
+
+
+class TestRunCfGolden:
+    def test_stats_match_golden(self):
+        expected = (GOLDEN / "run_cf_stats.json").read_text(encoding="utf-8")
+        assert golden_run_cf_text() == expected
 
 
 class TestCoveringExperiment:
