@@ -7,6 +7,11 @@ block carries the bin indices of that pair on the relay inputs.  The
 receiver runs four decoding steps per message: the bin pair, the two
 bin-and-ambiguity-list intersections, and the message itself.
 
+Every typicality decision (relay covering, the sender's pair search, the
+receiver's steps and both covering paths) compares cell counts with the
+integer windows of ``_count_windows``, the one place the test ``abs(k/n -
+p) <= eps*p`` is evaluated; each caller builds its windows once per run.
+
 Error accounting is first-failure-per-message: the seven stages are checked
 in pipeline order with ground-truth inputs (a failed stage does not corrupt
 the later blocks), so every failure is attributed to exactly one stage.
@@ -28,7 +33,7 @@ so the hit probability of an astronomically large book is computable
 without building it.  Each trial still draws its pair from its own seeded
 generator, but a slice of trials is scored at once: one ``bincount`` gives
 every trial's (x1, y1) group counts, one log-binomial expression scores every
-admissible count of every group, and one ``logsumexp`` reduces the windows;
+count of every group's window, and one ``logsumexp`` reduces the windows;
 both come from ``scipy.special``, imported on first use.
 """
 
@@ -91,39 +96,11 @@ def _cell_counts(flat: np.ndarray, size: int) -> np.ndarray:
     return counts.reshape(*flat.shape[:-1], size)
 
 
-def _typical_mask(sequences, joint: JointPmf, eps: float) -> np.ndarray:
-    """Robust joint typicality of every candidate in a stack of sequences.
-
-    ``sequences`` holds one integer array per joint axis, shaped ``(..., n)``;
-    the leading axes broadcast to the candidate shape that the bool result
-    takes.  Each slice of candidates is counted with one ``bincount``; when
-    all candidates fit one slice, the sequences are indexed as they
-    broadcast.
-    """
-    seqs = [np.asarray(s) for s in sequences]
-    full = np.broadcast(*seqs)
-    batch, n = full.shape[:-1], full.shape[-1]
-    shape = tuple(a.size for a in joint.axes)
-    p = joint.mass.reshape(-1)
-    total = math.prod(batch)
-    step = max(1, _SLICE // max(n, p.size))
-    views = [np.broadcast_to(s, full.shape) for s in seqs] if total > step else None
-    mask = np.empty(total, dtype=bool)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        if views is None:
-            flat = np.ravel_multi_index(seqs, shape).reshape(total, n)
-        else:
-            at = np.unravel_index(np.arange(start, stop), batch)
-            flat = np.ravel_multi_index([v[at] for v in views], shape)
-        freq = _cell_counts(flat, p.size) / n
-        mask[start:stop] = np.all(np.abs(freq - p) <= eps * p, axis=1)
-    return mask.reshape(batch)
-
-
 def _count_windows(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Per cell of ``p``, the least and greatest integer count k that passes
-    ``_typical_mask``'s test ``abs(k/n - p) <= eps*p``; lo > hi when none does.
+    the robust typicality test ``abs(k/n - p) <= eps*p``; lo > hi when none
+    does, and a zero-mass cell pins [0, 0].  This is the one place the test
+    is evaluated: every typicality decision compares counts with these ends.
 
     k/n - p rounds monotonically in k, so the passing counts form an interval.
     The closed-form ends ceil/floor(n*p*(1 -/+ eps)) and the float test's ends
@@ -135,28 +112,59 @@ def _count_windows(p: np.ndarray, n: int, eps: float) -> tuple[np.ndarray, np.nd
     lo, hi = np.ceil(n * p * (1.0 - eps)), np.floor(n * p * (1.0 + eps))
     lo = np.where(passes(lo - 1), lo - 1, np.where(passes(lo), lo, lo + 1))
     hi = np.where(passes(hi + 1), hi + 1, np.where(passes(hi), hi, hi - 1))
-    return lo, hi
+    return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _sender_pairs(seqs, yh1: np.ndarray, yh2: np.ndarray, joint: JointPmf, eps: float):
+def _typical_mask(sequences, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Robust joint typicality of every candidate in a stack of sequences.
+
+    ``sequences`` holds one integer array per joint axis, shaped ``(..., n)``;
+    the leading axes broadcast to the candidate shape that the bool result
+    takes.  ``lo`` and ``hi`` are the joint's ``_count_windows`` at this n,
+    in its shape: a candidate is typical when every cell count lies in its
+    window.  Each slice of candidates is counted with one ``bincount``; when
+    all candidates fit one slice, the sequences are indexed as they
+    broadcast.
+    """
+    seqs = [np.asarray(s) for s in sequences]
+    full = np.broadcast(*seqs)
+    batch, n = full.shape[:-1], full.shape[-1]
+    shape, lo, hi = lo.shape, lo.reshape(-1), hi.reshape(-1)
+    total = math.prod(batch)
+    step = max(1, _SLICE // max(n, lo.size))
+    views = [np.broadcast_to(s, full.shape) for s in seqs] if total > step else None
+    mask = np.empty(total, dtype=bool)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        if views is None:
+            flat = np.ravel_multi_index(seqs, shape).reshape(total, n)
+        else:
+            at = np.unravel_index(np.arange(start, stop), batch)
+            flat = np.ravel_multi_index([v[at] for v in views], shape)
+        counts = _cell_counts(flat, lo.size)
+        mask[start:stop] = np.all((lo <= counts) & (counts <= hi), axis=1)
+    return mask.reshape(batch)
+
+
+def _sender_pairs(seqs, yh1: np.ndarray, yh2: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Restricted sender decoding for a slice of trials.
 
     ``seqs`` holds the (trials, n) X1, X2, Y1 and Y2 sequences, ``yh1`` and
-    ``yh2`` the (trials, candidates, n) books, ``joint`` the law of (X1, X2,
-    Y1, Y2, Yh1, Yh2).  A typical pair has every cell count in its window,
-    so a half cell such as (x1, x2, y1, y2, yh1) has its count within the
-    sums of the windows it adds up.  Only the product of each trial's z1 and
-    z2 candidates that meet this is scored; every other pair is not typical.
-    Yields (trial, z1, z2, typical) of the scored pairs, a slice at a time.
+    ``yh2`` the (trials, candidates, n) books, ``lo`` and ``hi`` the count
+    windows of the law of (X1, X2, Y1, Y2, Yh1, Yh2).  A typical pair has
+    every cell count in its window, so a half cell such as (x1, x2, y1, y2,
+    yh1) has its count within the sums of the windows it adds up.  Only the
+    product of each trial's z1 and z2 candidates that meet this is scored;
+    every other pair is not typical.  Yields (trial, z1, z2, typical) of the
+    scored pairs, a slice at a time.
     """
     n = seqs[0].shape[-1]
-    lo, hi = _count_windows(joint.mass, n, eps)
-    base = np.ravel_multi_index(seqs, joint.mass.shape[:4])[:, None]
+    base = np.ravel_multi_index(seqs, lo.shape[:4])[:, None]
     alive = []
     # a half cell (x1, x2, y1, y2, yh) sums the cells over the other book's axis
     for book, keep, other in ((yh1, 4, 5), (yh2, 5, 4)):
         low, high = lo.sum(other).reshape(-1), hi.sum(other).reshape(-1)
-        half = _cell_counts(base * joint.mass.shape[keep] + book, low.size)
+        half = _cell_counts(base * lo.shape[keep] + book, low.size)
         alive.append(np.all((low <= half) & (half <= high), axis=-1))
     # every z1 survivor runs through its trial's z2 survivors: pair k is in
     # the run of survivor r = searchsorted(ends, k), which starts at ends[r]
@@ -172,7 +180,7 @@ def _sender_pairs(seqs, yh1: np.ndarray, yh2: np.ndarray, joint: JointPmf, eps: 
         r = np.searchsorted(ends, k, side="right")
         t = trial[r]
         pj = j[first[t] + k - (ends[r] - per_trial[t])]
-        typ = _typical_mask((*(s[t] for s in seqs), yh1[t, i[r]], yh2[t, pj]), joint, eps)
+        typ = _typical_mask((*(s[t] for s in seqs), yh1[t, i[r]], yh2[t, pj]), lo, hi)
         yield t, i[r], pj, typ
 
 
@@ -181,7 +189,8 @@ def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> boo
 
     ``sequences`` holds one integer array per joint axis, in axis order.
     True iff every cell's empirical frequency is within relative deviation
-    epsilon of the cell mass, and exactly zero on zero-mass cells.
+    epsilon of the cell mass, and exactly zero on zero-mass cells: every
+    cell count lies in its ``_count_windows`` window.
     """
     eps = params.epsilon if isinstance(params, TypicalityParams) else float(params)
     if len(sequences) != len(joint.axes):
@@ -192,7 +201,7 @@ def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> boo
     n = len(seqs[0])
     if any(len(s) != n for s in seqs):
         raise ValidationError("sequences differ in length")
-    return bool(_typical_mask([s[None] for s in seqs], joint, eps)[0])
+    return bool(_typical_mask([s[None] for s in seqs], *_count_windows(joint.mass, n, eps))[0])
 
 
 def quantize_rate(rate: float, n: int) -> float:
@@ -464,13 +473,15 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     joint = assemble_joint(channel, law)
     eps, n = cfg.typicality.epsilon, cfg.n
 
-    m_cover1 = marginalize(joint, ("X1", "Y1", "Yh1"))
-    m_cover2 = marginalize(joint, ("X2", "Y2", "Yh2"))
-    m_sender = marginalize(joint, ("X1", "X2", "Y1", "Y2", "Yh1", "Yh2"))
-    m_pair = marginalize(joint, ("X1", "X2", "Y0"))
-    m_list1 = marginalize(joint, ("X1", "Y0", "Yh1"))
-    m_list2 = marginalize(joint, ("X2", "Y0", "Yh2"))
-    m_msg = marginalize(joint, ("X0", "X1", "X2", "Y0", "Yh1", "Yh2"))
+    # each stage's count windows, (lo, hi) in the shape of its marginal
+    windows = lambda *names: _count_windows(marginalize(joint, names).mass, n, eps)
+    w_cover1 = windows("X1", "Y1", "Yh1")
+    w_cover2 = windows("X2", "Y2", "Yh2")
+    w_sender = windows("X1", "X2", "Y1", "Y2", "Yh1", "Yh2")
+    w_pair = windows("X1", "X2", "Y0")
+    w_list1 = windows("X1", "Y0", "Yh1")
+    w_list2 = windows("X2", "Y0", "Yh2")
+    w_msg = windows("X0", "X1", "X2", "Y0", "Yh1", "Yh2")
 
     tr = channel.transition
     g_shape = tuple(a.size for a in tr.given)
@@ -483,7 +494,7 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     sizes = cfg.book_sizes()
     # a trial's candidates times their cells or symbols bound each slice
     widest = max(sizes["w"], sizes["z1"], sizes["z2"], sizes["s1"] * sizes["s2"], cdf.shape[1])
-    step = max(1, _SLICE // (widest * max(n, m_sender.mass.size)))
+    step = max(1, _SLICE // (widest * max(n, w_sender[0].size)))
     counts = np.zeros(len(STAGES), dtype=np.int64)
 
     def transmit(rngs, s1, s2, last):
@@ -498,8 +509,8 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
         cells = np.ravel_multi_index((x0, x1, x2), g_shape)
         y0, y1, y2 = np.unravel_index(_lookup(cdf, cells, u), t_shape)
         yh1, yh2 = yh1_by_cell[s1], yh2_by_cell[s2]
-        cover1 = _typical_mask((x1[:, None], y1[:, None], yh1), m_cover1, eps)
-        cover2 = _typical_mask((x2[:, None], y2[:, None], yh2), m_cover2, eps)
+        cover1 = _typical_mask((x1[:, None], y1[:, None], yh1), *w_cover1)
+        cover2 = _typical_mask((x2[:, None], y2[:, None], yh2), *w_cover2)
         return dict(w=w, s1=s1, s2=s2, x1=x1, x2=x2, y0=y0, y1=y1, y2=y2, yh1=yh1, yh2=yh2,
                     hit1=cover1.any(1), hit2=cover2.any(1),
                     z1=cover1.argmax(1), z2=cover2.argmax(1))
@@ -511,20 +522,18 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
         typical_pairs = np.zeros(len(trials), dtype=np.int64)
         own = np.zeros(len(trials), dtype=bool)
         for t, i, j, typ in _sender_pairs(
-            (cur["x1"], cur["x2"], cur["y1"], cur["y2"]), cur["yh1"], cur["yh2"], m_sender, eps
+            (cur["x1"], cur["x2"], cur["y1"], cur["y2"]), cur["yh1"], cur["yh2"], *w_sender
         ):
             typical_pairs += np.bincount(t[typ], minlength=len(trials))
             own[t[typ & (i == cur["z1"][t]) & (j == cur["z2"][t])]] = True
-        cells = _typical_mask(
-            (books.x1[:, None], books.x2, nxt["y0"][:, None, None]), m_pair, eps
-        )
-        hits1 = _typical_mask((cur["x1"][:, None], cur["y0"][:, None], cur["yh1"]), m_list1, eps)
-        hits2 = _typical_mask((cur["x2"][:, None], cur["y0"][:, None], cur["yh2"]), m_list2, eps)
+        cells = _typical_mask((books.x1[:, None], books.x2, nxt["y0"][:, None, None]), *w_pair)
+        hits1 = _typical_mask((cur["x1"][:, None], cur["y0"][:, None], cur["yh1"]), *w_list1)
+        hits2 = _typical_mask((cur["x2"][:, None], cur["y0"][:, None], cur["yh2"]), *w_list2)
         messages = _typical_mask(
             (x0_by_cell[cur["s1"], cur["s2"]], cur["x1"][:, None], cur["x2"][:, None],
              cur["y0"][:, None], cur["yh1"][trials, cur["z1"]][:, None],
              cur["yh2"][trials, cur["z2"]][:, None]),
-            m_msg, eps,
+            *w_msg,
         )
         passed = np.stack([
             cur["hit1"],
@@ -570,13 +579,6 @@ COVERING_EPSILON = 0.15
 SMALL_BOOK_CUTOFF = 4096
 
 
-def _count_window(p_cell: float, n: int, eps: float) -> tuple[int, int]:
-    # admissible absolute count for one joint cell; zero-mass cells pin it
-    if p_cell == 0.0:
-        return 0, 0
-    return math.ceil(n * p_cell * (1.0 - eps)), math.floor(n * p_cell * (1.0 + eps))
-
-
 def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float) -> np.ndarray:
     """Per row of (trials, n) relay-input/observation stacks, the log
     probability that one book entry is jointly typical with that pair.
@@ -584,11 +586,12 @@ def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float
     The entry is drawn i.i.d. from the book law given the relay input, so
     within each (x1, y1) position group the count landing on quantization
     letter 0 is binomial, the letter-1 count is its complement, and the
-    groups are independent.  Every (trial, group) window of admissible
-    letter-0 counts is scored at once per slice of trials, padded to the
-    widest window with -inf, by ``binom.logpmf``'s own formula from
-    ``scipy.special``; every count lies in its support, so the values are
-    ``binom.logpmf``'s bit for bit.  Binary quantization alphabets only.
+    groups are independent.  Every (trial, group) window of letter-0 counts
+    that keep both of the group's cells in their ``_count_windows`` is
+    scored at once per slice of trials, padded to the widest window with
+    -inf, by ``binom.logpmf``'s own formula from ``scipy.special``; every
+    count lies in its support, so the values are ``binom.logpmf``'s bit for
+    bit.  Binary quantization alphabets only.
     """
     from scipy.special import gammaln, logsumexp, xlog1py, xlogy
     trials, n = x1.shape
@@ -598,16 +601,11 @@ def _log_hit_probability(x1, y1, p_book: CondPmf, p_triple: JointPmf, eps: float
             "analytic covering path needs a binary quantization alphabet"
         )
     groups = k1 * ky
-    (lo0, hi0), (lo1, hi1) = (
-        np.array([_count_window(p, n, eps) for p in column]).T
-        for column in p_triple.mass.reshape(groups, kq).T
-    )
+    lo, hi = _count_windows(p_triple.mass.reshape(groups, kq), n, eps)
     p_hit = np.repeat(p_book.mass.reshape(k1, kq)[:, 0], ky)
-    flat = np.ravel_multi_index((x1, y1), (k1, ky)) + groups * np.arange(trials)[:, None]
-    count = np.bincount(flat.reshape(-1), minlength=trials * groups).reshape(trials, groups)
+    count = _cell_counts(np.ravel_multi_index((x1, y1), (k1, ky)), groups)
     # the letter-1 count is the group count minus the letter-0 count
-    lo = np.maximum(lo0, count - hi1)
-    hi = np.minimum(hi0, count - lo1)
+    lo, hi = np.maximum(lo[:, 0], count - hi[:, 1]), np.minimum(hi[:, 0], count - lo[:, 1])
     width = max(int((hi - lo).max()) + 1, 1)
     log_q = np.empty(trials)
     step = max(1, _SLICE // (groups * width))
@@ -692,6 +690,7 @@ def covering_experiment(
 
     successes = 0
     if literal:
+        window = _count_windows(p_triple.mass, n, eps)
         for trial in range(trials):
             rng = np.random.default_rng([seed, trial])
             x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
@@ -700,7 +699,7 @@ def covering_experiment(
             size, step = 1 << exponent, max(1, _SLICE // n)
             for start in range(0, size, step):
                 (book,) = _draw_cond(rng, p_book, (x1_seq,), min(step, size - start))
-                if _typical_mask((x1_seq, y1_seq, book), p_triple, eps).any():
+                if _typical_mask((x1_seq, y1_seq, book), *window).any():
                     successes += 1
                     break
         return successes / trials

@@ -11,9 +11,15 @@ load it; a function that needs scipy imports it where it is used.
 
 No module calls ``object.__new__``, the one way to build a pmf around the
 checks its constructor runs.
+
+Every function that the benchmark's per-layer tracer wraps
+(``perfbench/layers.py``'s ``SPANS``) exists in the package: the tracer
+skips a missing name, so a deleted or renamed function would otherwise read
+as a layer with zero calls.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -26,6 +32,19 @@ LAYERS = (
 )
 LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
 PACKAGE = Path(tworelay.__file__).parent
+PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+
+
+def perfbench_spans():
+    """The literal ``SPANS`` tuple of ``perfbench/layers.py``, read from its
+    source without running it."""
+    tree = ast.parse(PERFBENCH_LAYERS.read_text(encoding="utf-8"))
+    (value,) = (
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets)
+    )
+    return ast.literal_eval(value)
 
 
 def package_imports(path: Path) -> set[str]:
@@ -123,3 +142,12 @@ def test_object_new_calls_found():
         "c = A.__new__(A)\n"
     )
     assert object_new_calls(source) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "span", perfbench_spans(), ids=lambda span: f"{span[1]}.{span[2]}"
+)
+def test_perfbench_span_resolves(span):
+    name, home, attr = span
+    target = getattr(importlib.import_module(f"tworelay.{home}"), attr, None)
+    assert callable(target), f"span {name} wraps tworelay.{home}.{attr}, which is missing"

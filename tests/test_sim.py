@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -285,17 +286,32 @@ def without_first_letter(pmf):
     return JointPmf(pmf.axes, mass)
 
 
+def float_typical_mask(sequences, joint, eps):
+    """Robust joint typicality in float frequencies, candidate by candidate:
+    the test ``abs(k/n - p) <= eps*p`` on every cell, independent of
+    ``sim``'s count windows."""
+    seqs = np.broadcast_arrays(*(np.asarray(s) for s in sequences))
+    batch, n = seqs[0].shape[:-1], seqs[0].shape[-1]
+    p = joint.mass.reshape(-1)
+    mask = np.empty(batch, dtype=bool)
+    for at in np.ndindex(batch):
+        flat = np.ravel_multi_index([s[at] for s in seqs], joint.mass.shape)
+        freq = np.bincount(flat, minlength=p.size) / n
+        mask[at] = np.all(np.abs(freq - p) <= eps * p)
+    return mask
+
+
 def reference_log_one_draw_typical(x1_seq, y1_seq, p_book, p_triple, eps):
     """log q of one trial, one scalar binomial window per (x1, y1) group in
-    group order: the per-trial form the batched analytic path must keep."""
+    group order: the per-trial form the batched analytic path must keep.
+    Each cell's window is found by trying every count with the float test."""
     n = len(x1_seq)
     k1, ky, kq = (axis.size for axis in p_triple.axes)
     book_rows = p_book.mass.reshape(k1, kq)
 
     def window(p_cell):
-        if p_cell == 0.0:
-            return 0, 0
-        return math.ceil(n * p_cell * (1.0 - eps)), math.floor(n * p_cell * (1.0 + eps))
+        passing = [k for k in range(n + 1) if abs(k / n - p_cell) <= eps * p_cell]
+        return (passing[0], passing[-1]) if passing else (1, 0)
 
     total = 0.0
     for a in range(k1):
@@ -325,10 +341,8 @@ def binom_log_hit_probability(x1, y1, p_book, p_triple, eps):
     trials, n = x1.shape
     k1, ky, kq = (axis.size for axis in p_triple.axes)
     groups = k1 * ky
-    (lo0, hi0), (lo1, hi1) = (
-        np.array([sim._count_window(p, n, eps) for p in column]).T
-        for column in p_triple.mass.reshape(groups, kq).T
-    )
+    lo, hi = sim._count_windows(p_triple.mass.reshape(groups, kq), n, eps)
+    (lo0, lo1), (hi0, hi1) = lo.T, hi.T
     p_hit = np.repeat(p_book.mass.reshape(k1, kq)[:, 0], ky)
     flat = np.ravel_multi_index((x1, y1), (k1, ky)) + groups * np.arange(trials)[:, None]
     count = np.bincount(flat.reshape(-1), minlength=trials * groups).reshape(trials, groups)
@@ -472,22 +486,22 @@ class TestTypical:
         seqs = np.unravel_index(np.array(stack), sizes)
         eps = data.draw(st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 0.75]))
 
+        want = float_typical_mask(seqs, joint, eps).tolist()
         scalar = [typical(tuple(s[i] for s in seqs), joint, eps) for i in range(len(stack))]
-        mask = sim._typical_mask(seqs, joint, eps)
-        assert mask.dtype == bool and mask.tolist() == scalar
-        assert all(hit for hit, kind in zip(scalar, kinds) if kind == "exact")
+        windows = sim._count_windows(joint.mass, len(base), eps)
+        mask = sim._typical_mask(seqs, *windows)
+        assert mask.dtype == bool and mask.tolist() == scalar == want
+        assert all(hit for hit, kind in zip(want, kinds) if kind == "exact")
         for slice_size in (1, 2 * max(len(base), cells)):
             with mock.patch.object(sim, "_SLICE", slice_size):
-                assert sim._typical_mask(seqs, joint, eps).tolist() == scalar
+                assert sim._typical_mask(seqs, *windows).tolist() == want
         if len(sizes) > 1:
             # a candidate grid: the first axis from one stack entry, the rest
             # from another, as in the sender's pair search
-            grid = sim._typical_mask((seqs[0][:, None], *seqs[1:]), joint, eps)
+            pairs = (seqs[0][:, None], *seqs[1:])
+            grid = sim._typical_mask(pairs, *windows)
             assert grid.shape == (len(stack), len(stack))
-            for i in range(len(stack)):
-                for j in range(len(stack)):
-                    pair = (seqs[0][i], *(s[j] for s in seqs[1:]))
-                    assert grid[i, j] == typical(pair, joint, eps)
+            assert np.array_equal(grid, float_typical_mask(pairs, joint, eps))
 
 
 class TestQuantization:
@@ -712,7 +726,7 @@ class TestRunCf:
     def test_ties_count_as_errors(self):
         j = uniform_pmf(Alphabet("X0", 2))
         seq = np.array([0, 1] * 8)
-        mask = sim._typical_mask((np.stack([seq, seq]),), j, 0.1)
+        mask = sim._typical_mask((np.stack([seq, seq]),), *sim._count_windows(j.mass, 16, 0.1))
         # two candidates pass the test, so no unique winner exists, for a
         # trial owning either one; a lone typical candidate is a winner
         assert mask.tolist() == [True, True]
@@ -759,6 +773,38 @@ class TestRunCf:
         lo, hi = sim._count_windows(np.array([0.75]), 12, 1 / 3)
         assert (lo, hi) == (6, 12) and 12 * 0.75 * (1 - 1 / 3) > 6
 
+    def test_count_windows_hold_at_large_n(self):
+        # the windows are the only typicality rule, so check them where the
+        # counts are large: n up to 2^24, eps across (0, 1), masses w/W with
+        # n a multiple of W (counts on the window ends), tiny masses whose
+        # windows are empty, and zero-mass cells
+        rng = np.random.default_rng(20261019)
+        for _ in range(300):
+            total = int(rng.integers(1, 13))
+            n = int(min(2.0 ** rng.uniform(0, 24), sim.MAX_SYMBOLS))
+            if rng.random() < 0.5:
+                n = max(total, n - n % total)
+            eps = float(rng.choice([rng.uniform(1e-9, 1), 0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75]))
+            p = np.concatenate([
+                rng.random(1000),
+                rng.integers(0, total + 1, 500) / total,
+                2.0 ** -rng.uniform(0, 40, 200),
+                np.zeros(50),
+                [1.0],
+            ])
+            lo, hi = sim._count_windows(p, n, eps)
+
+            def passes(k):
+                return np.abs(k / n - p) <= eps * p
+
+            some = lo <= hi
+            assert passes(lo)[some].all() and passes(hi)[some].all(), (n, eps)
+            assert not passes(lo - 1).any() and not passes(hi + 1).any(), (n, eps)
+            # an empty window: no count within 3 of n*p passes either
+            near = np.round(n * p)[~some, None] + np.arange(-3, 4)
+            assert not (np.abs(near / n - p[~some, None]) <= eps * p[~some, None]).any()
+            assert (lo[p == 0] == 0).all() and (hi[p == 0] == 0).all()
+
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_restricted_sender_pairs_match_full_product(self, data):
@@ -798,15 +844,16 @@ class TestRunCf:
         seqs = tuple(np.array(s) for s in zip(*seqs))
         yh1, yh2 = (np.array(book) for book in books)
 
-        full = sim._typical_mask(
+        full = float_typical_mask(
             (*(s[:, None, None] for s in seqs), yh1[:, :, None], yh2[:, None, :]), joint, eps
         )
         assert full[:, 0, 0].all()
+        windows = sim._count_windows(joint.mass, len(base), eps)
         for slice_size in (sim._SLICE, 1, 7 * len(base)):
             restricted = np.zeros(full.shape, dtype=bool)
             scored = np.zeros(full.shape, dtype=int)
             with mock.patch.object(sim, "_SLICE", slice_size):
-                for t, i, j, typ in sim._sender_pairs(seqs, yh1, yh2, joint, eps):
+                for t, i, j, typ in sim._sender_pairs(seqs, yh1, yh2, *windows):
                     restricted[t, i, j] = typ
                     np.add.at(scored, (t, i, j), 1)
             assert np.array_equal(restricted, full)
@@ -877,6 +924,50 @@ class TestCoveringExperiment:
         mean = float(np.mean(probs))
         sd = math.sqrt(float(np.sum(np.multiply(probs, np.subtract(1.0, probs))))) / trials
         assert abs(frac - mean) <= 4 * sd + 1e-9
+
+    @pytest.mark.parametrize("p0, n, eps", [(1 / 3, 4, 0.5), (3 / 4, 12, 1 / 3)])
+    def test_analytic_probability_matches_every_book_entry(self, p0, n, eps):
+        # one-letter X1 and Y1 and a binary quantizer: q is the total
+        # probability of the 2^n book entries that ``typical`` accepts.  The
+        # closed-form ends ceil/floor(n*p*(1 -/+ eps)) let in failing counts
+        # at (1/3, 4, 0.5) and leave out the passing count 6 at (3/4, 12, 1/3)
+        axes = (Alphabet("X1", 1), Alphabet("Y1", 1), Alphabet("Yh1", 2))
+        mass = np.array([p0, 1 - p0])
+        p_triple = JointPmf(axes, mass.reshape(1, 1, 2))
+        p_book = CondPmf(axes[:1], axes[2:], mass.reshape(1, 2))
+        zeros = np.zeros((1, n), dtype=np.int64)
+        q = sum(
+            math.prod(mass[list(entry)])
+            for entry in itertools.product(range(2), repeat=n)
+            if typical((zeros[0], zeros[0], np.array(entry)), p_triple, eps)
+        )
+        got = float(sim._log_hit_probability(zeros, zeros, p_book, p_triple, eps)[0])
+        assert math.isclose(got, math.log(q), rel_tol=1e-12)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_analytic_probability_matches_enumerated_books(self, data):
+        # every binary book entry of length n <= 8, weighted by the book law
+        # given the drawn relay input and run through ``typical``; eps often
+        # puts a count of some cell on its window's end
+        ch, law = covering_law(data)
+        n = data.draw(st.integers(1, 8))
+        joint = assemble_joint_t1(ch, law)
+        p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
+        cell = float(data.draw(st.sampled_from(p_triple.mass[p_triple.mass > 0].tolist())))
+        end = abs(data.draw(st.integers(0, n)) / n - cell) / cell
+        eps = end if 0.0 < end < 1.0 and data.draw(st.booleans()) else data.draw(
+            st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75]) | st.floats(0.01, 0.99))
+        p_book = conditional(joint, ("Yh1",), ("X1",))
+        rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+        x1, y1 = sim._draw_joint(rng, marginalize(joint, ("X1", "Y1")), n)
+        rows = p_book.mass.reshape(-1, 2)[x1]
+        q = 0.0
+        for entry in itertools.product(range(2), repeat=n):
+            if typical((x1, y1, np.array(entry)), p_triple, eps):
+                q += math.prod(rows[np.arange(n), entry])
+        got = float(sim._log_hit_probability(x1[None], y1[None], p_book, p_triple, eps)[0])
+        assert math.isclose(math.exp(got), q, rel_tol=1e-12, abs_tol=0.0)
 
     def test_big_book_without_analytic_path_is_rejected(self):
         one = {v: Alphabet(v, 1) for v in ("X0", "X2", "Y0", "Y2", "Yh2")}
