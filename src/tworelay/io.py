@@ -233,6 +233,10 @@ def law_from_dict(payload: dict) -> T1Law | T2Law:
         raise ValidationError(f"law: unknown theorem tag {theorem!r}")
     family = LAW_FAMILIES[theorem]
     components = _object(_require(payload, "components", "law"), "law.components")
+    unknown = sorted(set(components) - {f.name for f in family.factors})
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValidationError(f"law: unknown components {names} for theorem {theorem!r}")
     kwargs = {}
     for f in family.factors:
         if f.name not in components:

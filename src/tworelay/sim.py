@@ -12,6 +12,12 @@ receiver's steps and both covering paths) compares cell counts with the
 integer windows of ``_count_windows``, the one place the test ``abs(k/n -
 p) <= eps*p`` is evaluated; each caller builds its windows once per run.
 
+Every random symbol (codebooks, channel outputs, the covering experiment's
+pairs and books) is drawn by one inverse-CDF rule, in ``_lookup``: position
+k takes the k-th uniform and the cdf row its cell selects, as one
+``rng.choice(targets, p=row)`` call per position would.  ``_draw`` is the one
+sampler; a joint pmf is drawn as the conditional of its axes given nothing.
+
 Error accounting is first-failure-per-message: the seven stages are checked
 in pipeline order with ground-truth inputs (a failed stage does not corrupt
 the later blocks), so every failure is attributed to exactly one stage.
@@ -355,95 +361,83 @@ class SimStats:
 # ---------------------------------------------------------------------------
 
 
-def _cdf(rows: np.ndarray) -> np.ndarray:
-    cdf = rows.cumsum(1)
+def _table(pmf: JointPmf | CondPmf) -> tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]:
+    """The (given cells, targets) cdf table of ``pmf``, with its given and
+    target shapes; a joint is the conditional of its axes given nothing, so
+    its table has one row.  Every row's last entry is exactly 1."""
+    g_shape = tuple(a.size for a in pmf.given)
+    t_shape = tuple(a.size for a in pmf.target)
+    cdf = pmf.mass.reshape(math.prod(g_shape), math.prod(t_shape)).cumsum(1)
     cdf /= cdf[:, -1:]
-    return cdf
+    return cdf, g_shape, t_shape
 
 
 def _lookup(cdf: np.ndarray, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup of (rows, n) uniforms.
-
-    ``cells`` gives each position's row of ``cdf``, as one (n,) array for
-    every row of uniforms or one (rows, n) array.  A row's uniforms fill its
-    positions in stable cell order: the order of one ``rng.choice(targets,
-    size, p=row)`` call per cell in index order.  A one-row table needs no
-    ordering.  Otherwise the lookup counts the cdf entries at or below the
-    uniform, as ``searchsorted(..., side="right")`` does; the last entry is
-    exactly 1, above every uniform.
+    """Inverse-CDF lookup: position k takes uniform ``u[k]`` and the ``cdf``
+    row its cell ``cells[k]`` selects, and draws the count of that row's
+    entries at or below the uniform, as ``searchsorted(..., side="right")``
+    does.  This is what one ``rng.choice(targets, p=row)`` call per position
+    draws.  ``cells`` broadcasts against the uniforms, which lie in [0, 1).
+    A one-row table is searched directly; otherwise the row entries are
+    gathered, and the last one, exactly 1, is never at or below a uniform.
     """
     if len(cdf) == 1:
         return cdf[0].searchsorted(u, side="right")
-    order = np.argsort(cells, axis=-1, kind="stable")
-    sorted_rows = cdf[np.take_along_axis(cells, order, -1)]
+    rows = cdf[cells]
     drawn = np.zeros(u.shape, dtype=np.int64)
     for target in range(cdf.shape[1] - 1):
-        drawn += sorted_rows[..., target] <= u
-    out = np.empty_like(drawn)
-    np.put_along_axis(out, np.broadcast_to(order, u.shape), drawn, -1)
-    return out
+        drawn += rows[..., target] <= u
+    return drawn
 
 
-def _sample(rng, rows: np.ndarray, cells: np.ndarray, count: int | None = None) -> np.ndarray:
-    """Inverse-CDF draw of a target index per position from the row its cell selects.
+def _draw(rng, pmf: JointPmf | CondPmf, given_seqs, count: int, n: int) -> tuple[np.ndarray, ...]:
+    """(count, n) draws of ``pmf``'s target tuple, one per target axis.
 
-    ``rows`` is a (cells, targets) table of pmfs and ``cells`` the row index
-    of each of the n positions.  Returns (count, n) indices, or (n,) when no
-    count is given.  Uniforms are consumed codeword by codeword, then cell by
-    cell in index order, then by position (see ``_lookup``).
+    ``given_seqs`` holds one sequence per given axis (none for a joint),
+    broadcasting against (count, n).  Uniforms are consumed codeword by
+    codeword, then position by position, and each goes through ``_lookup``:
+    position k takes the k-th uniform and the row its givens select, as one
+    ``rng.choice`` call per position would.  A slice of codewords at a time.
     """
-    cdf = _cdf(rows)
-    n = len(cells)
-    out = np.empty((1 if count is None else count, n), dtype=np.int64)
-    step = max(1, _SLICE // n)
-    for start in range(0, len(out), step):
-        u = rng.random((min(step, len(out) - start), n))
-        out[start : start + len(u)] = _lookup(cdf, cells, u)
-    return out[0] if count is None else out
-
-
-def _draw_joint(rng, pmf: JointPmf, n: int, count: int | None = None) -> tuple[np.ndarray, ...]:
-    idx = _sample(rng, pmf.mass.reshape(1, -1), np.zeros(n, dtype=np.int64), count)
-    return np.unravel_index(idx, pmf.mass.shape)
-
-
-def _draw_cond(rng, cond: CondPmf, given_seqs, count: int | None = None) -> tuple[np.ndarray, ...]:
-    """Per-position draw of the target tuple from the row its givens select,
-    for one codeword or, given ``count``, a (count, n) stack of them."""
-    g_shape = tuple(a.size for a in cond.given)
-    t_shape = tuple(a.size for a in cond.target)
-    rows = cond.mass.reshape(int(np.prod(g_shape)), int(np.prod(t_shape)))
+    cdf, g_shape, t_shape = _table(pmf)
     cells = np.ravel_multi_index([np.asarray(s) for s in given_seqs], g_shape)
-    return np.unravel_index(_sample(rng, rows, cells, count), t_shape)
+    out = np.empty((count, n), dtype=np.int64)
+    step = max(1, _SLICE // n)
+    for start in range(0, count, step):
+        u = rng.random((min(step, count - start), n))
+        out[start : start + len(u)] = _lookup(cdf, cells, u)
+    return np.unravel_index(out, t_shape)
 
 
-def build(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMaps]:
-    """Draw every codebook and both bin maps from one seeded stream."""
+def build(joint: JointPmf, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMaps]:
+    """Draw every codebook and both bin maps from one seeded stream.
+
+    ``joint`` is ``assemble_joint`` of the channel and ``law``: the
+    quantization books follow the compression variable's law given the relay
+    input, the exact conditional of that joint.
+    """
     sizes = cfg.book_sizes()
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
-    joint = assemble_joint(channel, law)
 
-    (x1,) = _draw_joint(rng, law.px1, n, sizes["s1"])
-    (x2,) = _draw_joint(rng, law.px2, n, sizes["s2"])
+    (x1,) = _draw(rng, law.px1, (), sizes["s1"], n)
+    (x2,) = _draw(rng, law.px2, (), sizes["s2"], n)
 
     x0 = np.empty((sizes["w"], sizes["s1"], sizes["s2"], n), dtype=np.int64)
     for s1 in range(sizes["s1"]):
         for s2 in range(sizes["s2"]):
-            (x0[:, s1, s2],) = _draw_cond(
-                rng, law.px0_given_x1x2, (x1[s1], x2[s2]), sizes["w"]
+            (x0[:, s1, s2],) = _draw(
+                rng, law.px0_given_x1x2, (x1[s1], x2[s2]), sizes["w"], n
             )
 
-    # quantization books follow the compression variable's law given the
-    # relay input, i.e. the exact conditional of the assembled joint
     p_yh1 = conditional(joint, ("Yh1",), ("X1",))
     p_yh2 = conditional(joint, ("Yh2",), ("X2",))
     yh1 = np.empty((sizes["z1"], sizes["s1"], n), dtype=np.int64)
     for s1 in range(sizes["s1"]):
-        (yh1[:, s1],) = _draw_cond(rng, p_yh1, (x1[s1],), sizes["z1"])
+        (yh1[:, s1],) = _draw(rng, p_yh1, (x1[s1],), sizes["z1"], n)
     yh2 = np.empty((sizes["z2"], sizes["s2"], n), dtype=np.int64)
     for s2 in range(sizes["s2"]):
-        (yh2[:, s2],) = _draw_cond(rng, p_yh2, (x2[s2],), sizes["z2"])
+        (yh2[:, s2],) = _draw(rng, p_yh2, (x2[s2],), sizes["z2"], n)
 
     bins = BinMaps(
         bin1=rng.integers(0, sizes["s1"], size=sizes["z1"]),
@@ -469,8 +463,8 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     """Run ``cfg.trials`` trials, a slice at a time in lockstep.  A covering
     miss is its trial's first failure, so the placeholder index it carries
     into the later stages never decides a count."""
-    books, bins = build(channel, law, cfg)
     joint = assemble_joint(channel, law)
+    books, bins = build(joint, law, cfg)
     eps, n = cfg.typicality.epsilon, cfg.n
 
     # each stage's count windows, (lo, hi) in the shape of its marginal
@@ -483,10 +477,7 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     w_list2 = windows("X2", "Y0", "Yh2")
     w_msg = windows("X0", "X1", "X2", "Y0", "Yh1", "Yh2")
 
-    tr = channel.transition
-    g_shape = tuple(a.size for a in tr.given)
-    t_shape = tuple(a.size for a in tr.target)
-    cdf = _cdf(tr.mass.reshape(math.prod(g_shape), math.prod(t_shape)))
+    cdf, g_shape, t_shape = _table(channel.transition)
     # per-cell views of the books, indexed by each trial's relay cells
     x0_by_cell = books.x0.transpose(1, 2, 0, 3)
     yh1_by_cell, yh2_by_cell = books.yh1.swapaxes(0, 1), books.yh2.swapaxes(0, 1)
@@ -693,12 +684,12 @@ def covering_experiment(
         window = _count_windows(p_triple.mass, n, eps)
         for trial in range(trials):
             rng = np.random.default_rng([seed, trial])
-            x1_seq, y1_seq = _draw_joint(rng, p_pair, n)
+            x1_seq, y1_seq = _draw(rng, p_pair, (), 1, n)
             # the book is drawn in entry order, a slice at a time, and the
             # search stops at the first slice holding a typical entry
             size, step = 1 << exponent, max(1, _SLICE // n)
             for start in range(0, size, step):
-                (book,) = _draw_cond(rng, p_book, (x1_seq,), min(step, size - start))
+                (book,) = _draw(rng, p_book, (x1_seq,), min(step, size - start), n)
                 if _typical_mask((x1_seq, y1_seq, book), *window).any():
                     successes += 1
                     break
@@ -708,9 +699,9 @@ def covering_experiment(
         pairs, uniforms = [], []
         for trial in range(start, min(start + step, trials)):
             rng = np.random.default_rng([seed, trial])
-            pairs.append(_draw_joint(rng, p_pair, n))
+            pairs.append(_draw(rng, p_pair, (), 1, n))
             uniforms.append(rng.random())
-        x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
+        x1, y1 = (np.concatenate(seqs) for seqs in zip(*pairs))
         log_q = _log_hit_probability(x1, y1, p_book, p_triple, eps)
         successes += sum(u < _hit_probability(q, exponent) for q, u in zip(log_q.tolist(), uniforms))
     return successes / trials

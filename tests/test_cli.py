@@ -100,6 +100,10 @@ def files(tmp_path_factory):
     bad_data = tio.law_to_dict(uniform_t1_law(ident))
     bad_data["components"]["px1"]["data"] = [0.5, "x"]
     put("law_bad_data", bad_data)
+    extra = tio.law_to_dict(uniform_t1_law(ident))
+    extra["components"]["pv1_given_x1"] = tio.law_to_dict(uniform_t2_law(ident))["components"]["pv1_given_x1"]
+    extra["components"]["typo_px1"] = extra["components"]["px1"]
+    put("law_extra_components", extra)
     # built for a three-letter X1, while the identity-direct channel has two
     wide = NetworkChannel(uniform_cond(
         tuple(Alphabet(v, 3 if v == "X1" else 2) for v in ("X0", "X1", "X2")),
@@ -195,6 +199,8 @@ class TestEval:
             ("truncated", "law_t1", "invalid JSON"),
             ("chan", "law_bad_data", "px1.data: could not convert string to float"),
             ("chan", "law_wide_x1", "alphabet mismatch on X1: law has 3, channel has 2"),
+            ("chan", "law_extra_components",
+             "law: unknown components 'pv1_given_x1', 'typo_px1' for theorem 't1'"),
         ):
             code, out, err = run_cli(
                 ["eval", "--channel", files[channel], "--law", files[law],

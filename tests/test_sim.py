@@ -228,18 +228,14 @@ def zero_rates():
 
 
 def reference_draw_cond(rng, cond, given_seqs):
-    """One codeword drawn with one ``rng.choice`` call per conditioning cell,
-    cells in index order: the draw order the batched sampler must keep."""
+    """One codeword drawn with one ``rng.choice(targets, p=row)`` call per
+    position, in position order, each from the row its givens select: the
+    draw rule the batched sampler must keep."""
     g_shape = tuple(a.size for a in cond.given)
     t_shape = tuple(a.size for a in cond.target)
     rows = cond.mass.reshape(int(np.prod(g_shape)), int(np.prod(t_shape)))
     cells = np.ravel_multi_index([np.asarray(s) for s in given_seqs], g_shape)
-    out = np.empty(len(cells), dtype=np.int64)
-    for cell in range(rows.shape[0]):
-        mask = cells == cell
-        count = int(mask.sum())
-        if count:
-            out[mask] = rng.choice(rows.shape[1], size=count, p=rows[cell])
+    out = np.array([rng.choice(rows.shape[1], p=rows[cell]) for cell in cells], dtype=np.int64)
     return np.unravel_index(out, t_shape)
 
 
@@ -441,7 +437,7 @@ class TestTypical:
         hits = 0
         for t in range(100):
             rng = np.random.default_rng([2026, t])
-            hits += typical(sim._draw_joint(rng, j, 10_000), j, 0.1)
+            hits += typical([s[0] for s in sim._draw(rng, j, (), 1, 10_000)], j, 0.1)
         assert hits == 100
 
     def test_arity_mismatch_rejected(self):
@@ -564,7 +560,7 @@ class TestBuild:
         ch = channel_preset("identity-direct")
         law = uniform_t1_law(ch)
         cfg = self.cfg()
-        books, bins = build(ch, law, cfg)
+        books, bins = build(assemble_joint_t1(ch, law), law, cfg)
         assert books.x1.shape == (4, 16)
         assert books.x2.shape == (4, 16)
         assert books.x0.shape == (4, 4, 4, 16)
@@ -578,8 +574,8 @@ class TestBuild:
     def test_same_seed_same_books(self):
         ch = channel_preset("identity-direct")
         law = uniform_t1_law(ch)
-        a, bins_a = build(ch, law, self.cfg(seed=9))
-        b, bins_b = build(ch, law, self.cfg(seed=9))
+        a, bins_a = build(assemble_joint_t1(ch, law), law, self.cfg(seed=9))
+        b, bins_b = build(assemble_joint_t1(ch, law), law, self.cfg(seed=9))
         for name in ("x1", "x2", "x0", "yh1", "yh2"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(bins_a.bin1, bins_b.bin1)
@@ -588,8 +584,8 @@ class TestBuild:
     def test_different_seed_different_books(self):
         ch = channel_preset("identity-direct")
         law = uniform_t1_law(ch)
-        a, _ = build(ch, law, self.cfg(seed=9))
-        b, _ = build(ch, law, self.cfg(seed=10))
+        a, _ = build(assemble_joint_t1(ch, law), law, self.cfg(seed=9))
+        b, _ = build(assemble_joint_t1(ch, law), law, self.cfg(seed=10))
         assert not np.array_equal(a.x0, b.x0)
 
     def test_zero_rates_give_single_codewords(self):
@@ -599,7 +595,7 @@ class TestBuild:
             n=8, blocks=2, rates=zero_rates(),
             typicality=TypicalityParams(0.2), trials=1, seed=0,
         )
-        books, bins = build(ch, law, cfg)
+        books, bins = build(assemble_joint_t1(ch, law), law, cfg)
         assert books.x1.shape == (1, 8)
         assert books.x0.shape == (1, 1, 1, 8)
         assert bins.bin1.tolist() == [0]
@@ -629,7 +625,7 @@ class TestBuild:
         want = reference_build(ch, law, cfg)
         for slice_size in (sim._SLICE, 1, 2 * n):
             with mock.patch.object(sim, "_SLICE", slice_size):
-                books, bins = build(ch, law, cfg)
+                books, bins = build(assemble_joint_t1(ch, law), law, cfg)
             got = dict(vars(books), bin1=bins.bin1, bin2=bins.bin2)
             for name, array in want.items():
                 assert got[name].dtype == array.dtype, name
@@ -640,10 +636,46 @@ class TestBuild:
     def test_pinned_law_gives_constant_codewords(self):
         ch = broadcast_channel()
         law = pinned_law()
-        books, _ = build(ch, law, self.cfg(n=8))
+        books, _ = build(assemble_joint_t1(ch, law), law, self.cfg(n=8))
         assert not books.x0.any()
         assert not books.x1.any()
         assert not books.yh1.any()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_lookup_is_a_per_position_search(self, data):
+        # one-row and multi-row tables, targets of zero mass (repeated cdf
+        # entries, some of them exactly 1 before the last), and uniforms
+        # that often equal a cdf entry, where <= and < part
+        rows = data.draw(st.integers(1, 4))
+        targets = data.draw(st.integers(1, 5))
+        weights = np.array(data.draw(st.lists(
+            st.integers(0, 3), min_size=rows * targets, max_size=rows * targets
+        )), dtype=float).reshape(rows, targets)
+        weights[np.arange(rows), data.draw(st.lists(
+            st.integers(0, targets - 1), min_size=rows, max_size=rows
+        ))] += 1
+        cond = CondPmf((Alphabet("X1", rows),), (Alphabet("Y1", targets),),
+                       weights / weights.sum(axis=1, keepdims=True))
+        cdf, g_shape, t_shape = sim._table(cond)
+        assert (g_shape, t_shape) == ((rows,), (targets,))
+        assert (cdf[:, -1] == 1.0).all() and (np.diff(cdf, axis=1) >= 0).all()
+        count, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+        entries = sorted({float(v) for v in cdf.reshape(-1) if v < 1.0} | {0.0})
+        uniform = st.one_of(st.sampled_from(entries), st.floats(0.0, 1.0, exclude_max=True))
+        u = np.array(data.draw(st.lists(uniform, min_size=count * n, max_size=count * n)))
+        u = u.reshape(count, n)
+        cell_shape = data.draw(st.sampled_from([(n,), (count, n)]))
+        cells = np.array(data.draw(st.lists(
+            st.integers(0, rows - 1), min_size=math.prod(cell_shape), max_size=math.prod(cell_shape)
+        ))).reshape(cell_shape)
+        cell_at = np.broadcast_to(cells, u.shape)
+        want = np.empty(u.shape, dtype=np.int64)
+        for at in np.ndindex(u.shape):
+            want[at] = np.searchsorted(cdf[cell_at[at]], u[at], side="right")
+        got = sim._lookup(cdf, cells, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, want)
 
 
 class TestSimStats:
@@ -722,6 +754,21 @@ class TestRunCf:
             typicality=TypicalityParams(0.35), trials=30, seed=3,
         )
         assert run_cf(ch, law, cfg).to_dict() == run_cf(ch, law, cfg).to_dict()
+
+    def test_joint_is_assembled_once_per_run(self):
+        ch = channel_preset("binary-symmetric-links", crossover={"Y0": 0.05, "Y1": 0.05, "Y2": 0.05})
+        law = uniform_t1_law(ch)
+        r = 1 / 12
+        cfg = SimConfig(
+            n=12, blocks=3, rates=T1Rates(r, r, r, r, r),
+            typicality=TypicalityParams(0.35), trials=4, seed=3,
+        )
+        with mock.patch.object(sim, "assemble_joint", wraps=sim.assemble_joint) as assembled, \
+                mock.patch.object(sim, "build", wraps=sim.build) as built:
+            run_cf(ch, law, cfg)
+        # build goes through the module attribute, the one a tracer wraps
+        assert assembled.call_count == 1
+        assert built.call_count == 1
 
     def test_ties_count_as_errors(self):
         j = uniform_pmf(Alphabet("X0", 2))
@@ -918,8 +965,8 @@ class TestCoveringExperiment:
         probs = []
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
-            x1_seq, y1_seq = sim._draw_joint(rng, p_pair, n)
-            lq = float(sim._log_hit_probability(x1_seq[None], y1_seq[None], p_book, p_triple, 0.2)[0])
+            x1_seq, y1_seq = sim._draw(rng, p_pair, (), 1, n)
+            lq = float(sim._log_hit_probability(x1_seq, y1_seq, p_book, p_triple, 0.2)[0])
             probs.append(-math.expm1(256 * math.log1p(-math.exp(lq))) if lq < 0 else 1.0)
         mean = float(np.mean(probs))
         sd = math.sqrt(float(np.sum(np.multiply(probs, np.subtract(1.0, probs))))) / trials
@@ -960,7 +1007,7 @@ class TestCoveringExperiment:
             st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75]) | st.floats(0.01, 0.99))
         p_book = conditional(joint, ("Yh1",), ("X1",))
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-        x1, y1 = sim._draw_joint(rng, marginalize(joint, ("X1", "Y1")), n)
+        x1, y1 = (s[0] for s in sim._draw(rng, marginalize(joint, ("X1", "Y1")), (), 1, n))
         rows = p_book.mass.reshape(-1, 2)[x1]
         q = 0.0
         for entry in itertools.product(range(2), repeat=n):
@@ -1004,7 +1051,7 @@ class TestCoveringExperiment:
         pairs, want, successes = [], [], 0
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
-            pairs.append(sim._draw_joint(rng, p_pair, n))
+            pairs.append([s[0] for s in sim._draw(rng, p_pair, (), 1, n)])
             want.append(reference_log_one_draw_typical(*pairs[-1], p_book, p_triple, eps))
             successes += rng.random() < sim._hit_probability(want[-1], exponent)
         x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
@@ -1045,9 +1092,9 @@ class TestCoveringExperiment:
         p_pair = marginalize(joint, ("X1", "Y1"))
         p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
         p_book = conditional(joint, ("Yh1",), ("X1",))
-        pairs = [sim._draw_joint(np.random.default_rng([seed, t]), p_pair, n)
+        pairs = [sim._draw(np.random.default_rng([seed, t]), p_pair, (), 1, n)
                  for t in range(trials)]
-        x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
+        x1, y1 = (np.concatenate(seqs) for seqs in zip(*pairs))
         for slice_size in (sim._SLICE, 7):
             with mock.patch.object(sim, "_SLICE", slice_size):
                 got = sim._log_hit_probability(x1, y1, p_book, p_triple, eps)
