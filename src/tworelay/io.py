@@ -71,6 +71,14 @@ def _object(value: Any, where: str) -> dict:
     return value
 
 
+def _known(payload: Any, keys: tuple[str, ...], where: str) -> None:
+    """Refuse an object with a key outside ``keys``: a misspelled field is
+    an error, never a silent default."""
+    unknown = sorted(set(_object(payload, where)) - set(keys))
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {', '.join(map(repr, unknown))}")
+
+
 def _require(payload: dict, key: str, where: str) -> Any:
     if key not in _object(payload, where):
         raise ValidationError(f"{where}: missing field {key!r}")
@@ -93,6 +101,7 @@ def cond_to_dict(pmf: CondPmf) -> dict:
 
 
 def cond_from_dict(payload: dict, where: str) -> CondPmf:
+    _known(payload, ("given", "target", "data"), where)
     given = _axes_from_meta(_require(payload, "given", where), where)
     target = _axes_from_meta(_require(payload, "target", where), where)
     data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
@@ -107,6 +116,7 @@ def joint_to_dict(pmf: JointPmf) -> dict:
 
 
 def joint_from_dict(payload: dict, where: str) -> JointPmf:
+    _known(payload, ("axes", "data"), where)
     axes = _axes_from_meta(_require(payload, "axes", where), where)
     data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
     try:
@@ -137,6 +147,7 @@ def channel_from_dict(payload: dict) -> NetworkChannel:
         options = {k: v for k, v in payload.items()
                    if k not in ("preset", "format_version", "kind")}
         return channel_preset(name, **options)
+    _known(payload, ("format_version", "kind", "sizes", "transition"), "channel")
     sizes = _object(_require(payload, "sizes", "channel"), "channel.sizes")
     for var in CHANNEL_INPUTS + CHANNEL_OUTPUTS:
         if var not in sizes:
@@ -228,6 +239,7 @@ def law_to_dict(law: T1Law | T2Law) -> dict:
 
 def law_from_dict(payload: dict) -> T1Law | T2Law:
     _check_version(payload, "law")
+    _known(payload, ("format_version", "kind", "theorem", "components"), "law")
     theorem = _require(payload, "theorem", "law")
     if not isinstance(theorem, str) or theorem not in LAW_FAMILIES:
         raise ValidationError(f"law: unknown theorem tag {theorem!r}")

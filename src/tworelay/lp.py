@@ -3,7 +3,10 @@
 A small dense two-phase simplex on ``fractions.Fraction``.  Every system this
 package feeds it has a handful of variables and a few dozen rows, so
 simplicity and exactness win over sparse cleverness.  Bland's rule keeps the
-pivoting cycle-free.
+pivoting cycle-free.  It is the oracle, not the hot path: :mod:`tworelay.fm`
+reads its maxima off each system's projection onto the rate and calls
+:func:`maximize` only to re-check a disagreement, and the tests hold the
+projection to this simplex.
 
 Problems are stated as: maximize c.x subject to A.x <= b, x >= 0.  Strict
 inequalities from the rate systems are relaxed to non-strict before reaching

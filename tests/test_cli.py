@@ -29,7 +29,7 @@ from tworelay.prob import (
     uniform_t1_law,
     uniform_t2_law,
 )
-from tworelay.rates import T1_QUERIES
+from tworelay.rates import T1_QUERIES, T2_QUERIES
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -424,6 +424,46 @@ class TestFm:
             f"resource limit: eliminating RA would give 1600 rows, "
             f"above the cap of {fm.MAX_FM_ROWS}\n"
         )
+
+    def test_projection_cap_exits_3(self, tmp_path, capsys):
+        # 40 rows bound RA above and 40 below, as above, but nothing is
+        # eliminated: the check's projection onto RB meets the cap
+        terms = list(T2_QUERIES.values())[:12]
+        rows = []
+        for i in range(40):
+            a, b = terms[i % 12], terms[(i + 5) % 12]
+            rows.append(fm.LinearExpr.of({"RA": 1, "RB": i}, {a: 1, b: -(i + 1)}))
+            rows.append(fm.LinearExpr.of({"RA": -1, "RB": i + 2}, {a: -i, b: 1}))
+        system = fm.RateSystem(
+            tuple(fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)), ("RA", "RB"))
+        path = tmp_path / "system.txt"
+        path.write_text(fm.format_system(system))
+        code, out, err = run_cli(["fm", str(path), "--check-against", "t2"], capsys)
+        assert code == 3
+        assert out == ""
+        # the closure's RA >= 0 is a 41st lower bound, RB >= 0 the one row kept
+        assert err == (
+            f"resource limit: projecting onto RB: eliminating RA would give 1641 rows, "
+            f"above the cap of {fm.MAX_FM_ROWS}\n"
+        )
+
+    @pytest.mark.parametrize("text, options", [
+        # a coefficient that int64 holds, but whose products could pass it
+        ("vars: RB RA\n1*RB + 4294967296*RA < 0\n-1*RA + 1*I(Yh1;Y1|X1) < 0\n",
+         ["--eliminate", "RA"]),
+        ("vars: RB\n1*RB + -1/3000000000*I(V1;Y1|X1) < 0\n", ["--check-against", "t2"]),
+        # a step multiplies coefficients: RB's comes out near 5.9e9
+        ("vars: RB RA\n40000*RB + 65536*RA + -1*I(V1;Y1|X1) < 0\n"
+         "50000*RB + -65535*RA + -1*I(V2;Y2|X2) < 0\n", ["--eliminate", "RA"]),
+    ], ids=["compile", "check", "step"])
+    def test_coefficient_past_int64_range_exits_3(self, text, options, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_text(text)
+        code, out, err = run_cli(["fm", str(path), *options], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == ("resource limit: a row coefficient reaches 2**31, "
+                       "past which int64 could overflow\n")
 
 
 class TestSim:

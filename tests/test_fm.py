@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay import cli, fm, prob
+from tworelay import cli, fm, lp, prob
 from tworelay.info import InfoQuery, binary_entropy
-from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
+from tworelay.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from tworelay.prob import (
     CANONICAL_ORDER,
     LAW_FAMILIES,
@@ -394,6 +394,48 @@ class TestPruneOracle:
         assert fm.prune(s) == pairwise_prune(s)
 
 
+def linear_expr_eliminate(system, var):
+    """Reference elimination: the earlier ``LinearExpr`` arithmetic, row by row."""
+    upper, lower, rest = [], [], []
+    for ineq in system.inequalities:
+        c = ineq.expr.var_map().get(var, Fraction(0))
+        (upper if c > 0 else lower if c < 0 else rest).append((ineq, c))
+    rows = [ineq for ineq, _ in rest]
+    for up, cu in upper:
+        for lo, cl in lower:
+            combined = up.expr.scaled(Fraction(1) / cu) + lo.expr.scaled(Fraction(1) / -cl)
+            rows.append(fm.Inequality(combined, up.strict or lo.strict,
+                                      f"{up.provenance}+{lo.provenance}"))
+    used = {k for ineq in rows for k, _ in ineq.expr.vars}
+    return fm.RateSystem(tuple(rows), tuple(v for v in system.variables if v != var and v in used))
+
+
+class TestEliminateOracle:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_linear_expr_elimination(self, data):
+        coeff = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
+                                 Fraction(-3), Fraction(1, 2), Fraction(-2, 7)])
+        rows = []
+        for k in range(data.draw(st.integers(1, 10))):
+            rate_vars = data.draw(st.dictionaries(st.sampled_from(["RB", "RA", "RC"]), coeff))
+            syms = data.draw(st.dictionaries(st.sampled_from(SYMBOLS), coeff))
+            rows.append(fm.Inequality(expr(rate_vars, syms), data.draw(st.booleans()), f"r{k}"))
+        used = {v for r in rows for v, _ in r.expr.vars}
+        variables = [v for v in ("RB", "RA", "RC") if v in used]
+        if not variables:
+            return
+        s = system(rows, variables)
+        var = data.draw(st.sampled_from(variables))
+        want = linear_expr_eliminate(s, var)
+        got = fm.eliminate(s, var)
+        assert got == want
+        assert fm.format_system(got) == fm.format_system(want)
+        # the next step starts from the matrix the step left behind
+        assert fm.prune(got) == pairwise_prune(want)
+        assert fm.prune(got)._rows.coef.tolist() == fm.prune(want)._rows.coef.tolist()
+
+
 class TestEliminateAll:
     @staticmethod
     def in_order(system, variables):
@@ -512,6 +554,11 @@ def fraction_rows_max_rate(system, binding, objective="RB"):
             const += c * binding[str(sym)]
         rows.append((ineq.expr.var_map(), -const))
     return maximize({objective: 1}, rows, system.variables)
+
+
+def answer(result):
+    """What ``max_rate`` promises: the status and exact value, no point."""
+    return result.status, result.value
 
 
 SYMBOLS = list(T1_QUERIES.values())[:4]
@@ -643,7 +690,7 @@ class TestMaxRate:
     @given(data=st.data())
     def test_integer_binding_matches_fraction_rows(self, data):
         s, binding = capped_system(data)
-        assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
+        assert answer(fm.max_rate(s, binding)) == answer(fraction_rows_max_rate(s, binding))
 
     def test_zero_constant_rows(self):
         # 2/3*(A - B) is exactly 0 when A == B, so RB <= 0 binds below the
@@ -655,7 +702,7 @@ class TestMaxRate:
         )
         binding = {str(A): Fraction(1, 3), str(B): Fraction(1, 3)}
         res = fm.max_rate(s, binding)
-        assert res == fraction_rows_max_rate(s, binding)
+        assert answer(res) == answer(fraction_rows_max_rate(s, binding))
         assert res.value == Fraction(0)
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
@@ -666,7 +713,131 @@ class TestMaxRate:
         systems = (raw, fm.eliminate_all(raw, helpers), fm.target_system(which))
         for binding in fm.sample_bindings(which, 6, seed=21):
             for s in systems:
-                assert fm.max_rate(s, binding) == fraction_rows_max_rate(s, binding)
+                want = fraction_rows_max_rate(s, binding)
+                assert answer(fm.max_rate(s, binding)) == answer(want)
+
+
+HELPERS = {"t1": ["RH1", "RH2", "RS1", "RS2"],
+           "t2": ["RH1", "RH2", "R011", "R012", "R021", "R022"]}
+SIX = [(which, kind) for which in ("t1", "t2") for kind in ("builtin", "reduced", "target")]
+
+
+def six_system(which, kind):
+    raw = fm.builtin_system(which)
+    return {"builtin": raw, "target": fm.target_system(which),
+            "reduced": fm.eliminate_all(raw, HELPERS[which])}[kind]
+
+
+def rational_bindings(rng, names, count):
+    """Values 0 to 4 in steps of 1/64, about half of them 0."""
+    steps = rng.integers(0, 257, (count, len(names))) * rng.integers(0, 2, (count, len(names)))
+    return [{n: Fraction(int(k), 64) for n, k in zip(names, row)} for row in steps]
+
+
+def cap(rate_vars, syms, strict=False, label="r"):
+    return fm.Inequality(expr(rate_vars, syms), strict, label)
+
+
+class TestProjectionOracle:
+    """``max_rate`` reads the projection onto RB; the simplex of ``lp`` on
+    the system's own rows is the oracle, in status and exact value."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_six_systems_on_random_rational_bindings(self, data):
+        s = six_system(*data.draw(st.sampled_from(SIX)))
+        # 0 to 4 bits in steps of 1/64, zero often, so both statuses come up
+        value = st.one_of(st.just(Fraction(0)), st.integers(0, 256).map(lambda k: Fraction(k, 64)))
+        binding = {str(q): data.draw(value) for q in s.symbols}
+        assert answer(fm.max_rate(s, binding)) == answer(fraction_rows_max_rate(s, binding))
+
+    @pytest.mark.parametrize("which, kind", SIX)
+    def test_seeded_bindings_reach_both_statuses(self, which, kind):
+        s = six_system(which, kind)
+        rng = np.random.default_rng([24, len(s.inequalities)])
+        names = [str(q) for q in s.symbols]
+        bindings = rational_bindings(rng, names, 40)
+        got = [answer(fm.max_rate(s, b)) for b in bindings]
+        assert got == [answer(fraction_rows_max_rate(s, b)) for b in bindings]
+        assert {status for status, _ in got} == {OPTIMAL, INFEASIBLE}
+
+    def test_bindings_read_in_blocks_agree(self, monkeypatch):
+        s = six_system("t2", "reduced")
+        names = [str(q) for q in s.symbols]
+        rng = np.random.default_rng(9)
+        bindings = rational_bindings(rng, names, 30)
+        whole = fm._solve(s, names, fm._table(bindings, names))
+        monkeypatch.setattr(fm, "_BLOCK_ENTRIES", 1)  # one binding per block
+        assert fm._solve(s, names, fm._table(bindings, names)) == whole
+
+    @pytest.mark.parametrize("values", [
+        {A: Fraction(1, 3), B: Fraction(1, 3)},  # 1/3 - 1/3 is exactly 0
+        {A: Fraction(1, 3), B: Fraction(1, 3) + Fraction(1, 10**30)},
+        {A: Fraction(1, 3) + Fraction(1, 10**30), B: Fraction(1, 3)},
+        {A: Fraction(1, 10**300), B: Fraction(1, 10**300)},
+        {A: Fraction(10**300), B: Fraction(10**300) - 1},
+        {A: Fraction(10**400), B: Fraction(10**400)},  # beyond float range
+        {A: Fraction(10**400), B: Fraction(1, 3)},
+        {A: Fraction(1, 10**400), B: Fraction(0)},  # underflows to 0.0
+        {A: Fraction(0), B: Fraction(0)},
+    ], ids=["equal-thirds", "b-above", "a-above", "1e-300", "1e300", "past-float",
+            "mixed", "underflow", "zeros"])
+    @pytest.mark.parametrize("rows", [
+        # the cap B, a floor A, and a free row A - B <= 0
+        [cap({"RB": 1}, {B: -1}), cap({"RB": -1}, {A: 1}), cap({}, {A: 1, B: -1})],
+        # two candidate least upper bounds, one of them strict
+        [cap({"RB": 1}, {A: -1}), cap({"RB": 3}, {B: -3}, strict=True)],
+        # a free row that is false unless A == B
+        [cap({"RB": 1}, {A: -1}), cap({}, {A: 1, B: -1}), cap({}, {A: -1, B: 1})],
+        # a floor with no cap: unbounded, unless the free row fails
+        [cap({"RB": -2}, {A: 2}), cap({}, {B: 1, A: -1})],
+    ], ids=["cap-floor-free", "two-caps", "equality", "unbounded"])
+    def test_near_ties(self, rows, values):
+        s = system(rows, ("RB",))
+        binding = {str(k): v for k, v in values.items()}
+        assert answer(fm.max_rate(s, binding)) == answer(fraction_rows_max_rate(s, binding))
+
+    def test_unbounded_system(self):
+        s = system([cap({"RB": -1, "RA": 1}, {A: 1}), cap({"RA": -1}, {B: -1})], ("RB", "RA"))
+        binding = {str(A): Fraction(1, 3), str(B): Fraction(2)}
+        assert answer(fm.max_rate(s, binding)) == (UNBOUNDED, None)
+        assert answer(fraction_rows_max_rate(s, binding)) == (UNBOUNDED, None)
+
+    def test_negative_symbol_value_rejected(self):
+        # pruning keeps only what nonnegative symbols imply
+        s = system([cap({"RB": 1}, {A: -1})], ("RB",))
+        for value in (Fraction(-1, 3), Fraction(-1, 10**400), Fraction(-10**400)):
+            with pytest.raises(ValidationError, match="negative value"):
+                fm.max_rate(s, {str(A): value})
+
+    @pytest.mark.parametrize("which, seed", [("t1", 10), ("t2", 3)])
+    def test_no_simplex_on_agreeing_bindings(self, monkeypatch, which, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the simplex ran")
+
+        monkeypatch.setattr(fm, "maximize", refuse)
+        monkeypatch.setattr(lp, "maximize", refuse)
+        raw, red, tgt = (six_system(which, kind) for kind in ("builtin", "reduced", "target"))
+        bindings = fm.sample_bindings(which, 30, seed)
+        for a, b in ((raw, red), (red, tgt), (raw, tgt)):
+            assert fm.numeric_equiv(a, b, bindings).equivalent
+        rational = rational_bindings(np.random.default_rng(5), [str(q) for q in raw.symbols], 40)
+        rep = fm.numeric_equiv(raw, red, rational)
+        assert rep.equivalent and rep.informative > 0
+
+    def test_disagreement_is_confirmed_by_the_simplex(self, monkeypatch):
+        channel, law, _ = df_heavy_law()
+        binding = fm.binding_of(assemble_joint_t2(channel, law), "t2")
+        red, tgt = six_system("t2", "reduced"), six_system("t2", "target")
+        calls = []
+        simplex = fm._simplex
+        monkeypatch.setattr(fm, "_simplex", lambda s, b: calls.append(s) or simplex(s, b))
+        assert not fm.numeric_equiv(red, tgt, [binding]).equivalent
+        assert calls == [red, tgt]
+        # an answer the simplex does not confirm raises
+        monkeypatch.setattr(fm, "_simplex", lambda s, b: LpResult(UNBOUNDED))
+        with pytest.raises(RuntimeError, match="simplex"):
+            fm.numeric_equiv(red, tgt, [binding])
 
 
 class TestSchemeReduction:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +333,39 @@ class TestLoading:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"error: {kind}: format_version {version!r}, expected 1")
+
+    @pytest.mark.parametrize("kind, where, key", [
+        ("law", "law", "extra_top"),
+        ("law", "law.components.px1", "labelz"),  # inside a component
+        ("channel", "channel", "extra_top"),
+    ])
+    def test_unknown_key_exits_2(self, kind, where, key, tmp_path, capsys):
+        channel = channel_preset("identity-direct")
+        payloads = {"channel": tio.channel_to_dict(channel),
+                    "law": tio.law_to_dict(uniform_t1_law(channel))}
+        target = payloads["law"]["components"]["px1"] if "px1" in where else payloads[kind]
+        target[key] = target.get("axes", 1)
+        paths = {}
+        for name, payload in payloads.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(tio.dumps(payload))
+        with pytest.raises(ValidationError, match=f"^{where}: unknown keys '{key}'$"):
+            (load_law if kind == "law" else load_channel)(str(paths[kind]))
+        code = cli.main(["eval", "--channel", str(paths["channel"]),
+                         "--law", str(paths["law"]), "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: unknown keys '{key}'\n"
+
+    def test_readme_examples_load(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert blocks
+        for block in blocks:
+            payload = json.loads(block)
+            loader = {"channel": tio.channel_from_dict, "law": tio.law_from_dict}[payload["kind"]]
+            loader(payload)
 
     def test_top_level_must_be_object(self, tmp_path):
         path = tmp_path / "list.json"
