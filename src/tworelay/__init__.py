@@ -23,7 +23,6 @@ The public surface is re-exported here; submodules hold the implementation:
 from .fm import (
     EquivReport,
     Inequality,
-    LinearExpr,
     RateSystem,
     builtin_system,
     eliminate,
@@ -96,7 +95,6 @@ __all__ = [
     "InfoQuery",
     "Inequality",
     "JointPmf",
-    "LinearExpr",
     "NetworkChannel",
     "OptResult",
     "RateReport",

@@ -9,25 +9,33 @@ identities that hold between them on real distributions (chain rules and the
 like) are deliberately ignored, so pruning is conservative and equivalence
 claims are settled numerically on sampled bindings, never syntactically.
 
+A :class:`RateSystem` is its coefficient matrix: one int64 row per
+inequality, each row scaled to a primitive integer vector, as FME-IT treats
+a system (Gattegno, Goldfeld and Permuter, "Fourier-Motzkin elimination
+software for information theoretic inequalities", 2016).  Elimination and
+pruning run on that matrix.  Rationals appear only at its edges: the
+:class:`Inequality` rows that :meth:`RateSystem.of` takes and
+``system.inequalities`` gives back normalized, and the text format.
+
 Pruning has one rule: a row goes when another row, or the always-true
 ``0 <= 0``, implies it for nonnegative symbols, and of equal rows the first
-stays.  Each system compiles its rows once, on first use, into one integer
-matrix, and elimination and pruning run on that matrix.  The numeric check
-projects each system onto RB once, by the same elimination with every
-variable nonnegative, and reads the exact maximum of RB on each binding off
-the projected rows: floats with a proven error bound decide what they can,
-exact integers the rest (Dantzig and Eaves, "Fourier-Motzkin elimination and
-its dual", 1973; Shewchuk, "Adaptive precision floating-point arithmetic",
-1997).  The simplex of :mod:`tworelay.lp` only re-checks a disagreement; the
-tests hold the projection to it.
+stays.  The numeric check projects each system onto RB once, by the same
+elimination with every variable nonnegative, and reads the exact maximum of
+RB on each binding off the projected rows: floats with a proven error bound
+decide what they can, exact integers the rest (Dantzig and Eaves,
+"Fourier-Motzkin elimination and its dual", 1973; Shewchuk, "Adaptive
+precision floating-point arithmetic", 1997).  The simplex of
+:mod:`tworelay.lp` only re-checks a disagreement; the tests hold the
+projection to it.
 
 The two built-in systems are the per-stage inequality sets of the two coding
 schemes; the two built-in target systems are the corresponding single-letter
 constraint sets.  Neither is written out here: both come from running the row
 code of :mod:`tworelay.rates`, the code the numeric evaluators run, on
-symbols and rate variables.  Eliminating the per-stage bookkeeping rates
-from the former and comparing against the latter by the exact maximum rate
-on sampled bindings is the whole point of this module.
+unit integer vectors, one per symbol and rate variable.  Eliminating the
+per-stage bookkeeping rates from the former and comparing against the latter
+by the exact maximum rate on sampled bindings is the whole point of this
+module.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,109 +79,112 @@ _BLOCK_ENTRIES = 1 << 13
 _TERM = re.compile(r"(-?[0-9]+(?:/0*[1-9][0-9]*)?)\*(.+)")
 
 
-@dataclass(frozen=True)
-class LinearExpr:
-    """Rational-linear combination of rate variables and information symbols."""
+class Inequality(NamedTuple):
+    """One row ``coeffs < 0`` (strict) or ``coeffs <= 0``: ``coeffs`` maps
+    rate variable names and :class:`tworelay.info.InfoQuery` symbols to
+    their rational coefficients."""
 
-    vars: tuple[tuple[str, Fraction], ...]
-    syms: tuple[tuple[InfoQuery, Fraction], ...]
-
-    @classmethod
-    def of(
-        cls,
-        vars: Mapping[str, Fraction | int] | None = None,
-        syms: Mapping[InfoQuery, Fraction | int] | None = None,
-    ) -> "LinearExpr":
-        v = {k: Fraction(c) for k, c in (vars or {}).items() if c != 0}
-        s = {k: Fraction(c) for k, c in (syms or {}).items() if c != 0}
-        return cls(
-            tuple(sorted(v.items())),
-            tuple(sorted(s.items(), key=lambda kv: str(kv[0]))),
-        )
-
-    def var_map(self) -> dict[str, Fraction]:
-        return dict(self.vars)
-
-    def sym_map(self) -> dict[InfoQuery, Fraction]:
-        return dict(self.syms)
-
-    def scaled(self, factor: Fraction) -> "LinearExpr":
-        return LinearExpr.of(
-            {k: c * factor for k, c in self.vars},
-            {k: c * factor for k, c in self.syms},
-        )
-
-    def __add__(self, other: "LinearExpr") -> "LinearExpr":
-        v = self.var_map()
-        for k, c in other.vars:
-            v[k] = v.get(k, Fraction(0)) + c
-        s = self.sym_map()
-        for k, c in other.syms:
-            s[k] = s.get(k, Fraction(0)) + c
-        return LinearExpr.of(v, s)
-
-    def __sub__(self, other: "LinearExpr") -> "LinearExpr":
-        return self + other.scaled(Fraction(-1))
-
-
-@dataclass(frozen=True)
-class Inequality:
-    """One row ``expr < 0`` (strict) or ``expr <= 0``."""
-
-    expr: LinearExpr
+    coeffs: Mapping[str | InfoQuery, Fraction | int]
     strict: bool
     provenance: str
 
-    def normalized(self, var_order: Sequence[str]) -> "Inequality":
-        """Scale so the leading coefficient has magnitude 1.
 
-        Leading means the first nonzero rate coefficient in ``var_order``,
-        falling back to the first symbol in name order.  The scale factor is
-        positive, so the inequality direction is untouched.
-        """
-        coeffs = self.expr.var_map()
-        lead = next((coeffs[v] for v in var_order if coeffs.get(v)), None)
-        if lead is None and self.expr.syms:
-            lead = self.expr.syms[0][1]
-        if lead is None or abs(lead) == 1:
-            return self
-        return Inequality(self.expr.scaled(Fraction(1) / abs(lead)), self.strict, self.provenance)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateSystem:
-    """An inequality system over ordered rate variables."""
+    """An inequality system as one int64 matrix ``coef``: a row per
+    inequality, a column per rate variable and then per symbol in name
+    order, every column used.  Each row is primitive (its entries share no
+    factor), so its normalized form is ``row / |first nonzero|`` and rows
+    equal up to a positive factor are equal vectors."""
 
-    inequalities: tuple[Inequality, ...]
+    coef: np.ndarray
+    strict: np.ndarray
+    provenance: tuple[str, ...]
     variables: tuple[str, ...]
+    symbols: tuple[InfoQuery, ...]
 
-    def __post_init__(self):
-        repeated = sorted({v for v in self.variables if self.variables.count(v) > 1})
+    @classmethod
+    def of(cls, rows: Iterable[Inequality], variables: Sequence[str]) -> "RateSystem":
+        """The system of ``rows`` over the declared ``variables``, each of
+        which some row must use; a zero coefficient counts as absent."""
+        rows, variables = list(rows), tuple(variables)
+        repeated = sorted({v for v in variables if variables.count(v) > 1})
         if repeated:
             raise ValidationError(f"variables declared more than once: {repeated}")
-        used = {k for ineq in self.inequalities for k, _ in ineq.expr.vars}
-        unknown = used - set(self.variables)
+        used = {k for row in rows for k, c in row.coeffs.items() if c}
+        names = {k for k in used if isinstance(k, str)}
+        unknown = names - set(variables)
         if unknown:
             raise ValidationError(f"rows reference undeclared variables {sorted(unknown)}")
-        unused = set(self.variables) - used
+        unused = set(variables) - names
         if unused:
             raise ValidationError(f"declared variables never referenced: {sorted(unused)}")
-
-    @property
-    def symbols(self) -> tuple[InfoQuery, ...]:
-        found = {sym for ineq in self.inequalities for sym, _ in ineq.expr.syms}
-        return tuple(sorted(found, key=str))
+        symbols = tuple(sorted(used - names, key=str))
+        column = {k: j for j, k in enumerate(variables + symbols)}
+        coef = np.zeros((len(rows), len(column)), dtype=np.int64)
+        for line, row in zip(coef, rows):
+            terms = [(column[k], Fraction(c)) for k, c in row.coeffs.items() if c]
+            scale = math.lcm(*(c.denominator for _, c in terms))
+            ints = [c.numerator * (scale // c.denominator) for _, c in terms]
+            g = math.gcd(*ints) or 1
+            # clipped, so that _checked sees and refuses a coefficient too large
+            line[[j for j, _ in terms]] = [max(-MAX_COEFF, min(c // g, MAX_COEFF)) for c in ints]
+        return _checked(coef, [r.strict for r in rows], [r.provenance for r in rows],
+                        variables, symbols)
 
     @cached_property
-    def _rows(self) -> "_Rows":
-        """The rows as one integer matrix, compiled on first use."""
-        return _compile(self)
+    def inequalities(self) -> tuple[Inequality, ...]:
+        """The rows normalized: each scaled by a positive factor so that its
+        first nonzero coefficient, in column order, has magnitude 1."""
+        names = self.variables + self.symbols
+        return tuple(
+            Inequality({names[j]: Fraction(c, lead) for j, c in enumerate(line) if c},
+                       strict, provenance)
+            for line, lead, strict, provenance in zip(
+                self.coef.tolist(), _leads(self.coef).tolist(), self.strict.tolist(),
+                self.provenance)
+        )
 
     @cached_property
     def _projection(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """The projection onto RB that :func:`max_rate` reads, computed on
-        first use."""
-        return _project(self._rows)
+        """The rows closed, with every variable nonnegative, projected onto
+        RB on first use: rows ``rb * RB + coef . s <= 0`` over the named
+        symbols, which :func:`max_rate` reads."""
+        n, k, m = len(self.variables), len(self.symbols), len(self.coef)
+        closed = RateSystem(np.concatenate([self.coef, np.eye(n, n + k, dtype=np.int64) * -1]),
+                            np.zeros(m + n, dtype=bool),
+                            ("",) * (m + n),  # nothing reads a projected row's origin
+                            self.variables, self.symbols)
+        try:
+            out = _eliminate_all(closed, [v for v in self.variables if v != "RB"])
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"projecting onto RB: {exc}") from None
+        # RB >= 0, or a row implying it, keeps RB the one variable left
+        return tuple(map(str, out.symbols)), out.coef[:, 0], out.coef[:, 1:]
+
+
+def _checked(coef, strict, provenance, variables, symbols) -> RateSystem:
+    """The system of these primitive rows over the columns some row uses.
+    A coefficient of 2**31 or more is refused, so that a sum of two products
+    of coefficients stays inside int64."""
+    if coef.size and np.abs(coef).max() >= MAX_COEFF:
+        raise ResourceLimitError(
+            "a row coefficient reaches 2**31, past which int64 could overflow")
+    used, n = coef.any(axis=0), len(variables)
+    keep = lambda names, flags: tuple(x for x, u in zip(names, flags) if u)
+    return RateSystem(coef[:, used].astype(np.int64), np.asarray(strict, dtype=bool),
+                      tuple(provenance), keep(variables, used[:n]), keep(symbols, used[n:]))
+
+
+def _primitive(coef: np.ndarray) -> np.ndarray:
+    """Each row divided by the gcd of its entries; zero rows stay."""
+    return coef // np.maximum(np.gcd.reduce(coef, axis=1), 1)[:, None]
+
+
+def _leads(coef: np.ndarray) -> np.ndarray:
+    """Each row's first nonzero magnitude, 1 for a zero row."""
+    padded = np.column_stack([coef, np.ones(len(coef), dtype=coef.dtype)])
+    return np.abs(padded[np.arange(len(coef)), (padded != 0).argmax(axis=1)])
 
 
 def _scheme(which: str, kind: str) -> Scheme:
@@ -182,42 +193,45 @@ def _scheme(which: str, kind: str) -> Scheme:
     return THEOREMS[which]
 
 
-def _symbolic(scheme: Scheme) -> tuple[dict[str, LinearExpr], object, list[str]]:
-    """A scheme's terms as information symbols and its rate tuple as rate
-    variables: ``rbar`` is RB and every other field its name in capitals.
-    Also returns the variable names in field order."""
-    t = {name: LinearExpr.of(syms={q: 1}) for name, q in scheme.queries.items()}
+def _symbolic(scheme: Scheme) -> tuple[dict[str, np.ndarray], object, dict]:
+    """A scheme's terms and rate tuple as unit integer vectors, one per
+    column: the rate variables, RB first and then the fields in order
+    (``rbar`` is RB, every other field its name in capitals), then the
+    symbols in name order.  Also returns the unit vectors by column."""
     names = ["RB" if f.name == "rbar" else f.name.upper() for f in fields(scheme.rates)]
-    return t, scheme.rates(*(LinearExpr.of({name: 1}) for name in names)), names
+    columns = ["RB", *(v for v in names if v != "RB"),
+               *sorted(scheme.queries.values(), key=str)]
+    unit = dict(zip(columns, np.eye(len(columns), dtype=np.int64)))
+    t = {name: unit[q] for name, q in scheme.queries.items()}
+    return t, scheme.rates(*map(unit.get, names)), unit
 
 
-def _strict(label: str, sense: str, lhs: LinearExpr, rhs: LinearExpr) -> Inequality:
-    """A paper row as an open condition: ``lhs > rhs`` reads ``rhs - lhs < 0``
-    and ``lhs < rhs`` or ``lhs <= rhs`` reads ``lhs - rhs < 0``."""
-    return Inequality(rhs - lhs if sense == ">" else lhs - rhs, True, label)
-
-
-def _system(rows: list[Inequality], names: Sequence[str]) -> RateSystem:
-    """The rows over RB and the variables they use, in field order, plus the
-    rows every paper system shares: each variable but RB is nonnegative and,
-    where R1 exists, the block rate is RB = R1 + R21 + R22."""
-    used = {v for ineq in rows for v, _ in ineq.expr.vars}
-    variables = ("RB",) + tuple(v for v in names if v in used and v != "RB")
-    rows = rows + [Inequality(LinearExpr.of({v: -1}), False, f"{v}>=0") for v in variables[1:]]
-    if "R1" in variables:
-        total = LinearExpr.of({"RB": 1, "R1": -1, "R21": -1, "R22": -1})
-        rows += [Inequality(e, False, "RB-def") for e in (total, total.scaled(Fraction(-1)))]
-    return RateSystem(tuple(rows), variables)
+def _system(rows, unit: dict) -> RateSystem:
+    """The paper ``rows``, (label, sense, lhs, rhs) over ``unit``'s columns,
+    as open conditions: ``lhs > rhs`` reads ``rhs - lhs < 0`` and ``lhs <
+    rhs`` or ``lhs <= rhs`` reads ``lhs - rhs < 0``.  Then the rows every
+    paper system shares: each variable but RB that a row uses is nonnegative
+    and, where R1 is used, the block rate is RB = R1 + R21 + R22."""
+    rows = [(rhs - lhs if sense == ">" else lhs - rhs, label) for label, sense, lhs, rhs in rows]
+    used = {k for k, u in zip(unit, np.any([row for row, _ in rows], axis=0)) if u}
+    variables = tuple(k for k in unit if isinstance(k, str))
+    shared = [(-unit[v], f"{v}>=0") for v in variables[1:] if v in used]
+    if "R1" in used:
+        total = unit["RB"] - unit["R1"] - unit["R21"] - unit["R22"]
+        shared += [(total, "RB-def"), (-total, "RB-def")]
+    coef, labels = zip(*rows, *shared)
+    return _checked(_primitive(np.array(coef)), [True] * len(rows) + [False] * len(shared),
+                    labels, variables, tuple(unit)[len(variables):])
 
 
 @cache
 def builtin_system(which: str) -> RateSystem:
     """The per-stage inequality system of one coding scheme: its proof rows
     in :data:`tworelay.rates.THEOREMS` on symbols and rate variables.  Built
-    once per tag; the frozen system, and its compiled rows, are shared."""
+    once per tag; the frozen system is shared."""
     scheme = _scheme(which, "builtin system")
-    t, rates, names = _symbolic(scheme)
-    return _system([_strict(*row) for row in scheme.proof_rows(t, rates)], names)
+    t, rates, unit = _symbolic(scheme)
+    return _system(scheme.proof_rows(t, rates), unit)
 
 
 @cache
@@ -227,66 +241,31 @@ def target_system(which: str) -> RateSystem:
     and every row strict, plus the proof row that bounds the objective.
     Built once per tag, like :func:`builtin_system`."""
     scheme = _scheme(which, "target system")
-    t, rates, names = _symbolic(scheme)
+    t, rates, unit = _symbolic(scheme)
     outcome = scheme.outcome(t, (rates.r21, rates.r22)) if which == "t2" else scheme.outcome(t)
-    rows = [_strict(*row) for row in outcome.rows]
-    proof = (_strict(*row) for row in scheme.proof_rows(t, rates))
-    rows.append(next(ineq for ineq in proof if names[0] in ineq.expr.var_map()))
-    return _system(rows, names)
+    objective = getattr(rates, fields(rates)[0].name)
+    bound = next(row for row in scheme.proof_rows(t, rates) if (row[2] - row[3]) @ objective)
+    return _system([*outcome.rows, bound], unit)
 
 
 # ---------------------------------------------------------------------------
-# the row matrix: elimination and pruning
+# elimination and pruning
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _Rows:
-    """Rows as one int64 matrix, a column per variable and then per symbol in
-    name order.  Each row is primitive (its entries share no factor), so its
-    normalized form is ``row / |first nonzero|`` and rows equal up to a
-    positive factor are equal vectors."""
+def eliminate(system: RateSystem, var: str) -> RateSystem:
+    """Project the solution set onto the remaining variables.
 
-    coef: np.ndarray
-    strict: np.ndarray
-    provenance: tuple[str, ...]
-    variables: tuple[str, ...]
-    symbols: tuple[InfoQuery, ...]
-
-    @classmethod
-    def of(cls, coef, strict, provenance, variables, symbols) -> "_Rows":
-        """Checked rows over the columns some row uses."""
-        if coef.size and np.abs(coef).max() >= MAX_COEFF:
-            raise ResourceLimitError(
-                "a row coefficient reaches 2**31, past which int64 could overflow")
-        used, n = coef.any(axis=0), len(variables)
-        keep = lambda names, flags: tuple(x for x, u in zip(names, flags) if u)
-        return cls(coef[:, used].astype(np.int64), np.asarray(strict, dtype=bool),
-                   tuple(provenance), keep(variables, used[:n]), keep(symbols, used[n:]))
-
-
-def _compile(system: RateSystem) -> _Rows:
-    symbols = system.symbols
-    column = {k: j for j, k in enumerate(system.variables + symbols)}
-    coef = np.zeros((len(system.inequalities), len(column)), dtype=np.int64)
-    for line, ineq in zip(coef, system.inequalities):
-        terms = ineq.expr.vars + ineq.expr.syms
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        ints = [c.numerator * (scale // c.denominator) for _, c in terms]
-        g = math.gcd(*ints) or 1
-        # clipped, so that _Rows.of sees and refuses a coefficient too large
-        line[[column[k] for k, _ in terms]] = [
-            max(-MAX_COEFF, min(c // g, MAX_COEFF)) for c in ints]
-    return _Rows.of(coef, [r.strict for r in system.inequalities],
-                    [r.provenance for r in system.inequalities], system.variables, symbols)
-
-
-def _eliminate(rows: _Rows, var: str):
-    """One elimination step: the rows without ``var``, then one row per
-    upper/lower pair.  Also returns the kept rows' indices and, per pair,
-    the integers ``g / s`` that bring its new row to the parents' sum with
-    ``var`` scaled to coefficient 1 in the upper row and -1 in the lower."""
-    a = rows.coef[:, rows.variables.index(var)]
+    Rows where ``var`` has a positive coefficient bound it above, negative
+    below; every above/below pair combines into one var-free row, the sum of
+    the two scaled so that ``var`` cancels.  The combination is strict iff
+    either parent is strict.  A step that would leave more than
+    ``MAX_FM_ROWS`` rows is refused before any is formed.
+    """
+    if var not in system.variables:
+        raise ValidationError(f"variable {var!r} not in system")
+    coef, strict, provenance = system.coef, system.strict, system.provenance
+    a = coef[:, system.variables.index(var)]
     up, lo, rest = np.flatnonzero(a > 0), np.flatnonzero(a < 0), np.flatnonzero(a == 0)
     count = len(rest) + len(up) * len(lo)
     if count > MAX_FM_ROWS:
@@ -295,37 +274,37 @@ def _eliminate(rows: _Rows, var: str):
         )
     # entries below 2**31 keep each sum of two products inside int64
     cu, cl = a[up][:, None, None], -a[lo][None, :, None]
-    raw = (rows.coef[up][:, None] * cl + rows.coef[lo][None] * cu).reshape(-1, rows.coef.shape[1])
-    g = np.maximum(np.gcd.reduce(raw, axis=1), 1)
-    out = _Rows.of(
-        np.concatenate([rows.coef[rest], raw // g[:, None]]),
-        np.concatenate([rows.strict[rest], (rows.strict[up][:, None] | rows.strict[lo]).ravel()]),
-        [rows.provenance[i] for i in rest]
-        + [f"{rows.provenance[i]}+{rows.provenance[j]}" for i in up for j in lo],
-        rows.variables, rows.symbols)
-    return out, rest, g, (cu * cl).ravel()
+    raw = (coef[up][:, None] * cl + coef[lo][None] * cu).reshape(-1, coef.shape[1])
+    return _checked(
+        np.concatenate([coef[rest], _primitive(raw)]),
+        np.concatenate([strict[rest], (strict[up][:, None] | strict[lo]).ravel()]),
+        [provenance[i] for i in rest]
+        + [f"{provenance[i]}+{provenance[j]}" for i in up for j in lo],
+        system.variables, system.symbols)
 
 
-def _leads(coef: np.ndarray) -> np.ndarray:
-    """Each row's first nonzero magnitude, 1 for a zero row."""
-    padded = np.column_stack([coef, np.ones(len(coef), dtype=coef.dtype)])
-    return np.abs(padded[np.arange(len(coef)), (padded != 0).argmax(axis=1)])
+def prune(system: RateSystem) -> RateSystem:
+    """Drop every row that another row implies, keeping the first of equal
+    rows.
 
-
-def _prune(rows: _Rows) -> _Rows:
-    """The rule of :func:`prune`.  Rows have equal normalized rate parts
-    exactly when their rate parts over their gcd are equal, so a row is
-    tested against the rows of its group only, a bounded block at a time."""
+    For nonnegative symbols, normalized ``e' < 0`` (or ``<= 0``) implies
+    ``e < 0`` (or ``<= 0``) when the two have the same rate part, no symbol
+    coefficient of ``e' - e`` is negative, and ``e`` is strict only if
+    ``e'`` is.  The always-true ``0 <= 0`` implies too, so a rate-free
+    non-strict row without a positive symbol coefficient goes.  Rows have
+    equal normalized rate parts exactly when their rate parts over their gcd
+    are equal, so a row is tested against the rows of its group only, a
+    bounded block at a time.
+    """
     seen: dict[bytes, int] = {}
-    for i, key in enumerate(map(bytes, np.column_stack([rows.coef, rows.strict]))):
+    for i, key in enumerate(map(bytes, np.column_stack([system.coef, system.strict]))):
         seen.setdefault(key, i)
     first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    coef, strict, n = rows.coef[first], rows.strict[first], len(rows.variables)
+    coef, strict, n = system.coef[first], system.strict[first], len(system.variables)
     rate, sym, lead = coef[:, :n], coef[:, n:], _leads(coef)
     dropped = ~strict & ~rate.any(axis=1) & (sym <= 0).all(axis=1)  # implied by 0 <= 0
     groups: dict[bytes, list[int]] = {}
-    primitive = rate // np.maximum(np.gcd.reduce(rate, axis=1), 1)[:, None]
-    for i, key in enumerate(map(bytes, primitive)):
+    for i, key in enumerate(map(bytes, _primitive(rate))):
         groups.setdefault(key, []).append(i)
     for members in (np.array(m) for m in groups.values() if len(m) > 1):
         # normalized symbol parts times the lcm of the group's leads, in
@@ -344,70 +323,23 @@ def _prune(rows: _Rows) -> _Rows:
             implies[np.arange(implies.shape[0]), np.arange(k, k + implies.shape[0])] = False
             dropped[members] |= implies.any(axis=0)
     kept = first[~dropped]
-    return _Rows.of(coef[~dropped], strict[~dropped], [rows.provenance[i] for i in kept],
-                    rows.variables, rows.symbols)
+    return _checked(coef[~dropped], strict[~dropped], [system.provenance[i] for i in kept],
+                    system.variables, system.symbols)
 
 
-def _eliminate_all(rows: _Rows, todo: list[str]) -> _Rows:
+def _eliminate_all(system: RateSystem, todo: list[str]) -> RateSystem:
     """Eliminate and prune, cheapest pairing count first."""
 
     def cost(v: str) -> int:
-        a = rows.coef[:, rows.variables.index(v)] if v in rows.variables else np.zeros(0)
+        a = system.coef[:, system.variables.index(v)] if v in system.variables else np.zeros(0)
         return int((a > 0).sum()) * int((a < 0).sum())
 
     while todo:
         var = min(todo, key=lambda v: (cost(v), v))
         todo.remove(var)
-        if var in rows.variables:  # else already dropped as unreferenced
-            rows = _prune(_eliminate(rows, var)[0])
-    return rows
-
-
-def _system_of(rows: _Rows, factors=None, kept: tuple[Inequality, ...] = ()) -> RateSystem:
-    """The system of ``rows`` with its matrix set: ``kept``, then each
-    further row times its factor, by default normalized."""
-    lines, n, m = rows.coef[len(kept):], len(rows.variables), len(kept)
-    if factors is None:
-        factors = [Fraction(1, d) for d in _leads(lines).tolist()]
-    made = tuple(
-        Inequality(LinearExpr(tuple(sorted((v, c * f) for v, c in zip(rows.variables, line) if c)),
-                              tuple((s, c * f) for s, c in zip(rows.symbols, line[n:]) if c)),
-                   strict, provenance)
-        for line, f, strict, provenance in zip(
-            lines.tolist(), factors, rows.strict[m:].tolist(), rows.provenance[m:])
-    )
-    system = RateSystem(kept + made, rows.variables)
-    vars(system)["_rows"] = rows  # what the cached property would compile
+        if var in system.variables:  # else already dropped as unreferenced
+            system = prune(eliminate(system, var))
     return system
-
-
-def eliminate(system: RateSystem, var: str) -> RateSystem:
-    """Project the solution set onto the remaining variables.
-
-    Rows where ``var`` has a positive coefficient bound it above, negative
-    below; every above/below pair combines into one var-free row, the sum of
-    the two scaled so that ``var`` cancels.  The combination is strict iff
-    either parent is strict.  A step that would leave more than
-    ``MAX_FM_ROWS`` rows is refused before any is formed.
-    """
-    if var not in system.variables:
-        raise ValidationError(f"variable {var!r} not in system")
-    out, rest, g, scale = _eliminate(system._rows, var)
-    factors = [Fraction(a, b) for a, b in zip(g.tolist(), scale.tolist())]
-    return _system_of(out, factors, tuple(system.inequalities[i] for i in rest))
-
-
-def prune(system: RateSystem) -> RateSystem:
-    """Drop every row that another row implies, keeping the first of equal
-    rows, and return the rest normalized.
-
-    For nonnegative symbols, normalized ``e' < 0`` (or ``<= 0``) implies
-    ``e < 0`` (or ``<= 0``) when the two have the same rate part, no symbol
-    coefficient of ``e' - e`` is negative, and ``e`` is strict only if
-    ``e'`` is.  The always-true ``0 <= 0`` implies too, so a rate-free
-    non-strict row without a positive symbol coefficient goes.
-    """
-    return _system_of(_prune(system._rows))
 
 
 def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
@@ -417,7 +349,7 @@ def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
     for var in todo:
         if var not in system.variables:
             raise ValidationError(f"variable {var!r} not in system")
-    return _system_of(_eliminate_all(system._rows, todo)) if todo else system
+    return _eliminate_all(system, todo)
 
 
 # ---------------------------------------------------------------------------
@@ -460,22 +392,6 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
         plan = term_plan(queries, ids, stack.shape[1:])
         out += [_binding(plan, marginals) for marginals in plan.marginals(stack)]
     return out
-
-
-def _project(rows: _Rows) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-    """The rows closed, with every variable nonnegative, projected onto RB:
-    rows ``rb * RB + coef . s <= 0`` over the named symbols."""
-    n, k = len(rows.variables), len(rows.symbols)
-    closed = _Rows(np.concatenate([rows.coef, np.eye(n, n + k, dtype=np.int64) * -1]),
-                   np.zeros(len(rows.coef) + n, dtype=bool),
-                   ("",) * (len(rows.coef) + n),  # nothing reads a projected row's origin
-                   rows.variables, rows.symbols)
-    try:
-        out = _eliminate_all(closed, [v for v in rows.variables if v != "RB"])
-    except ResourceLimitError as exc:
-        raise ResourceLimitError(f"projecting onto RB: {exc}") from None
-    # RB >= 0, or a row implying it, keeps RB the one variable left
-    return tuple(map(str, out.symbols)), out.coef[:, 0], out.coef[:, 1:]
 
 
 def _table(bindings: Sequence[Mapping[str, Fraction]], names: Sequence[str]):
@@ -569,9 +485,10 @@ def _solve(system: RateSystem, names: Sequence[str], table) -> list[tuple[str, F
 
 def _simplex(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
     """The exact simplex of :mod:`tworelay.lp` on the system's bound rows."""
-    rows = [(ineq.expr.var_map(),
-             -sum((c * Fraction(binding[str(s)]) for s, c in ineq.expr.syms), Fraction(0)))
-            for ineq in system.inequalities]
+    n, values = len(system.variables), [Fraction(binding[str(s)]) for s in system.symbols]
+    rows = [({v: c for v, c in zip(system.variables, line) if c},
+             -sum((c * x for c, x in zip(line[n:], values) if c), Fraction(0)))
+            for line in system.coef.tolist()]
     return maximize({"RB": 1}, rows, system.variables)
 
 
@@ -669,30 +586,25 @@ def _term(text: str, lineno: int) -> tuple[Fraction, str]:
 def format_system(system: RateSystem) -> str:
     """Canonical text form: header line, then one normalized row per line."""
     lines = ["vars: " + " ".join(system.variables)]
-    for ineq in system.inequalities:
-        ineq = ineq.normalized(system.variables)
-        terms = []
-        coeffs = ineq.expr.var_map()
-        for var in system.variables:
-            if var in coeffs:
-                terms.append(f"{coeffs[var]}*{var}")
-        for sym, c in ineq.expr.syms:
-            terms.append(f"{c}*{sym}")
-        body = " + ".join(terms) if terms else "0"
-        sense = "<" if ineq.strict else "<="
-        lines.append(f"{body} {sense} 0  # {ineq.provenance}")
+    for row in system.inequalities:
+        body = " + ".join(f"{c}*{k}" for k, c in row.coeffs.items()) or "0"
+        lines.append(f"{body} {'<' if row.strict else '<='} 0  # {row.provenance}")
     return "\n".join(lines) + "\n"
 
 
 def parse_system(text: str) -> RateSystem:
-    """Inverse of format_system; tolerates comments and blank lines."""
+    """Inverse of format_system; tolerates comments and blank lines.  Each
+    distinct ``I(...)`` text is parsed once."""
     variables: tuple[str, ...] | None = None
     rows: list[Inequality] = []
+    symbols: dict[str, InfoQuery] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("vars:"):
+            if variables is not None:
+                raise ValidationError(f"line {lineno}: a second 'vars:' header")
             variables = tuple(line[len("vars:"):].split())
             continue
         provenance = ""
@@ -706,20 +618,19 @@ def parse_system(text: str) -> RateSystem:
                 break
         else:
             raise ValidationError(f"line {lineno}: missing '< 0' or '<= 0'")
-        vars_acc: dict[str, Fraction] = {}
-        syms_acc: dict[InfoQuery, Fraction] = {}
+        coeffs: dict[str | InfoQuery, Fraction] = {}
         if body.strip() != "0":
             for term in body.split(" + "):
-                coeff, ident = _term(term.strip(), lineno)
-                if ident.startswith("I("):
-                    try:
-                        sym = InfoQuery.parse(ident)
-                    except ValidationError as exc:
-                        raise ValidationError(f"line {lineno}: {exc}") from None
-                    syms_acc[sym] = syms_acc.get(sym, Fraction(0)) + coeff
-                else:
-                    vars_acc[ident] = vars_acc.get(ident, Fraction(0)) + coeff
-        rows.append(Inequality(LinearExpr.of(vars_acc, syms_acc), strict, provenance))
+                coeff, key = _term(term.strip(), lineno)
+                if key.startswith("I("):
+                    if key not in symbols:
+                        try:
+                            symbols[key] = InfoQuery.parse(key)
+                        except ValidationError as exc:
+                            raise ValidationError(f"line {lineno}: {exc}") from None
+                    key = symbols[key]
+                coeffs[key] = coeffs.get(key, 0) + coeff
+        rows.append(Inequality(coeffs, strict, provenance))
     if variables is None:
         raise ValidationError("missing 'vars:' header line")
-    return RateSystem(tuple(rows), variables)
+    return RateSystem.of(rows, variables)

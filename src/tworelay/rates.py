@@ -14,9 +14,10 @@ Two rate expressions are supported:
 Both evaluators also expose the underlying per-stage inequality systems,
 (9)-(19) and (20)-(34), for pointwise rate tuples.  Each constraint set is
 declared once, as row code written with numpy operators only, and
-:mod:`tworelay.fm` evaluates that same code on ``InfoQuery`` symbols and rate
-variables to build the systems its polyhedral reduction checks.  The terms
-themselves are evaluated by :func:`tworelay.info.term_values`.
+:mod:`tworelay.fm` evaluates that same code on unit integer vectors, one per
+``InfoQuery`` symbol and rate variable, to build the coefficient matrices its
+polyhedral reduction checks.  The terms themselves are evaluated by
+:func:`tworelay.info.term_values`.
 
 Feasibility policy: the existence conditions are open (strict) and a
 constraint counts as satisfied only when its slack exceeds 1e-9 bits.  Chosen
@@ -332,8 +333,8 @@ class Scheme(NamedTuple):
     per-stage rate tuple and the proof rows over that tuple.
 
     The proof rows, and the outcome given forced partial rates, use ``+`` and
-    ``-`` only, so they run on floats, on arrays and on the symbolic
-    expressions of :mod:`tworelay.fm`.  The first rate field is the one the
+    ``-`` only, so they run on floats, on arrays and on the unit integer
+    vectors of :mod:`tworelay.fm`.  The first rate field is the one the
     objective row bounds.
     """
 

@@ -17,6 +17,7 @@ pairs and books) is drawn by one inverse-CDF rule, in ``_lookup``: position
 k takes the k-th uniform and the cdf row its cell selects, as one
 ``rng.choice(targets, p=row)`` call per position would.  ``_draw`` is the one
 sampler; a joint pmf is drawn as the conditional of its axes given nothing.
+Each caller builds a pmf's cdf table (``_table``) once and draws from it.
 
 Error accounting is first-failure-per-message: the seven stages are checked
 in pipeline order with ground-truth inputs (a failed stage does not corrupt
@@ -390,8 +391,9 @@ def _lookup(cdf: np.ndarray, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
     return drawn
 
 
-def _draw(rng, pmf: JointPmf | CondPmf, given_seqs, count: int, n: int) -> tuple[np.ndarray, ...]:
-    """(count, n) draws of ``pmf``'s target tuple, one per target axis.
+def _draw(rng, table, given_seqs, count: int, n: int) -> tuple[np.ndarray, ...]:
+    """(count, n) draws of a pmf's target tuple, one per target axis, from
+    its ``_table``.
 
     ``given_seqs`` holds one sequence per given axis (none for a joint),
     broadcasting against (count, n).  Uniforms are consumed codeword by
@@ -399,7 +401,7 @@ def _draw(rng, pmf: JointPmf | CondPmf, given_seqs, count: int, n: int) -> tuple
     position k takes the k-th uniform and the row its givens select, as one
     ``rng.choice`` call per position would.  A slice of codewords at a time.
     """
-    cdf, g_shape, t_shape = _table(pmf)
+    cdf, g_shape, t_shape = table
     cells = np.ravel_multi_index([np.asarray(s) for s in given_seqs], g_shape)
     out = np.empty((count, n), dtype=np.int64)
     step = max(1, _SLICE // n)
@@ -420,24 +422,23 @@ def build(joint: JointPmf, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMa
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
 
-    (x1,) = _draw(rng, law.px1, (), sizes["s1"], n)
-    (x2,) = _draw(rng, law.px2, (), sizes["s2"], n)
+    (x1,) = _draw(rng, _table(law.px1), (), sizes["s1"], n)
+    (x2,) = _draw(rng, _table(law.px2), (), sizes["s2"], n)
 
     x0 = np.empty((sizes["w"], sizes["s1"], sizes["s2"], n), dtype=np.int64)
+    x0_table = _table(law.px0_given_x1x2)
     for s1 in range(sizes["s1"]):
         for s2 in range(sizes["s2"]):
-            (x0[:, s1, s2],) = _draw(
-                rng, law.px0_given_x1x2, (x1[s1], x2[s2]), sizes["w"], n
-            )
+            (x0[:, s1, s2],) = _draw(rng, x0_table, (x1[s1], x2[s2]), sizes["w"], n)
 
-    p_yh1 = conditional(joint, ("Yh1",), ("X1",))
-    p_yh2 = conditional(joint, ("Yh2",), ("X2",))
+    yh1_table = _table(conditional(joint, ("Yh1",), ("X1",)))
+    yh2_table = _table(conditional(joint, ("Yh2",), ("X2",)))
     yh1 = np.empty((sizes["z1"], sizes["s1"], n), dtype=np.int64)
     for s1 in range(sizes["s1"]):
-        (yh1[:, s1],) = _draw(rng, p_yh1, (x1[s1],), sizes["z1"], n)
+        (yh1[:, s1],) = _draw(rng, yh1_table, (x1[s1],), sizes["z1"], n)
     yh2 = np.empty((sizes["z2"], sizes["s2"], n), dtype=np.int64)
     for s2 in range(sizes["s2"]):
-        (yh2[:, s2],) = _draw(rng, p_yh2, (x2[s2],), sizes["z2"], n)
+        (yh2[:, s2],) = _draw(rng, yh2_table, (x2[s2],), sizes["z2"], n)
 
     bins = BinMaps(
         bin1=rng.integers(0, sizes["s1"], size=sizes["z1"]),
@@ -679,17 +680,18 @@ def covering_experiment(
             "and no analytic path exists for this quantization alphabet"
         )
 
-    successes = 0
+    successes, pair_table = 0, _table(p_pair)
     if literal:
         window = _count_windows(p_triple.mass, n, eps)
+        book_table = _table(p_book)
         for trial in range(trials):
             rng = np.random.default_rng([seed, trial])
-            x1_seq, y1_seq = _draw(rng, p_pair, (), 1, n)
+            x1_seq, y1_seq = _draw(rng, pair_table, (), 1, n)
             # the book is drawn in entry order, a slice at a time, and the
             # search stops at the first slice holding a typical entry
             size, step = 1 << exponent, max(1, _SLICE // n)
             for start in range(0, size, step):
-                (book,) = _draw(rng, p_book, (x1_seq,), min(step, size - start), n)
+                (book,) = _draw(rng, book_table, (x1_seq,), min(step, size - start), n)
                 if _typical_mask((x1_seq, y1_seq, book), *window).any():
                     successes += 1
                     break
@@ -699,7 +701,7 @@ def covering_experiment(
         pairs, uniforms = [], []
         for trial in range(start, min(start + step, trials)):
             rng = np.random.default_rng([seed, trial])
-            pairs.append(_draw(rng, p_pair, (), 1, n))
+            pairs.append(_draw(rng, pair_table, (), 1, n))
             uniforms.append(rng.random())
         x1, y1 = (np.concatenate(seqs) for seqs in zip(*pairs))
         log_q = _log_hit_probability(x1, y1, p_book, p_triple, eps)

@@ -395,6 +395,8 @@ class TestFm:
         ("vars: RB RB\n1*RB < 0\n", "variables declared more than once: ['RB']"),
         ("vars: RB\n1*RB + 1*I(X0;Y0|) < 0\n", "line 2: unknown variable id ''"),
         ("vars: RB\n1*I(Yh1) < 0\n", "line 2: malformed information term 'I(Yh1)'"),
+        # once loaded, the second header replacing the first
+        ("vars: RB\nvars: RA\n1*RA < 0\n", "line 2: a second 'vars:' header"),
     ])
     def test_malformed_system_exits_2(self, text, message, tmp_path, capsys):
         path = tmp_path / "system.txt"
@@ -411,10 +413,10 @@ class TestFm:
         rows = []
         for i in range(40):
             a, b = terms[i % 12], terms[(i + 5) % 12]
-            rows.append(fm.LinearExpr.of({"RA": 1, "RB": i}, {a: 1, b: -(i + 1)}))
-            rows.append(fm.LinearExpr.of({"RA": -1, "RB": i + 2}, {a: -i, b: 1}))
-        system = fm.RateSystem(
-            tuple(fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)), ("RA", "RB"))
+            rows.append({"RA": 1, "RB": i, a: 1, b: -(i + 1)})
+            rows.append({"RA": -1, "RB": i + 2, a: -i, b: 1})
+        system = fm.RateSystem.of(
+            [fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)], ("RA", "RB"))
         path = tmp_path / "system.txt"
         path.write_text(fm.format_system(system))
         code, out, err = run_cli(["fm", str(path), "--eliminate", "RA"], capsys)
@@ -432,10 +434,10 @@ class TestFm:
         rows = []
         for i in range(40):
             a, b = terms[i % 12], terms[(i + 5) % 12]
-            rows.append(fm.LinearExpr.of({"RA": 1, "RB": i}, {a: 1, b: -(i + 1)}))
-            rows.append(fm.LinearExpr.of({"RA": -1, "RB": i + 2}, {a: -i, b: 1}))
-        system = fm.RateSystem(
-            tuple(fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)), ("RA", "RB"))
+            rows.append({"RA": 1, "RB": i, a: 1, b: -(i + 1)})
+            rows.append({"RA": -1, "RB": i + 2, a: -i, b: 1})
+        system = fm.RateSystem.of(
+            [fm.Inequality(e, True, f"r{k}") for k, e in enumerate(rows)], ("RA", "RB"))
         path = tmp_path / "system.txt"
         path.write_text(fm.format_system(system))
         code, out, err = run_cli(["fm", str(path), "--check-against", "t2"], capsys)
@@ -451,11 +453,13 @@ class TestFm:
         # a coefficient that int64 holds, but whose products could pass it
         ("vars: RB RA\n1*RB + 4294967296*RA < 0\n-1*RA + 1*I(Yh1;Y1|X1) < 0\n",
          ["--eliminate", "RA"]),
+        # refused as the file loads, before any elimination
+        ("vars: RB\n1*RB + 2147483648*I(Yh1;Y1|X1) < 0\n", []),
         ("vars: RB\n1*RB + -1/3000000000*I(V1;Y1|X1) < 0\n", ["--check-against", "t2"]),
         # a step multiplies coefficients: RB's comes out near 5.9e9
         ("vars: RB RA\n40000*RB + 65536*RA + -1*I(V1;Y1|X1) < 0\n"
          "50000*RB + -65535*RA + -1*I(V2;Y2|X2) < 0\n", ["--eliminate", "RA"]),
-    ], ids=["compile", "check", "step"])
+    ], ids=["compile", "load", "check", "step"])
     def test_coefficient_past_int64_range_exits_3(self, text, options, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text(text)

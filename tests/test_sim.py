@@ -437,7 +437,7 @@ class TestTypical:
         hits = 0
         for t in range(100):
             rng = np.random.default_rng([2026, t])
-            hits += typical([s[0] for s in sim._draw(rng, j, (), 1, 10_000)], j, 0.1)
+            hits += typical([s[0] for s in sim._draw(rng, sim._table(j), (), 1, 10_000)], j, 0.1)
         assert hits == 100
 
     def test_arity_mismatch_rejected(self):
@@ -587,6 +587,16 @@ class TestBuild:
         a, _ = build(assemble_joint_t1(ch, law), law, self.cfg(seed=9))
         b, _ = build(assemble_joint_t1(ch, law), law, self.cfg(seed=10))
         assert not np.array_equal(a.x0, b.x0)
+
+    def test_each_table_is_built_once(self):
+        # one cdf table per pmf (x1, x2, x0 and the two quantization books),
+        # however many codebook cells draw from it
+        ch = channel_preset("identity-direct")
+        law = uniform_t1_law(ch)
+        built, table = [], sim._table
+        with mock.patch.object(sim, "_table", lambda pmf: built.append(pmf) or table(pmf)):
+            build(assemble_joint_t1(ch, law), law, self.cfg())
+        assert len(built) == 5
 
     def test_zero_rates_give_single_codewords(self):
         ch = channel_preset("identity-direct")
@@ -951,6 +961,16 @@ class TestCoveringExperiment:
         # a book of about 2^(10^12) entries takes the analytic path
         assert fracs[-1] == 1.0
 
+    @pytest.mark.parametrize("rh1, tables", [(8 / 300, 2), (1.0, 1)], ids=["literal", "analytic"])
+    def test_each_table_is_built_once(self, rh1, tables):
+        # the pair's table, and on the literal path the book's, once per
+        # call however many trials and book slices draw from them
+        ch, law = covering_fixture(0.4)
+        built, table = [], sim._table
+        with mock.patch.object(sim, "_table", lambda pmf: built.append(pmf) or table(pmf)):
+            covering_experiment(law, ch, rh1, 300, 20, 11, epsilon=0.2)
+        assert len(built) == tables
+
     def test_literal_path_matches_analytic_probability(self):
         # small books run the literal entry-by-entry search; its success
         # fraction must agree with the closed-form per-trial probabilities
@@ -965,7 +985,7 @@ class TestCoveringExperiment:
         probs = []
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
-            x1_seq, y1_seq = sim._draw(rng, p_pair, (), 1, n)
+            x1_seq, y1_seq = sim._draw(rng, sim._table(p_pair), (), 1, n)
             lq = float(sim._log_hit_probability(x1_seq, y1_seq, p_book, p_triple, 0.2)[0])
             probs.append(-math.expm1(256 * math.log1p(-math.exp(lq))) if lq < 0 else 1.0)
         mean = float(np.mean(probs))
@@ -1007,7 +1027,8 @@ class TestCoveringExperiment:
             st.sampled_from([0.1, 0.25, 1 / 3, 0.5, 2 / 3, 0.75]) | st.floats(0.01, 0.99))
         p_book = conditional(joint, ("Yh1",), ("X1",))
         rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
-        x1, y1 = (s[0] for s in sim._draw(rng, marginalize(joint, ("X1", "Y1")), (), 1, n))
+        pair_table = sim._table(marginalize(joint, ("X1", "Y1")))
+        x1, y1 = (s[0] for s in sim._draw(rng, pair_table, (), 1, n))
         rows = p_book.mass.reshape(-1, 2)[x1]
         q = 0.0
         for entry in itertools.product(range(2), repeat=n):
@@ -1051,7 +1072,7 @@ class TestCoveringExperiment:
         pairs, want, successes = [], [], 0
         for t in range(trials):
             rng = np.random.default_rng([seed, t])
-            pairs.append([s[0] for s in sim._draw(rng, p_pair, (), 1, n)])
+            pairs.append([s[0] for s in sim._draw(rng, sim._table(p_pair), (), 1, n)])
             want.append(reference_log_one_draw_typical(*pairs[-1], p_book, p_triple, eps))
             successes += rng.random() < sim._hit_probability(want[-1], exponent)
         x1, y1 = (np.stack(seqs) for seqs in zip(*pairs))
@@ -1092,7 +1113,7 @@ class TestCoveringExperiment:
         p_pair = marginalize(joint, ("X1", "Y1"))
         p_triple = marginalize(joint, ("X1", "Y1", "Yh1"))
         p_book = conditional(joint, ("Yh1",), ("X1",))
-        pairs = [sim._draw(np.random.default_rng([seed, t]), p_pair, (), 1, n)
+        pairs = [sim._draw(np.random.default_rng([seed, t]), sim._table(p_pair), (), 1, n)
                  for t in range(trials)]
         x1, y1 = (np.concatenate(seqs) for seqs in zip(*pairs))
         for slice_size in (sim._SLICE, 7):
