@@ -36,7 +36,7 @@ from .fm import (
 )
 from .info import InfoQuery, binary_entropy, entropy, mutual_info
 from .io import channel_preset, load_channel, load_law
-from .optimize import OptResult, SearchConfig, local_refine, optimize_t1, optimize_t2
+from .optimize import OptResult, SearchConfig, optimize_t1, optimize_t2
 from .prob import (
     Alphabet,
     CondPmf,
@@ -55,7 +55,6 @@ from .prob import (
     random_t1_law,
     random_t2_law,
     uniform_t1_law,
-    uniform_t2_law,
 )
 from .rates import (
     ConstraintCheck,
@@ -129,7 +128,6 @@ __all__ = [
     "format_system",
     "load_channel",
     "load_law",
-    "local_refine",
     "marginalize",
     "mutual_info",
     "numeric_equiv",
@@ -146,6 +144,5 @@ __all__ = [
     "target_system",
     "typical",
     "uniform_t1_law",
-    "uniform_t2_law",
     "__version__",
 ]

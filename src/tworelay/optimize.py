@@ -17,9 +17,9 @@ grid
 random-restart
     one move per simplex vertex: a line search along the segment from the
     slice's current point toward that vertex, 17 evenly spaced points and
-    then 16 inside the bracket of the best of them (this is
-    ``local_refine``).  Seeded random laws are each refined, then merged by
-    best value with ties broken toward the lower restart index.
+    then 16 inside the bracket of the best of them.  Each seeded random law
+    starts its own ascent, and the results merge by best value with ties
+    broken toward the lower restart index.
 
 Scoring.  The joint is linear in each factor row, so while one slice moves,
 every marginal the rate terms need is a mix of the marginals at the slice's
@@ -29,17 +29,21 @@ the incumbent's marginals and each slice swaps in its slab's marginals at
 the k vertices, from one contraction of that slab.  Every move then scores
 its candidates in batches, as matrix products and entropy passes with no
 law built: a grid in one call, a line search in two.  Only a move's best
-candidate becomes a law, evaluated in full by
-``eval_theorem1``/``eval_theorem2``; it replaces the incumbent only when
-that full evaluation beats it, so the reported objective, report and trace
-are full evaluations.  ``evaluations`` counts scored candidates, and ties go
-to the first candidate in scan order.
+candidate becomes a law, and only when its batch score beats the
+incumbent: its joint is assembled once and its own marginal stack scored
+in full.  It replaces the incumbent, stack and all, only when that full
+score wins, so the objective and trace are full scores.  One function,
+``_merits``, scores both: it runs the theorem's term plan and outcome rows,
+the steps ``eval_theorem1``/``eval_theorem2`` run, on a batch or on one
+law's stack, so a full score equals the merit of the evaluator's report.
+The one report of a search is that evaluator's, for the returned law.
+``evaluations`` counts scored candidates, and ties go to the first
+candidate in scan order.
 
-Infeasible laws score minus infinity (``_merit``, shared by the batch and
-the full scores) under the first theorem, whose constraints gate
-achievability outright.  The second theorem's evaluator clamps its
-decode-and-forward rates instead, so infeasibility there is rarer but
-treated the same way when it happens.
+Infeasible laws score minus infinity (``_merit``) under the first theorem,
+whose constraints gate achievability outright.  The second theorem's
+evaluator clamps its decode-and-forward rates instead, so infeasibility
+there is rarer but treated the same way when it happens.
 """
 
 from __future__ import annotations
@@ -224,20 +228,25 @@ def _merit(feasible, objective):
     return np.where(feasible, objective, -math.inf)
 
 
+def _merits(theorem: str, plan, stack: np.ndarray) -> np.ndarray:
+    """The search's one scorer: the :func:`_merit` of a marginal stack of
+    ``plan``, from its terms and the theorem's outcome rows, the steps that
+    ``eval_theorem1``/``eval_theorem2`` run.  A law's own ``(cells,)`` stack
+    gives a 0-d array, the merit of its evaluator's report; a
+    ``(B, cells)`` batch gives ``(B,)``."""
+    result = THEOREMS[theorem].outcome(dict(zip(plan.names, plan.terms(stack).T)))
+    return _merit(result.feasible, result.objective)
+
+
 def _slice_scorer(theorem: str, plan, vertices: np.ndarray):
     """Score a ``(B, k)`` batch of one slice's candidate vectors without
-    building their laws: their :func:`_merit` from one entropy pass over
-    ``w @ vertices`` (see :func:`_slice_marginals`) and one
-    :class:`tworelay.rates.Outcome` per batch of ``_BATCH_CELLS`` cells.
+    building their laws: :func:`_merits` of ``w @ vertices`` (see
+    :func:`_slice_marginals`), in batches of at most ``_BATCH_CELLS`` cells.
     """
-    outcome = THEOREMS[theorem].outcome
     rows = max(1, _BATCH_CELLS // vertices.shape[1])
-
-    def value(w: np.ndarray):
-        result = outcome(dict(zip(plan.names, plan.terms(w @ vertices).T)))
-        return _merit(result.feasible, result.objective)
-
-    return lambda w: np.concatenate([value(w[i:i + rows]) for i in range(0, len(w), rows)])
+    return lambda w: np.concatenate(
+        [_merits(theorem, plan, w[i:i + rows] @ vertices) for i in range(0, len(w), rows)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +305,16 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
 
     Each sweep walks the slices in declaration order, builds a slice's
     scorer once and tries its moves in order on the current slice point.  A
-    candidate that beats the incumbent is built and evaluated in full, and
-    kept only if that evaluation also wins.  Sweeps stop after ``max_iter``,
-    or once one gains at most ``tolerance``.  Returns the law, its report
-    and value, the candidates scored, and the value after each acceptance.
+    candidate that beats the incumbent in its batch is assembled once and
+    its own marginal stack scored by :func:`_merits`; it is kept, with that
+    stack, only if this full score also wins.  Sweeps stop after
+    ``max_iter``, or once one gains at most ``tolerance``.  Returns the law,
+    its value, the candidates scored, and the value after each acceptance.
     """
-    evaluate = {"t1": eval_theorem1, "t2": eval_theorem2}[theorem]
     joint = assemble_joint(channel, law)
     plan = term_plan(THEOREMS[theorem].queries, joint.ids, joint.mass.shape)
     current = plan.marginals(joint.mass)  # the incumbent's marginal stack
-
-    def score(law):
-        report = evaluate(channel, law)
-        return float(_merit(report.feasible, report.objective_bits)), report
-
-    best, report = score(law)
+    best = float(_merits(theorem, plan, current))
     evals = 1
     trace = [] if best == -math.inf else [best]
     for _ in range(cfg.max_iter):
@@ -325,21 +329,14 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
                 evals += count
                 if value > best:
                     cand = _set_slice(law, name, cell, vec)
-                    value, rep = score(cand)
+                    stack = plan.marginals(assemble_joint(channel, cand).mass)
+                    value = float(_merits(theorem, plan, stack))
                     if value > best:
-                        law, best, report = cand, value, rep
-                        current = plan.marginals(assemble_joint(channel, law).mass)
+                        law, best, current = cand, value, stack
                         trace.append(best)
         if best == -math.inf or best - sweep_start <= cfg.tolerance:
             break
-    return law, report, best, evals, trace
-
-
-def local_refine(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig):
-    """Polish a law by line searches toward its slices' simplex vertices,
-    each scoring 33 points of its segment in two batches; never returns a
-    worse one."""
-    return _ascend(law, channel, theorem, cfg, _line_moves)[0]
+    return law, best, evals, trace
 
 
 def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig) -> OptResult:
@@ -359,11 +356,12 @@ def _optimize(theorem: str, channel: NetworkChannel, cfg: SearchConfig) -> OptRe
     # a grid traces its one ascent; restarts trace their running best and
     # merge by value, ties to the lower index
     if cfg.mode == "grid":
-        trace = runs[0][4]
+        trace = runs[0][3]
     else:
-        trace = [v for v in itertools.accumulate((r[2] for r in runs), max) if v != -math.inf]
-    law, report, best, _, _ = max(runs, key=lambda r: r[2])
-    evals = sum(r[3] for r in runs)
+        trace = [v for v in itertools.accumulate((r[1] for r in runs), max) if v != -math.inf]
+    law, best, _, _ = max(runs, key=lambda r: r[1])
+    evals = sum(r[2] for r in runs)
+    report = {"t1": eval_theorem1, "t2": eval_theorem2}[theorem](channel, law)
     return OptResult(theorem, law, report, evals, tuple(trace), best == -math.inf)
 
 

@@ -607,14 +607,3 @@ def random_t2_law(
 
 def uniform_t1_law(channel: NetworkChannel, yh1_size: int = 2, yh2_size: int = 2) -> T1Law:
     return uniform_law(T1Law, channel, {"Yh1": yh1_size, "Yh2": yh2_size})
-
-
-def uniform_t2_law(
-    channel: NetworkChannel,
-    v1_size: int = 2,
-    v2_size: int = 2,
-    yh1_size: int = 2,
-    yh2_size: int = 2,
-) -> T2Law:
-    sizes = {"V1": v1_size, "V2": v2_size, "Yh1": yh1_size, "Yh2": yh2_size}
-    return uniform_law(T2Law, channel, sizes)

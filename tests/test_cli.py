@@ -22,16 +22,18 @@ from tworelay.prob import (
     CondPmf,
     NetworkChannel,
     T1Law,
+    T2Law,
     deterministic_cond,
     point_mass,
     uniform_cond,
+    uniform_law,
     uniform_pmf,
     uniform_t1_law,
-    uniform_t2_law,
 )
 from tworelay.rates import T1_QUERIES, T2_QUERIES
 
 GOLDEN = Path(__file__).parent / "golden"
+T2_SIZES = {"V1": 2, "V2": 2, "Yh1": 2, "Yh2": 2}
 
 
 def broadcast_channel():
@@ -96,12 +98,12 @@ def files(tmp_path_factory):
     ident = channel_preset("identity-direct")
     put("chan", {"format_version": 1, "kind": "channel", "preset": "identity-direct"})
     put("law_t1", tio.law_to_dict(uniform_t1_law(ident)))
-    put("law_t2", tio.law_to_dict(uniform_t2_law(ident)))
+    put("law_t2", tio.law_to_dict(uniform_law(T2Law, ident, T2_SIZES)))
     bad_data = tio.law_to_dict(uniform_t1_law(ident))
     bad_data["components"]["px1"]["data"] = [0.5, "x"]
     put("law_bad_data", bad_data)
     extra = tio.law_to_dict(uniform_t1_law(ident))
-    extra["components"]["pv1_given_x1"] = tio.law_to_dict(uniform_t2_law(ident))["components"]["pv1_given_x1"]
+    extra["components"]["pv1_given_x1"] = tio.law_to_dict(uniform_law(T2Law, ident, T2_SIZES))["components"]["pv1_given_x1"]
     extra["components"]["typo_px1"] = extra["components"]["px1"]
     put("law_extra_components", extra)
     # built for a three-letter X1, while the identity-direct channel has two
@@ -131,7 +133,8 @@ def wide_files(tmp_path_factory):
         tuple(Alphabet(v, 8) for v in ("Y0", "Y1", "Y2"))))
     out = {"chan": root / "chan.json", "law": root / "law.json"}
     out["chan"].write_text(tio.dumps(tio.channel_to_dict(channel)))
-    out["law"].write_text(tio.dumps(tio.law_to_dict(uniform_t2_law(channel, 8, 8, 8, 8))))
+    law = uniform_law(T2Law, channel, dict.fromkeys(T2_SIZES, 8))
+    out["law"].write_text(tio.dumps(tio.law_to_dict(law)))
     return {k: str(v) for k, v in out.items()}
 
 

@@ -17,9 +17,11 @@ from tworelay.prob import (
     random_channel,
     random_t1_law,
     random_t2_law,
+    uniform_law,
     uniform_t1_law,
-    uniform_t2_law,
 )
+
+T2_SIZES = {"V1": 2, "V2": 2, "Yh1": 2, "Yh2": 2}
 
 
 def noisy_channel(seed=5):
@@ -248,7 +250,7 @@ class TestLawFiles:
             tio.law_from_dict(payload)
 
     def test_bad_component_carries_path(self):
-        payload = tio.law_to_dict(uniform_t2_law(channel_preset("all-noise")))
+        payload = tio.law_to_dict(uniform_law(T2Law, channel_preset("all-noise"), T2_SIZES))
         payload["components"]["pyh2_given_x2v2y2"]["data"] = [[0.0]]
         with pytest.raises(ValidationError, match="^law.components.pyh2_given_x2v2y2: "):
             tio.law_from_dict(payload)
@@ -271,7 +273,7 @@ class TestLoading:
 
     def test_law_file_infers_theorem(self, tmp_path):
         for law in (uniform_t1_law(channel_preset("all-noise")),
-                    uniform_t2_law(channel_preset("all-noise"))):
+                    uniform_law(T2Law, channel_preset("all-noise"), T2_SIZES)):
             path = tmp_path / "law.json"
             path.write_text(tio.dumps(tio.law_to_dict(law)))
             assert type(load_law(str(path))) is type(law)

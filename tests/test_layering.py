@@ -16,6 +16,10 @@ Every function that the benchmark's per-layer tracer wraps
 (``perfbench/layers.py``'s ``SPANS``) exists in the package: the tracer
 skips a missing name, so a deleted or renamed function would otherwise read
 as a layer with zero calls.
+
+Every name the package exports is used by code outside ``tests/``: by
+another part of the package, a demo or the benchmark.  An export that only
+tests call is surface kept for nothing.
 """
 
 import ast
@@ -32,7 +36,15 @@ LAYERS = (
 )
 LAYER = {name: depth for depth, names in enumerate(LAYERS) for name in names}
 PACKAGE = Path(tworelay.__file__).parent
-PERFBENCH_LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH_LAYERS = ROOT / "perfbench" / "layers.py"
+
+# exports with no caller yet, each awaiting one the roadmap names
+UNCALLED_EXPORTS = {
+    "embed_t1_in_t2",  # the t1-t2 gap search (roadmap item 3)
+    "eval_proof_system_t1",  # per-stage checks of a reported tuple (item 9)
+    "eval_proof_system_t2",
+}
 
 
 def perfbench_spans():
@@ -151,3 +163,38 @@ def test_perfbench_span_resolves(span):
     name, home, attr = span
     target = getattr(importlib.import_module(f"tworelay.{home}"), attr, None)
     assert callable(target), f"span {name} wraps tworelay.{home}.{attr}, which is missing"
+
+
+def referenced_names(source: str) -> set[str]:
+    """Every name a source file reads, as a variable or as an attribute;
+    definitions, imports and strings (docstrings too) do not count."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def test_referenced_names_skip_definitions_imports_and_strings():
+    source = (
+        '"""unused_in_docstring"""\n'
+        "from tworelay import imported_only, used\n"
+        "def defined(): return used(tworelay.attribute)\n"
+        "assigned = 'in_a_string'\n"
+    )
+    assert referenced_names(source) == {"used", "tworelay", "attribute"}
+
+
+def test_every_export_has_a_caller_outside_tests():
+    paths = [p for p in PACKAGE.glob("*.py") if p.stem != "__init__"]
+    paths += sorted((ROOT / "demos").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in paths))
+    used |= {attr for _, _, attr in perfbench_spans()}  # the tracer wraps these by name
+    # ``__version__`` is metadata for packaging tools, not code to call
+    exports = {name for name in tworelay.__all__ if not name.startswith("__")}
+    uncalled = sorted(exports - used - UNCALLED_EXPORTS)
+    assert not uncalled, f"exported, but called only from tests: {uncalled}"
+    # an export that gains a caller, or leaves the package, leaves the list
+    assert UNCALLED_EXPORTS <= exports - used

@@ -1,4 +1,4 @@
-"""Optimizer behavior: grid ascent, local refinement, restart merging.
+"""Optimizer behavior: grid ascent, line-search ascent, restart merging, scoring.
 
 Closed-form anchors: the identity direct link tops out at 1 bit, the
 symmetric binary link at 1 - h2(p), and the all-noise channel at zero with
@@ -14,16 +14,16 @@ import numpy as np
 import pytest
 
 from tworelay import io, optimize
-from tworelay.info import binary_entropy
+from tworelay.info import binary_entropy, term_plan
 from tworelay.optimize import (
     OptResult,
     SearchConfig,
     _grid_vectors,
-    local_refine,
     optimize_t1,
     optimize_t2,
 )
 from tworelay.prob import (
+    LAW_FAMILIES,
     Alphabet,
     CondPmf,
     InvariantError,
@@ -32,12 +32,17 @@ from tworelay.prob import (
     T1Law,
     T2Law,
     ValidationError,
+    assemble_joint,
+    random_channel,
+    random_law,
     random_t1_law,
     random_t2_law,
     uniform_cond,
     uniform_law,
 )
-from tworelay.rates import embed_t1_in_t2, eval_theorem1, eval_theorem2
+from tworelay.rates import THEOREMS, embed_t1_in_t2, eval_theorem1, eval_theorem2, law_hash
+
+EVALUATE = {"t1": eval_theorem1, "t2": eval_theorem2}
 
 
 def bsc_direct_channel(p):
@@ -321,12 +326,17 @@ class TestLineMove:
         assert value == 15.0
 
 
+def line_ascent(law, channel, theorem, cfg):
+    """The law one random-restart ascent reaches from ``law``."""
+    return optimize._ascend(law, channel, theorem, cfg, optimize._line_moves)[0]
+
+
 class TestLocalRefine:
     def test_vertex_start_reaches_uniform_input(self):
         p = 0.11
         chan = bsc_direct_channel(p)
         cfg = SearchConfig(mode="random-restart", max_iter=10)
-        refined = local_refine(vertex_t2_law(chan), chan, "t2", cfg)
+        refined = line_ascent(vertex_t2_law(chan), chan, "t2", cfg)
         px0 = refined.px0_given_x1x2v1v2.mass.reshape(2)
         assert px0[0] == pytest.approx(0.5, abs=1e-3)
         report = eval_theorem2(chan, refined)
@@ -337,8 +347,8 @@ class TestLocalRefine:
     def test_solved_instance_is_a_fixed_point(self):
         chan = bsc_direct_channel(0.11)
         cfg = SearchConfig(mode="random-restart", max_iter=10)
-        once = local_refine(vertex_t2_law(chan), chan, "t2", cfg)
-        twice = local_refine(once, chan, "t2", cfg)
+        once = line_ascent(vertex_t2_law(chan), chan, "t2", cfg)
+        twice = line_ascent(once, chan, "t2", cfg)
         a = eval_theorem2(chan, once).objective_bits
         b = eval_theorem2(chan, twice).objective_bits
         assert b >= a - 1e-12
@@ -358,7 +368,7 @@ class TestLocalRefine:
         monkeypatch.setattr(optimize, "_line_move", spy)
         chan = io.channel_preset("identity-direct")
         start = random_t1_law(np.random.default_rng([3, 0]), chan)
-        local_refine(start, chan, "t1", SearchConfig(mode="random-restart", max_iter=2))
+        line_ascent(start, chan, "t1", SearchConfig(mode="random-restart", max_iter=2))
         pairs = [(a, b) for a, b in zip(calls, calls[1:]) if b[0] == a[0] + 1]
         assert pairs
         assert all(b[1] in (a[1], a[2]) for a, b in pairs)
@@ -373,10 +383,91 @@ class TestLocalRefine:
             rng = np.random.default_rng([99, i])
             start = random_t2_law(rng, chan)
             before = eval_theorem2(chan, start)
-            after = eval_theorem2(chan, local_refine(start, chan, "t2", cfg))
+            after = eval_theorem2(chan, line_ascent(start, chan, "t2", cfg))
             if before.feasible:
                 assert after.feasible
                 assert after.objective_bits >= before.objective_bits - 1e-12
+
+
+class TestOneScorer:
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_full_score_is_the_evaluators_merit(self, theorem):
+        # alphabets and auxiliaries of 1-3 letters; the sample must hold
+        # feasible and infeasible laws and, for t2, clamped DF bounds
+        feasible, clamped = set(), set()
+        for seed in range(40):
+            rng = np.random.default_rng([2026, seed])
+            sizes = {v: int(rng.integers(1, 4)) for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")}
+            channel = random_channel(rng, sizes)
+            aux = {v: int(rng.integers(1, 4)) for v in ("V1", "V2", "Yh1", "Yh2")}
+            law = random_law(LAW_FAMILIES[theorem], rng, channel, aux)
+            report = EVALUATE[theorem](channel, law)
+            expected = float(optimize._merit(report.feasible, report.objective_bits))
+            joint = assemble_joint(channel, law)
+            plan = term_plan(THEOREMS[theorem].queries, joint.ids, joint.mass.shape)
+            stack = plan.marginals(joint.mass)
+            assert float(optimize._merits(theorem, plan, stack)) == expected, seed
+            assert optimize._merits(theorem, plan, stack[None]).tolist() == [expected], seed
+            feasible.add(report.feasible)
+            clamped.update(f for f in report.flags if f.startswith("df-bound-clamped"))
+        assert feasible == {True, False}
+        assert bool(clamped) == (theorem == "t2")
+
+
+class TestSearchWork:
+    BSC = ("binary-symmetric-links", {"Y0": 0.3, "Y1": 0.1, "Y2": 0.1})
+
+    @pytest.mark.parametrize(
+        "run, cfg",
+        [
+            (optimize_t2, SearchConfig(mode="grid", resolution=4)),
+            (optimize_t1, SearchConfig(mode="random-restart", restarts=2, max_iter=2, seed=3)),
+        ],
+        ids=["grid-t2", "random-restart-t1"],
+    )
+    def test_one_assembly_per_law_and_one_report_per_search(self, run, cfg, monkeypatch):
+        name, crossover = self.BSC
+        chan = io.channel_preset(name, crossover=crossover)
+        theorem = "t1" if run is optimize_t1 else "t2"
+        assembled, full, reported = [], [], []
+        assemble, merits = optimize.assemble_joint, optimize._merits
+
+        def spy_assemble(channel, law):
+            assembled.append((law, assemble(channel, law)))
+            return assembled[-1][1]
+
+        def spy_merits(theorem, plan, stack):
+            if stack.ndim == 1:  # a law's own stack: a full score
+                full.append(stack)
+            return merits(theorem, plan, stack)
+
+        def spy_evaluate(evaluate):
+            return lambda channel, law: reported.append(law) or evaluate(channel, law)
+
+        monkeypatch.setattr(optimize, "assemble_joint", spy_assemble)
+        monkeypatch.setattr(optimize, "_merits", spy_merits)
+        monkeypatch.setattr(optimize, "eval_theorem1", spy_evaluate(eval_theorem1))
+        monkeypatch.setattr(optimize, "eval_theorem2", spy_evaluate(eval_theorem2))
+        result = run(chan, cfg)
+
+        family, sizes = LAW_FAMILIES[theorem], {}  # 2-letter auxiliaries, as in cfg
+        if cfg.mode == "grid":
+            starts = [uniform_law(family, chan, sizes)]
+        else:
+            rngs = (np.random.default_rng([cfg.seed, i]) for i in range(cfg.restarts))
+            starts = [random_law(family, rng, chan, sizes) for rng in rngs]
+
+        # one report, for the returned law
+        assert len(reported) == 1 and reported[0] is result.best_law
+        # one assembly per law scored in full, scored from that assembly:
+        # the starts and the candidates that won their batches
+        assert len(assembled) == len(full) > len(starts)
+        for (_, joint), stack in zip(assembled, full):
+            plan = term_plan(THEOREMS[theorem].queries, joint.ids, joint.mass.shape)
+            assert np.array_equal(plan.marginals(joint.mass), stack)
+        # each start once, in order
+        hashes = [law_hash(law) for law, _ in assembled]
+        assert [h for h in hashes if h in map(law_hash, starts)] == list(map(law_hash, starts))
 
 
 class TestRandomRestart:
