@@ -49,6 +49,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import prob
 from .info import InfoQuery, term_plan
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from .prob import (
@@ -71,9 +72,6 @@ MAX_FM_ROWS = 1000
 # every stored row coefficient is below this in magnitude, so that a sum of
 # two products of coefficients stays inside int64
 MAX_COEFF = 2**31
-# entries of one transient block: a pruning comparison, or rows by bindings
-# when reading a projection
-_BLOCK_ENTRIES = 1 << 13
 # one term of a row: a coefficient written as str(Fraction) writes it (an
 # integer or an integer ratio), then "*" and a rate variable or I(...)
 _TERM = re.compile(r"(-?[0-9]+(?:/0*[1-9][0-9]*)?)\*(.+)")
@@ -315,7 +313,7 @@ def prune(system: RateSystem) -> RateSystem:
             raise ResourceLimitError("pruning: rows brought to one scale would pass int64")
         scaled = (sym[members] * (scale // lead[members])[:, None]).astype(
             np.result_type(np.min_scalar_type(-most), np.min_scalar_type(most)))
-        step = max(1, _BLOCK_ENTRIES // (len(members) * max(1, sym.shape[1])))
+        step = max(1, prob.BLOCK_ENTRIES // (len(members) * max(1, sym.shape[1])))
         for k in range(0, len(members), step):
             block = slice(k, k + step)  # these members as the implying rows
             implies = (strict[members[block], None] >= strict[members]) & (
@@ -373,10 +371,12 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
     """Evaluate every information symbol on seeded random binary channel+law pairs.
 
     Draw ``i`` is the pair that ``random_channel`` and then ``random_law``
-    draw from ``default_rng([seed, i])``.  The joints come in stacks
-    (:func:`tworelay.prob.random_joints`), each stack's marginals in one
-    pass; the terms are taken one joint at a time, so each binding is the
-    one :func:`binding_of` gives for its joint.  Returns one mapping from
+    draw from ``default_rng([seed, i])``, bit for bit, though each pair is
+    drawn by one ``standard_exponential`` call on its generator.  The
+    joints come in stacks (:func:`tworelay.prob.random_joints`), each built
+    by one in-place product, and each stack's marginals in one pass; the
+    terms are taken one joint at a time, so each binding is the one
+    :func:`binding_of` gives for its joint.  Returns one mapping from
     symbol name to exact rational value per draw.
     """
     if which not in LAW_FAMILIES:
@@ -462,7 +462,7 @@ def _solve(system: RateSystem, names: Sequence[str], table) -> list[tuple[str, F
     cols = [names.index(name) for name in symbols]
     lines, rb_list, bounded = coef.tolist(), rb.tolist(), bool((rb > 0).any())
     out = []
-    step = max(1, _BLOCK_ENTRIES // max(1, len(rb)))
+    step = max(1, prob.BLOCK_ENTRIES // max(1, len(rb)))
     for start in range(0, len(exact), step):
         block = slice(start, start + step)
         screened = _screen(rb, coef, floats[block][:, cols], floor[block])

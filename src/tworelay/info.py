@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import prob
 from .prob import JointPmf, ValidationError, canonical_sorted, marginalize
 
 ZERO_CLAMP = 1e-10
@@ -85,19 +86,34 @@ def entropy(pmf: JointPmf | np.ndarray, offsets: np.ndarray | None = None) -> fl
     ``pmf`` is a joint pmf and the result a float.  With ``offsets``, ``pmf``
     is instead an array whose last axis concatenates several pmfs, each
     starting at its offset, and the result holds their entropies along that
-    axis from one vectorized pass; a :class:`_TermPlan` computes every subset
+    axis from vectorized passes; a :class:`_TermPlan` computes every subset
     entropy of a query table this way, for one joint or a stack of
-    candidates.  Cells that are not positive are left out either way.
+    candidates.  A stack is taken in blocks of whole rows of at most
+    ``prob.BLOCK_ENTRIES`` entries (at least one row), so the temporaries
+    stay small; each row's sums are its own, so the blocks change no bit.
+    Cells that are not positive are left out either way.
     """
     if offsets is None:
         p = pmf.mass.reshape(-1)
         nz = p[p > 0.0]
         h = float(-(nz * np.log2(nz)).sum())
         return 0.0 if abs(h) <= ZERO_CLAMP else h
-    p = np.where(pmf > 0.0, pmf, 1.0)  # 1 * log2(1) = 0
-    h = -np.add.reduceat(p * np.log2(p), offsets, axis=-1)
+    width = pmf.shape[-1]
+    step = max(1, prob.BLOCK_ENTRIES // width)
+    if pmf.size <= step * width:  # one block
+        h = _entropy_rows(pmf, offsets)
+    else:
+        rows = pmf.reshape(-1, width)
+        h = np.concatenate([_entropy_rows(rows[k:k + step], offsets) for k in range(0, len(rows), step)])
+        h = h.reshape(pmf.shape[:-1] + (len(offsets),))
     h[np.abs(h) <= ZERO_CLAMP] = 0.0
     return h
+
+
+def _entropy_rows(pmf: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The unclamped entropies of :func:`entropy`'s ``offsets`` form."""
+    p = np.where(pmf > 0.0, pmf, 1.0)  # 1 * log2(1) = 0
+    return -np.add.reduceat(p * np.log2(p), offsets, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)

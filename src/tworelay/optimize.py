@@ -26,7 +26,7 @@ every marginal the rate terms need is a mix of the marginals at the slice's
 k simplex vertices.  Only the slab of the joint where the factor's given
 variables equal the slice's cell depends on the row, so the ascent keeps
 the incumbent's marginals and each slice swaps in its slab's marginals at
-the k vertices, from one contraction of that slab.  Every move then scores
+the k vertices, from one product for that slab.  Every move then scores
 its candidates in batches, as matrix products and entropy passes with no
 law built: a grid in one call, a line search in two.  Only a move's best
 candidate becomes a law, and only when its batch score beats the
@@ -209,7 +209,7 @@ def _slice_marginals(channel: NetworkChannel, law, plan, current, name: str, cel
     to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  Only the slab
     of the joint where the factor's given variables equal ``cell`` depends
     on the row, so vertex v's stack is ``current`` with the law's slab
-    marginals swapped for those of the slab at v, from one contraction of
+    marginals swapped for those of the slab at v, from one product for
     the slab (:func:`tworelay.prob.slice_slab`); no law is built.
     """
     pmf = getattr(law, name)
@@ -306,10 +306,12 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     Each sweep walks the slices in declaration order, builds a slice's
     scorer once and tries its moves in order on the current slice point.  A
     candidate that beats the incumbent in its batch is assembled once and
-    its own marginal stack scored by :func:`_merits`; it is kept, with that
-    stack, only if this full score also wins.  Sweeps stop after
-    ``max_iter``, or once one gains at most ``tolerance``.  Returns the law,
-    its value, the candidates scored, and the value after each acceptance.
+    its own marginal stack scored by :func:`_merits`, unless it is the
+    current point, whose batch score can beat the incumbent only by
+    rounding; it is kept, with that stack, only if this full score also
+    wins.  Sweeps stop after ``max_iter``, or once one gains at most
+    ``tolerance``.  Returns the law, its value, the candidates scored, and
+    the value after each acceptance.
     """
     joint = assemble_joint(channel, law)
     plan = term_plan(THEOREMS[theorem].queries, joint.ids, joint.mass.shape)
@@ -325,9 +327,10 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
             vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
             slice_value = _slice_scorer(theorem, plan, vertices)
             for move in moves(k):
-                vec, value, count = move(slice_value, _get_slice(law, name, cell))
+                point = _get_slice(law, name, cell)
+                vec, value, count = move(slice_value, point)
                 evals += count
-                if value > best:
+                if value > best and not np.array_equal(vec, point):
                     cand = _set_slice(law, name, cell, vec)
                     stack = plan.marginals(assemble_joint(channel, cand).mass)
                     value = float(_merits(theorem, plan, stack))

@@ -33,14 +33,16 @@ _CANON_INDEX = {vid: k for k, vid in enumerate(CANONICAL_ORDER)}
 CHANNEL_INPUTS = ("X0", "X1", "X2")
 CHANNEL_OUTPUTS = ("Y0", "Y1", "Y2")
 
-# einsum letter per canonical variable, fixed once
-_EINSUM_LETTER = dict(zip(CANONICAL_ORDER, "abcdefghij"))
-
 MAX_ALPHABET_SIZE = 8
 MAX_JOINT_ENTRIES = 10**8
-# entries of one stacked joint that random_joints contracts at once: 16 t2 or
+# entries of one stacked joint that random_joints builds at once: 16 t2 or
 # 64 t1 binary joints, so a stack's transient arrays stay near 0.1 MB
 STACK_ENTRIES = 1 << 14
+# entries of one transient block of a row-wise pass (info.entropy on a
+# stack, fm's pruning comparisons and projection reads): 64 KiB of float64,
+# under glibc malloc's default 128 KiB mmap threshold, so the blocks reuse
+# heap pages instead of mapping fresh ones
+BLOCK_ENTRIES = 1 << 13
 NEGATIVITY_CLAMP = 1e-12
 NORMALIZATION_TOL = 1e-12
 
@@ -347,14 +349,14 @@ LAW_FAMILIES = {family.theorem: family for family in (T1Law, T2Law)}
 
 
 @functools.cache
-def _einsum_plan(family: type):
-    """The joint's einsum operands for a law family, as factor names (None
-    for the channel transition) and variable ids, with its output ids and
-    einsum spec.
+def _product_plan(family: type):
+    """The joint's product for a law family: its operands as factor names
+    (None for the channel transition) and their variable ids, and the
+    joint's ids.
 
     The operands are the factors in field order with the channel transition
-    right after p(x0|.); the order fixes einsum's multiplication order, and
-    with it the last bits of the joint.
+    right after p(x0|.); the order fixes the order of multiplication
+    (:func:`_product`), and with it the last bits of the joint.
     """
     names = [f.name for f in family.factors]
     terms = [f.given + f.target for f in family.factors]
@@ -362,12 +364,7 @@ def _einsum_plan(family: type):
     names.insert(channel_at, None)
     terms.insert(channel_at, CHANNEL_INPUTS + CHANNEL_OUTPUTS)
     out_ids = canonical_sorted({v for ids in terms for v in ids})
-    return tuple(names), tuple(terms), out_ids, _spec(terms, out_ids)
-
-
-def _spec(terms, out_ids) -> str:
-    letters = lambda ids: "".join(_EINSUM_LETTER[v] for v in ids)
-    return ",".join(map(letters, terms)) + "->" + letters(out_ids)
+    return tuple(names), tuple(terms), out_ids
 
 
 def _alphabets(channel: NetworkChannel, law: T1Law | T2Law) -> dict[str, Alphabet]:
@@ -386,12 +383,38 @@ def _alphabets(channel: NetworkChannel, law: T1Law | T2Law) -> dict[str, Alphabe
     return {v: a for v, (a, _) in seen.items()}
 
 
-def _einsum(spec: str, operands, entries: int) -> np.ndarray:
-    """``np.einsum`` onto an output of ``entries`` entries, refused before
-    anything is allocated when that is above ``MAX_JOINT_ENTRIES``."""
+@functools.cache
+def _broadcast_plan(terms, out_ids):
+    """Per operand over the ids ``terms[m]``, the axis order and the index
+    that view it on the axes ``out_ids``, at size 1 on the axes it lacks."""
+    return tuple(
+        (tuple(ids.index(v) for v in out_ids if v in ids),
+         tuple(slice(None) if v in ids else None for v in out_ids))
+        for ids in terms
+    )
+
+
+def _product(operands, terms, out_ids, shape) -> np.ndarray:
+    """The product of two or more ``operands`` on the axes ``out_ids`` of
+    ``shape``, where operand m's axes are the ids ``terms[m]``, no id summed.
+
+    The entry cap is checked before anything is allocated.  The output is
+    then allocated once and the operands, as broadcast views, multiplied
+    into it in place from left to right; adding 0.0 last turns a -0.0 into
+    0.0.  That is ``np.einsum``'s inner loop on the same operands, a
+    running product accumulated into a zeroed output, so the result is
+    einsum's bit for bit, and the peak is the output plus the operands.
+    """
+    entries = math.prod(shape)
     if entries > MAX_JOINT_ENTRIES:
         raise ResourceLimitError(f"joint of {entries} entries, cap is {MAX_JOINT_ENTRIES}")
-    return np.einsum(spec, *operands)
+    views = [mass.transpose(order)[index] for mass, (order, index)
+             in zip(operands, _broadcast_plan(tuple(terms), tuple(out_ids)))]
+    out = np.empty(shape)
+    np.multiply(views[0], views[1], out=out)
+    for view in views[2:]:
+        np.multiply(out, view, out=out)
+    return np.add(out, 0.0, out=out)
 
 
 def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
@@ -400,11 +423,11 @@ def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
     Alphabet sizes are checked by variable id, against the channel and across
     the law's own factors, and the entry cap before the product is formed.
     """
-    names, _, out_ids, spec = _einsum_plan(type(law))
+    names, terms, out_ids = _product_plan(type(law))
     alphabets = _alphabets(channel, law)
     axes = tuple(alphabets[v] for v in out_ids)
     operands = [channel.transition.mass if n is None else getattr(law, n).mass for n in names]
-    return JointPmf(axes, _einsum(spec, operands, math.prod(a.size for a in axes)))
+    return JointPmf(axes, _product(operands, terms, out_ids, tuple(a.size for a in axes)))
 
 
 def slice_slab(channel: NetworkChannel, law: T1Law | T2Law, name: str, cell) -> np.ndarray:
@@ -415,22 +438,26 @@ def slice_slab(channel: NetworkChannel, law: T1Law | T2Law, name: str, cell) -> 
     The joint is linear in the row: with the row at ``w``, the slab's entries
     at target letter v are ``w[v] * out[v]``.  The trailing axes are the
     joint's, with the factor's given and target axes at size 1.  This is the
-    contraction of :func:`assemble_joint` with every operand indexed at
-    ``cell`` and the factor itself replaced by ones, under the same cap.
+    product of :func:`assemble_joint` with every operand indexed at ``cell``
+    and the factor itself left out, under the same cap: leaving out a
+    factor of ones changes no bit.
     """
-    names, terms, out_ids, _ = _einsum_plan(type(law))
+    names, terms, out_ids = _product_plan(type(law))
     alphabets = _alphabets(channel, law)
     factor = next(f for f in law.factors if f.name == name)
     at = dict(zip(factor.given, cell))
-    operands = []
+    operands, kept = [], []
     for n, ids in zip(names, terms):
-        mass = channel.transition.mass if n is None else getattr(law, n).mass
-        mass = mass[tuple(slice(at[v], at[v] + 1) if v in at else slice(None) for v in ids)]
-        operands.append(np.ones(mass.shape) if n == name else mass)
+        if n != name:
+            mass = channel.transition.mass if n is None else getattr(law, n).mass
+            index = tuple(slice(at[v], at[v] + 1) if v in at else slice(None) for v in ids)
+            operands.append(mass[index])
+            kept.append(ids)
+    size = lambda v: 1 if v in at else alphabets[v].size
     out = factor.target + tuple(v for v in out_ids if v not in factor.target)
-    shape = tuple(1 if v in at or v in factor.target else alphabets[v].size for v in out_ids)
+    slab = _product(operands, kept, out, tuple(map(size, out)))
     k = math.prod(alphabets[v].size for v in factor.target)
-    return _einsum(_spec(terms, out), operands, k * math.prod(shape)).reshape((k,) + shape)
+    return slab.reshape((k,) + tuple(1 if v in factor.target else size(v) for v in out_ids))
 
 
 # per-family names, for callers that name the family they assemble
@@ -484,10 +511,28 @@ def deterministic_cond(given: Sequence[Alphabet], target: Alphabet, table: np.nd
     return CondPmf(g, (target,), mass)
 
 
+def _normalize_rows(draws: np.ndarray) -> np.ndarray:
+    """Scale each row (along the last axis) of standard exponential
+    ``draws`` to a pmf, in place, and return them.
+
+    A row is summed letter by letter from the left and then multiplied by
+    the reciprocal of its sum: the steps by which ``Generator.dirichlet``
+    turns the same exponentials into a Dirichlet(1, ..., 1) row (a gamma
+    variate of shape 1 is a standard exponential), so the rows are its rows
+    bit for bit, for a whole stack of tensors at once.
+    """
+    acc = draws[..., 0].copy()
+    for j in range(1, draws.shape[-1]):
+        acc += draws[..., j]
+    draws *= (1.0 / acc)[..., None]
+    return draws
+
+
 def _dirichlet_rows(rng: np.random.Generator, n_rows: int, k: int) -> np.ndarray:
     """``n_rows`` pmfs over ``k`` letters, each drawn from Dirichlet(1, ..., 1):
-    the one draw behind every random tensor, so the draw order is fixed here."""
-    return rng.dirichlet(np.ones(k), size=n_rows)
+    the one draw behind every random tensor, so the draw order is fixed here.
+    The rows are ``rng.dirichlet(np.ones(k), size=n_rows)``, bit for bit."""
+    return _normalize_rows(rng.standard_exponential(n_rows * k).reshape(n_rows, k))
 
 
 def random_cond(rng: np.random.Generator, given: Sequence[Alphabet], target: Sequence[Alphabet]) -> CondPmf:
@@ -547,35 +592,38 @@ def random_joints(
 
     Each generator draws exactly as :func:`random_channel` and then
     :func:`random_law` draw from it: the channel's rows, then each factor's
-    rows in field order.  Each stacked operand is checked once by
-    :func:`_checked_mass`, as many rows at once as the pair's tensors hold
-    for the whole stack, and so is each stacked joint.  A stack is
-    :func:`assemble_joint`'s contraction with a leading batch axis, under
-    the same entry cap, and every joint in it is the one
+    rows in field order.  Those are :func:`_dirichlet_rows` draws, so one
+    ``standard_exponential`` call per generator draws all of them, and each
+    tensor's rows are normalized for the whole stack at once.  Each stacked
+    operand is checked once by :func:`_checked_mass`, as many rows at once
+    as the pair's tensors hold for the whole stack, and so is each stacked
+    joint.  A stack is :func:`assemble_joint`'s product with a leading
+    stack axis, under the same entry cap, and every joint in it is the one
     :func:`assemble_joint` builds for its pair, bit for bit.
     """
-    names, terms, out_ids, spec = _einsum_plan(family)
+    names, terms, out_ids = _product_plan(family)
     ids = dict(zip(names, terms))
     n_given = {None: len(CHANNEL_INPUTS)} | {f.name: len(f.given) for f in family.factors}
     drawn = (None,) + tuple(f.name for f in family.factors)  # the channel, then field order
-    lhs, rhs = spec.split("->")
-    batched = ",".join("..." + term for term in lhs.split(",")) + "->..." + rhs
+    # every variable is binary, so tensor m is 2**n_given[m] rows of the
+    # letters of its other axes, and takes 2**len(ids[m]) draws
+    ends = list(itertools.accumulate(2 ** len(ids[m]) for m in drawn))
     per = max(1, STACK_ENTRIES // 2 ** len(out_ids))
     rngs = iter(rngs)
     while chunk := list(itertools.islice(rngs, per)):
         n = len(chunk)
-        # every variable is binary, so tensor m holds 2**n_given[m] rows
-        draws = [
-            [_dirichlet_rows(rng, 2 ** n_given[m], 2 ** (len(ids[m]) - n_given[m])) for m in drawn]
-            for rng in chunk
-        ]
+        draws = np.empty((n, ends[-1]))
+        for row, rng in zip(draws, chunk):
+            rng.standard_exponential(out=row)
         stacks = {}
-        for j, m in enumerate(drawn):
+        for m, start, end in zip(drawn, [0] + ends, ends):
+            rows = _normalize_rows(draws[:, start:end].reshape(n, 2 ** n_given[m], -1))
             shape = (n,) + (2,) * len(ids[m])
-            stack = np.stack([d[j] for d in draws]).reshape(shape)
-            stacks[m] = _checked_mass(stack, shape, n * 2 ** n_given[m], f"{m or 'channel'} stack")
+            stacks[m] = _checked_mass(rows.reshape(shape), shape, n * 2 ** n_given[m],
+                                      f"{m or 'channel'} stack")
         shape = (n,) + (2,) * len(out_ids)
-        joint = _einsum(batched, [stacks[m] for m in names], math.prod(shape))
+        stacked = [("stack",) + ids[m] for m in names]
+        joint = _product([stacks[m] for m in names], stacked, ("stack",) + out_ids, shape)
         yield out_ids, _checked_mass(joint, shape, n, "JointPmf stack")
 
 

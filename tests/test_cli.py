@@ -19,6 +19,7 @@ from tworelay import io as tio
 from tworelay.io import channel_preset
 from tworelay.prob import (
     Alphabet,
+    MAX_JOINT_ENTRIES,
     CondPmf,
     NetworkChannel,
     T1Law,
@@ -139,11 +140,17 @@ def wide_files(tmp_path_factory):
 
 
 @pytest.fixture
-def no_einsum(monkeypatch):
-    """Fail, rather than allocate, if any einsum runs."""
-    def refuse(*args, **kwargs):
-        pytest.fail("einsum ran on an over-cap joint")
-    monkeypatch.setattr(np, "einsum", refuse)
+def no_over_cap_buffer(monkeypatch):
+    """Fail, rather than allocate, if the joint product asks ``np.empty`` for
+    an output above the entry cap (``test_prob`` pins that it allocates its
+    output there, once)."""
+    empty = np.empty
+
+    def guarded(shape, *args, **kwargs):
+        if math.prod((shape,) if isinstance(shape, int) else shape) > MAX_JOINT_ENTRIES:
+            pytest.fail("an over-cap joint was allocated")
+        return empty(shape, *args, **kwargs)
+    monkeypatch.setattr(np, "empty", guarded)
 
 
 def run_cli(argv, capsys):
@@ -215,17 +222,17 @@ class TestEval:
 
 
 class TestEntryCap:
-    # the cap fires before the joint's einsum allocates anything
+    # the cap fires before the joint's product allocates anything
     MESSAGE = "resource limit: joint of 1073741824 entries, cap is 100000000\n"
 
-    def test_eval_exits_3(self, wide_files, no_einsum, capsys):
+    def test_eval_exits_3(self, wide_files, no_over_cap_buffer, capsys):
         code, out, err = run_cli(
             ["eval", "--channel", wide_files["chan"], "--law", wide_files["law"],
              "--theorem", "t2"], capsys)
         assert (code, out, err) == (3, "", self.MESSAGE)
 
     @pytest.mark.parametrize("mode", ["grid", "random-restart"])
-    def test_optimize_exits_3(self, mode, wide_files, no_einsum, capsys):
+    def test_optimize_exits_3(self, mode, wide_files, no_over_cap_buffer, capsys):
         code, out, err = run_cli(
             ["optimize", "--channel", wide_files["chan"], "--theorem", "t2", "--mode", mode,
              "--restarts", "1", "--v1-size", "8", "--v2-size", "8", "--yh1-size", "8",

@@ -612,24 +612,25 @@ def one_at_a_time(which, count, seed):
 
 def stack_size(which):
     """Joints per stack: all that fit in ``STACK_ENTRIES``."""
-    ids = prob._einsum_plan(LAW_FAMILIES[which])[2]
+    ids = prob._product_plan(LAW_FAMILIES[which])[2]
     return prob.STACK_ENTRIES // 2 ** len(ids)
 
 
-def spoil_one_row(monkeypatch, bad, at=15):
-    """Make draw number ``at`` (counting from 0) come back with its last row
-    replaced by ``bad(row)``."""
-    draw = prob._dirichlet_rows
+def spoil_one_row(monkeypatch, bad, at=3, pair=2):
+    """Make row normalization number ``at`` (counting from 0; one tensor of
+    a whole stack) come back with pair ``pair``'s last row replaced by
+    ``bad(row)``."""
+    normalize = prob._normalize_rows
     calls = []
 
-    def spoiled(rng, n_rows, k):
-        rows = draw(rng, n_rows, k)
+    def spoiled(draws):
+        rows = normalize(draws)
         if len(calls) == at:
-            rows[-1] = bad(rows[-1])
-        calls.append(k)
+            rows[pair, -1] = bad(rows[pair, -1])
+        calls.append(draws.shape)
         return rows
 
-    monkeypatch.setattr(prob, "_dirichlet_rows", spoiled)
+    monkeypatch.setattr(prob, "_normalize_rows", spoiled)
     return calls
 
 
@@ -674,7 +675,8 @@ class TestSampleBindings:
         (lambda row: 1.1 * row, "slice mass off by"),
     ], ids=["nan-row", "row-sums-to-1.1"])
     def test_every_stacked_row_is_checked(self, monkeypatch, capsys, bad, match):
-        # draw 15 is the third t1 pair's p(x0|x1,x2): one row, mid-stack
+        # normalization 3 is the t1 stack's p(x0|x1,x2); the third pair's
+        # last row is one row, mid-stack
         spoil_one_row(monkeypatch, bad)
         with pytest.raises(ValidationError, match=f"px0_given_x1x2 stack: {match}"):
             fm.sample_bindings("t1", 8, 0)
@@ -686,8 +688,8 @@ class TestSampleBindings:
         assert "Traceback" not in err
 
     def test_stacked_joint_is_checked(self, monkeypatch):
-        contract = prob._einsum
-        monkeypatch.setattr(prob, "_einsum", lambda *args: 1.1 * contract(*args))
+        product = prob._product
+        monkeypatch.setattr(prob, "_product", lambda *args: 1.1 * product(*args))
         with pytest.raises(ValidationError, match="JointPmf stack: slice mass off by"):
             fm.sample_bindings("t2", 3, 0)
 
@@ -779,7 +781,7 @@ class TestProjectionOracle:
         rng = np.random.default_rng(9)
         bindings = rational_bindings(rng, names, 30)
         whole = fm._solve(s, names, fm._table(bindings, names))
-        monkeypatch.setattr(fm, "_BLOCK_ENTRIES", 1)  # one binding per block
+        monkeypatch.setattr(prob, "BLOCK_ENTRIES", 1)  # one binding per block
         assert fm._solve(s, names, fm._table(bindings, names)) == whole
 
     @pytest.mark.parametrize("values", [

@@ -5,9 +5,12 @@ arithmetic (h2 via decimal ln) and frozen here; the implementation path
 goes through numpy log2 on marginal tensors.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from tworelay import prob
 from tworelay.info import InfoQuery, binary_entropy, entropy, mutual_info
 from tworelay.prob import (
     Alphabet,
@@ -62,6 +65,48 @@ class TestEntropy:
         got = entropy(flat, offsets)
         assert got.tolist() == pytest.approx([entropy(p) for p in pmfs], abs=1e-12)
         assert got[1] == got[3] == 0.0
+
+
+def concatenated_pmfs(rng, rows, cells, count):
+    """``rows`` rows of ``count`` pmfs concatenated over ``cells`` cells,
+    about a quarter of the cells zero, and the offsets of the pmfs."""
+    offsets = np.concatenate([[0], np.sort(rng.choice(np.arange(1, cells), count - 1, replace=False))])
+    mass = rng.random((rows, cells)) * (rng.random((rows, cells)) > 0.25)
+    sums = np.add.reduceat(mass, offsets, axis=1)
+    pmf_of_cell = np.repeat(np.arange(count), np.diff(np.append(offsets, cells)))
+    return mass / np.where(sums > 0, sums, 1.0)[:, pmf_of_cell], offsets
+
+
+class TestBlockBudget:
+    """``entropy`` on a stack works in blocks of whole rows under
+    ``prob.BLOCK_ENTRIES``; no budget moves a bit."""
+
+    SHAPES = [(17, 1162, 80), (16, 1162, 80), (1, 50, 7), (300, 40, 6), (5, 9, 1)]
+
+    @pytest.mark.parametrize("budget", [1, 40, 2**30])
+    def test_entropies_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        rng = np.random.default_rng(12)
+        cases = [concatenated_pmfs(rng, *shape) for shape in self.SHAPES]
+        cases += [(mass[0], offsets) for mass, offsets in cases]  # one pmf row
+        cases.append((cases[3][0].reshape(30, 10, 40), cases[3][1]))  # two leading axes
+        want = [entropy(mass, offsets) for mass, offsets in cases]
+        monkeypatch.setattr(prob, "BLOCK_ENTRIES", budget)
+        for (mass, offsets), h in zip(cases, want):
+            got = entropy(mass, offsets)
+            assert got.shape == h.shape == mass.shape[:-1] + (len(offsets),)
+            assert got.tobytes() == h.tobytes()
+
+    def test_peak_is_a_few_blocks(self):
+        # the (17, 1162) stacks of the search workload's t2 restart: whole,
+        # each temporary would be 158 KB, above glibc's 128 KiB mmap threshold
+        mass, offsets = concatenated_pmfs(np.random.default_rng(3), 17, 1162, 80)
+        tracemalloc.start()
+        try:
+            h = entropy(mass, offsets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * prob.BLOCK_ENTRIES + h.nbytes < 3 * mass.nbytes
 
 
 class TestMutualInfo:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from tworelay import io, optimize
+from tworelay import io, optimize, prob
 from tworelay.info import binary_entropy, term_plan
 from tworelay.optimize import (
     OptResult,
@@ -468,6 +468,45 @@ class TestSearchWork:
         # each start once, in order
         hashes = [law_hash(law) for law, _ in assembled]
         assert [h for h in hashes if h in map(law_hash, starts)] == list(map(law_hash, starts))
+
+
+    def test_no_assembled_candidate_is_its_incumbent(self, monkeypatch):
+        # a line move's best point can be its own base point, whose batch
+        # score beats the incumbent only by rounding; the search workload's
+        # random-restart t1 task assembled six such candidates
+        compared = []
+        set_slice = optimize._set_slice
+
+        def spy(law, name, cell, vec):
+            compared.append(np.array_equal(vec, optimize._get_slice(law, name, cell)))
+            return set_slice(law, name, cell, vec)
+
+        monkeypatch.setattr(optimize, "_set_slice", spy)
+        optimize_t1(io.channel_preset("identity-direct"),
+                    SearchConfig(mode="random-restart", restarts=2, max_iter=2, seed=4242))
+        assert len(compared) > 10 and not any(compared)
+
+
+class TestBlockBudget:
+    """``prob.BLOCK_ENTRIES`` bounds the blocks of ``info.entropy``'s row
+    passes; no budget moves a search result."""
+
+    def searches(self):
+        # the t2 restart scores (16, 1162) and (17, 1162) stacks, which the
+        # default budget splits into blocks
+        crossover = {"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}
+        bsc = io.channel_preset("binary-symmetric-links", crossover=crossover)
+        return [json.dumps(run(bsc, cfg).to_dict()) for run, cfg in [
+            (optimize_t2, SearchConfig(mode="random-restart", restarts=1, max_iter=1, seed=4242)),
+            (optimize_t2, SearchConfig(mode="grid", resolution=3)),
+            (optimize_t1, SearchConfig(mode="random-restart", restarts=1, max_iter=1, seed=7)),
+        ]]
+
+    @pytest.mark.parametrize("budget", [1, 2**30])
+    def test_search_results_do_not_depend_on_the_budget(self, monkeypatch, budget):
+        want = self.searches()
+        monkeypatch.setattr(prob, "BLOCK_ENTRIES", budget)
+        assert self.searches() == want
 
 
 class TestRandomRestart:

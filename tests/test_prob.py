@@ -2,21 +2,28 @@
 
 The assembly oracles here are deliberately dumb: nested loops over every
 index tuple, multiplying the factors one scalar at a time.  The production
-path goes through einsum, so agreement is meaningful.
+path is an in-place product of broadcast views, so agreement is meaningful.
+Its bits are pinned against ``np.einsum`` on the same operands, and the
+random draws against ``Generator.dirichlet``.
 """
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tworelay import prob
 from tworelay.prob import (
+    CANONICAL_ORDER,
     Alphabet,
     CondPmf,
     JointPmf,
     NetworkChannel,
     ResourceLimitError,
     T1Law,
+    T2Law,
     ValidationError,
     assemble_joint,
     assemble_joint_t1,
@@ -26,6 +33,8 @@ from tworelay.prob import (
     marginalize,
     point_mass,
     random_channel,
+    random_joints,
+    random_law,
     random_t1_law,
     random_t2_law,
     uniform_cond,
@@ -372,3 +381,219 @@ def test_random_laws_are_reproducible():
     b = random_t1_law(np.random.default_rng(123), ch)
     np.testing.assert_array_equal(a.px0_given_x1x2.mass, b.px0_given_x1x2.mass)
     np.testing.assert_array_equal(a.pyh1_given_x1y1.mass, b.pyh1_given_x1y1.mass)
+
+
+# ---------------------------------------------------------------------------
+# random draws: Dirichlet(1, ..., 1) rows from one exponential stream
+# ---------------------------------------------------------------------------
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def random_sizes(rng):
+    """Alphabet sizes 1-3 for every variable."""
+    return {v: int(rng.integers(1, 4)) for v in CANONICAL_ORDER}
+
+
+def dirichlet_twin(rng, given, target):
+    """The rows ``Generator.dirichlet`` draws for p(target | given)."""
+    k = int(np.prod([a.size for a in target]))
+    rows = rng.dirichlet(np.ones(k), size=int(np.prod([a.size for a in given])))
+    return rows.reshape(tuple(a.size for a in given + target))
+
+
+def stacks_checked_by(monkeypatch):
+    """Record, per stack of :func:`random_joints`, every array it checks, by
+    the name it checks it under."""
+    checked_mass = prob._checked_mass
+    stacks = []
+
+    def spy(mass, shape, n_given, where):
+        out = checked_mass(mass, shape, n_given, where)
+        if where.startswith("channel"):
+            stacks.append({})
+        stacks[-1][where] = out
+        return out
+
+    monkeypatch.setattr(prob, "_checked_mass", spy)
+    return stacks
+
+
+class TestExponentialDraws:
+    def test_rows_are_dirichlet_rows_bit_for_bit(self):
+        for k, n, seed in itertools.product(range(1, 10), range(1, 65), range(50)):
+            got = prob._dirichlet_rows(np.random.default_rng([seed, k, n]), n, k)
+            want = np.random.default_rng([seed, k, n]).dirichlet(np.ones(k), size=n)
+            assert same_bits(got, want), (k, n, seed)
+
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    def test_channel_and_law_are_sequential_dirichlet_calls(self, family):
+        for seed in range(20):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            sizes = random_sizes(np.random.default_rng([seed, 1]))
+            channel = random_channel(rng, sizes)
+            transition = channel.transition
+            assert same_bits(transition.mass, dirichlet_twin(twin, transition.given, transition.target))
+            law = random_law(family, rng, channel, sizes)
+            for f in family.factors:
+                pmf = getattr(law, f.name)
+                assert same_bits(pmf.mass, dirichlet_twin(twin, pmf.given, pmf.target)), f.name
+
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    def test_one_stream_per_generator_is_its_dirichlet_calls(self, family, monkeypatch):
+        """Every stacked operand of :func:`random_joints` holds, per pair, the
+        rows of one ``dirichlet`` call per tensor on the pair's generator, in
+        draw order, and every stacked joint is ``np.einsum``'s product of them."""
+        checked = stacks_checked_by(monkeypatch)
+        count = 2 * prob.STACK_ENTRIES // 2 ** len(prob._product_plan(family)[2]) + 3
+        list(random_joints(family, (np.random.default_rng([11, i]) for i in range(count))))
+        names, terms, out_ids = prob._product_plan(family)
+        ids = dict(zip(names, terms))
+        n_given = {None: 3} | {f.name: len(f.given) for f in family.factors}
+        drawn = (None,) + tuple(n_given)[1:]  # the channel, then field order
+        twins = [np.random.default_rng([11, i]) for i in range(count)]
+        pair = 0
+        for stack in checked:
+            n = len(stack["JointPmf stack"])
+            for m in drawn:
+                got = stack[f"{m or 'channel'} stack"]
+                k, rows = 2 ** (len(ids[m]) - n_given[m]), 2 ** n_given[m]
+                for i in range(n):
+                    want = twins[pair + i].dirichlet(np.ones(k), size=rows)
+                    assert same_bits(got[i], want.reshape((2,) * len(ids[m]))), (m, pair + i)
+            operands = [stack[f"{m or 'channel'} stack"] for m in names]
+            want = np.einsum(einsum_spec(terms, out_ids, stacked=True), *operands)
+            assert same_bits(stack["JointPmf stack"], want)
+            pair += n
+        assert pair == count and len(checked) == 3
+
+
+# ---------------------------------------------------------------------------
+# the joint product against np.einsum on the same operands
+# ---------------------------------------------------------------------------
+
+LETTER = dict(zip(CANONICAL_ORDER, "abcdefghij"))
+
+
+def einsum_spec(terms, out_ids, stacked=False):
+    """The einsum spec of a product with no summed index."""
+    letters = lambda ids: ("..." if stacked else "") + "".join(LETTER[v] for v in ids)
+    return ",".join(map(letters, terms)) + "->" + letters(out_ids)
+
+
+def operands_of(channel, law):
+    names = prob._product_plan(type(law))[0]
+    return [channel.transition.mass if n is None else getattr(law, n).mass for n in names]
+
+
+def with_signed_zeros(law, rng):
+    """``law`` with about a third of each factor's rows made one-hot, their
+    zeros stored as -0.0, which the product must turn into 0.0 as einsum
+    does."""
+    parts = {}
+    for f in law.factors:
+        pmf = getattr(law, f.name)
+        k = int(np.prod([a.size for a in pmf.target]))
+        rows = pmf.mass.reshape(-1, k).copy()
+        for r in np.flatnonzero(rng.random(len(rows)) < 0.34):
+            rows[r] = -0.0
+            rows[r, rng.integers(k)] = 1.0
+        mass = rows.reshape(pmf.mass.shape)
+        parts[f.name] = (JointPmf(pmf.target, mass) if not f.given
+                         else CondPmf(pmf.given, pmf.target, mass))
+    return dataclasses.replace(law, **parts)
+
+
+def random_pair(family, seed):
+    rng = np.random.default_rng([seed, 2])
+    sizes = random_sizes(rng)
+    channel = random_channel(rng, sizes)
+    law = random_law(family, rng, channel, sizes)
+    return channel, (with_signed_zeros(law, rng) if seed % 2 else law)
+
+
+def einsum_slab(channel, law, name, cell):
+    """:func:`slice_slab` as an einsum with the factor replaced by ones."""
+    names, terms, out_ids = prob._product_plan(type(law))
+    factor = next(f for f in law.factors if f.name == name)
+    at = dict(zip(factor.given, cell))
+    operands = []
+    for n, ids, mass in zip(names, terms, operands_of(channel, law)):
+        mass = mass[tuple(slice(at[v], at[v] + 1) if v in at else slice(None) for v in ids)]
+        operands.append(np.ones(mass.shape) if n == name else mass)
+    out = factor.target + tuple(v for v in out_ids if v not in factor.target)
+    slab = np.einsum(einsum_spec(terms, out), *operands)
+    k = int(np.prod([a.size for a in getattr(law, name).target]))
+    shape = tuple(1 if v in at or v in factor.target else slab.shape[out.index(v)] for v in out_ids)
+    return slab.reshape((k,) + shape)
+
+
+class TestProduct:
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    def test_assembly_is_einsum_bit_for_bit(self, family):
+        names, terms, out_ids = prob._product_plan(family)
+        for seed in range(300):
+            channel, law = random_pair(family, seed)
+            want = np.einsum(einsum_spec(terms, out_ids), *operands_of(channel, law))
+            assert same_bits(assemble_joint(channel, law).mass, want), seed
+
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    def test_slabs_are_einsum_bit_for_bit(self, family):
+        for seed in range(40):
+            channel, law = random_pair(family, seed)
+            for f in law.factors:
+                given = tuple(a.size for a in getattr(law, f.name).given)
+                for cell in np.ndindex(given):
+                    got = prob.slice_slab(channel, law, f.name, cell)
+                    assert same_bits(got, einsum_slab(channel, law, f.name, cell)), (seed, f.name)
+
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_stacked_product_is_einsum_bit_for_bit(self, family, n):
+        names, terms, out_ids = prob._product_plan(family)
+        for seed in range(20):
+            rng = np.random.default_rng([seed, n])
+            pairs = []
+            for _ in range(n):
+                channel = random_channel(rng, BINARY_SIZES)
+                law = random_law(family, rng, channel, {})
+                pairs.append(operands_of(channel, with_signed_zeros(law, rng)))
+            operands = [np.stack(stack) for stack in zip(*pairs)]
+            shape = (n,) + (2,) * len(out_ids)
+            got = prob._product(operands, [("stack",) + ids for ids in terms],
+                                ("stack",) + out_ids, shape)
+            want = np.einsum(einsum_spec(terms, out_ids, stacked=True), *operands)
+            assert same_bits(got, want), seed
+
+    def test_output_is_the_one_allocation(self, monkeypatch):
+        """The product's peak is its output plus the operands: it allocates
+        the output once, through ``np.empty``, and beyond it only the
+        ufunc iterator's bounded buffer (``np.getbufsize()`` elements)."""
+        sizes = dict.fromkeys(CANONICAL_ORDER, 3)
+        rng = np.random.default_rng(5)
+        channel = random_channel(rng, sizes)
+        law = random_law(T2Law, rng, channel, sizes)
+        names, terms, out_ids = prob._product_plan(T2Law)
+        operands, shape = operands_of(channel, law), (3,) * len(out_ids)
+        empty, calls = np.empty, []
+        spy = lambda shape, *args, **kwargs: calls.append(shape) or empty(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "empty", spy)
+        tracemalloc.start()
+        try:
+            out = prob._product(operands, terms, out_ids, shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [shape]
+        assert out.nbytes <= peak <= out.nbytes + 8 * np.getbufsize() + 16 * 1024
+        assert out.nbytes > 4 * (8 * np.getbufsize() + 16 * 1024)  # a temporary would show
+
+    def test_cap_comes_before_the_allocation(self, monkeypatch):
+        channel = random_channel(np.random.default_rng(0), BINARY_SIZES)
+        law = random_t1_law(np.random.default_rng(1), channel)
+        monkeypatch.setattr(np, "empty", lambda *a, **k: pytest.fail("allocated over the cap"))
+        monkeypatch.setattr(prob, "MAX_JOINT_ENTRIES", 255)
+        with pytest.raises(ResourceLimitError, match="joint of 256 entries, cap is 255"):
+            assemble_joint(channel, law)
