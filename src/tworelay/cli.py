@@ -123,7 +123,7 @@ def cmd_fm(args) -> int:
     reduced = fm.eliminate_all(system, eliminate)
     # written only once the check has run, so a refused check prints nothing
     text = fm.format_system(reduced)
-    note = f"{len(system.inequalities)} rows -> {len(reduced.inequalities)}"
+    note = f"{len(system.coef)} rows -> {len(reduced.coef)}"
 
     if args.check_against is not None:
         tags = [s for s in (args.which, args.check_against) if s in ("t1", "t2")]

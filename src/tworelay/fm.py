@@ -12,19 +12,21 @@ claims are settled numerically on sampled bindings, never syntactically.
 A :class:`RateSystem` is its coefficient matrix: one int64 row per
 inequality, each row scaled to a primitive integer vector, as FME-IT treats
 a system (Gattegno, Goldfeld and Permuter, "Fourier-Motzkin elimination
-software for information theoretic inequalities", 2016).  Elimination and
-pruning run on that matrix.  Rationals appear only at its edges: the
-:class:`Inequality` rows that :meth:`RateSystem.of` takes and
-``system.inequalities`` gives back normalized, and the text format.
+software for information theoretic inequalities", 2016).  Elimination,
+pruning and the text format run on that matrix.  Rationals appear only at
+its edges: the :class:`Inequality` rows that :meth:`RateSystem.of` takes and
+``system.inequalities`` gives back normalized.
 
 Pruning has one rule: a row goes when another row, or the always-true
 ``0 <= 0``, implies it for nonnegative symbols, and of equal rows the first
 stays.  The numeric check projects each system onto RB once, by the same
 elimination with every variable nonnegative, and reads the exact maximum of
-RB on each binding off the projected rows: floats with a proven error bound
-decide what they can, exact integers the rest (Dantzig and Eaves,
-"Fourier-Motzkin elimination and its dual", 1973; Shewchuk, "Adaptive
-precision floating-point arithmetic", 1997).  The simplex of
+RB on each binding off the projected rows.  A sampled binding holds floats,
+each the exact dyadic rational its entropy terms produce.  Floats with a
+proven error bound decide what they can; only the rows they leave open are
+summed exactly, in Fractions of the values those rows use (Dantzig and
+Eaves, "Fourier-Motzkin elimination and its dual", 1973; Shewchuk,
+"Adaptive precision floating-point arithmetic", 1997).  The simplex of
 :mod:`tworelay.lp` only re-checks a disagreement; the tests hold the
 projection to it.
 
@@ -41,6 +43,7 @@ module.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -50,7 +53,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import prob
-from .info import InfoQuery, term_plan
+from .info import InfoQuery, entropy, term_plan
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from .prob import (
     LAW_FAMILIES,
@@ -61,13 +64,13 @@ from .prob import (
 from .rates import THEOREMS, Scheme
 
 EQUIV_TOL = 1e-6
-# sampled bindings held at once; each t2 binding takes about 4.7 KB, so the
-# cap bounds a sample near 0.5 GB.  The joints behind them are built in
+# sampled bindings held at once; each t2 binding takes about 0.9 KB, so the
+# cap bounds a sample near 90 MB.  The joints behind them are built in
 # stacks of at most prob.STACK_ENTRIES entries, so the transient arrays do
 # not grow with the count.
 MAX_BINDINGS = 100_000
 # rows one elimination step may form; the builtin reductions peak at 173,
-# their projections onto RB at 462
+# their projections onto RB at 462, all of which the projection keeps
 MAX_FM_ROWS = 1000
 # every stored row coefficient is below this in magnitude, so that a sum of
 # two products of coefficients stays inside int64
@@ -121,7 +124,8 @@ class RateSystem:
         column = {k: j for j, k in enumerate(variables + symbols)}
         coef = np.zeros((len(rows), len(column)), dtype=np.int64)
         for line, row in zip(coef, rows):
-            terms = [(column[k], Fraction(c)) for k, c in row.coeffs.items() if c]
+            terms = [(column[k], c if isinstance(c, (int, Fraction)) else Fraction(c))
+                     for k, c in row.coeffs.items() if c]
             scale = math.lcm(*(c.denominator for _, c in terms))
             ints = [c.numerator * (scale // c.denominator) for _, c in terms]
             g = math.gcd(*ints) or 1
@@ -147,7 +151,9 @@ class RateSystem:
     def _projection(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """The rows closed, with every variable nonnegative, projected onto
         RB on first use: rows ``rb * RB + coef . s <= 0`` over the named
-        symbols, which :func:`max_rate` reads."""
+        symbols, which :func:`max_rate` reads.  The last step's rows are
+        kept unpruned: the reading is exact either way, and the floats
+        settle a dominated row at a fraction of what pruning it costs."""
         n, k, m = len(self.variables), len(self.symbols), len(self.coef)
         closed = RateSystem(np.concatenate([self.coef, np.eye(n, n + k, dtype=np.int64) * -1]),
                             np.zeros(m + n, dtype=bool),
@@ -326,17 +332,19 @@ def prune(system: RateSystem) -> RateSystem:
 
 
 def _eliminate_all(system: RateSystem, todo: list[str]) -> RateSystem:
-    """Eliminate and prune, cheapest pairing count first."""
+    """Eliminate, cheapest pairing count first, pruning between steps; the
+    last step's rows come back unpruned.  A variable that some step left
+    unreferenced is gone already."""
 
     def cost(v: str) -> int:
-        a = system.coef[:, system.variables.index(v)] if v in system.variables else np.zeros(0)
+        a = system.coef[:, system.variables.index(v)]
         return int((a > 0).sum()) * int((a < 0).sum())
 
-    while todo:
-        var = min(todo, key=lambda v: (cost(v), v))
-        todo.remove(var)
-        if var in system.variables:  # else already dropped as unreferenced
-            system = prune(eliminate(system, var))
+    left = lambda: [v for v in todo if v in system.variables]
+    while left():
+        system = eliminate(system, min(left(), key=lambda v: (cost(v), v)))
+        if left():
+            system = prune(system)
     return system
 
 
@@ -347,7 +355,8 @@ def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
     for var in todo:
         if var not in system.variables:
             raise ValidationError(f"variable {var!r} not in system")
-    return _eliminate_all(system, todo)
+    out = _eliminate_all(system, todo)
+    return out if out is system else prune(out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,29 +364,26 @@ def eliminate_all(system: RateSystem, variables: Iterable[str]) -> RateSystem:
 # ---------------------------------------------------------------------------
 
 
-def _binding(plan, marginals: np.ndarray) -> dict[str, Fraction]:
-    """Every query of ``plan`` as an exact rational, by name, from one
-    joint's marginal stack."""
-    return {str(q): Fraction(v) for q, v in zip(plan.queries, plan.terms(marginals).tolist())}
-
-
-def binding_of(joint, which: str) -> dict[str, Fraction]:
-    """Evaluate every information symbol of one scheme family on a joint."""
+def binding_of(joint, which: str) -> dict[str, float]:
+    """Evaluate every information symbol of one scheme family on a joint:
+    a mapping from symbol name to its value, a float and so an exact dyadic
+    rational."""
     plan = term_plan(_scheme(which, "binding family").queries, joint.ids, joint.mass.shape)
-    return _binding(plan, plan.marginals(joint.mass))
+    return dict(zip(map(str, plan.queries), plan.terms(plan.marginals(joint.mass)).tolist()))
 
 
-def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fraction]]:
+def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, float]]:
     """Evaluate every information symbol on seeded random binary channel+law pairs.
 
     Draw ``i`` is the pair that ``random_channel`` and then ``random_law``
     draw from ``default_rng([seed, i])``, bit for bit, though each pair is
     drawn by one ``standard_exponential`` call on its generator.  The
     joints come in stacks (:func:`tworelay.prob.random_joints`), each built
-    by one in-place product, and each stack's marginals in one pass; the
-    terms are taken one joint at a time, so each binding is the one
-    :func:`binding_of` gives for its joint.  Returns one mapping from
-    symbol name to exact rational value per draw.
+    by one in-place product; each stack's marginals and their entropies
+    take one pass, and each joint's entropies are signed into terms alone
+    (:meth:`tworelay.info._TermPlan.signed`), so each binding is the one
+    :func:`binding_of` gives for its joint, bit for bit.  Returns one
+    mapping from symbol name to float value per draw.
     """
     if which not in LAW_FAMILIES:
         raise ValidationError(f"unknown binding family {which!r}")
@@ -390,35 +396,67 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, Fractio
     out = []
     for ids, stack in random_joints(LAW_FAMILIES[which], rngs):
         plan = term_plan(queries, ids, stack.shape[1:])
-        out += [_binding(plan, marginals) for marginals in plan.marginals(stack)]
+        names = list(map(str, plan.queries))
+        out += [dict(zip(names, plan.signed(h).tolist()))
+                for h in entropy(plan.marginals(stack), plan.offsets)]
     return out
 
 
-def _table(bindings: Sequence[Mapping[str, Fraction]], names: Sequence[str]):
-    """The bindings' values over ``names``: exact, as floats, and per binding
-    an absolute error floor.  The floor is 0 when every value is 0 or a
+def _refused(name: str, value) -> ValidationError:
+    return ValidationError(f"a binding gives {name} the value {value!r}, not a finite real number")
+
+
+def _exact(name: str, value) -> Fraction:
+    """A binding value as an exact rational: a non-number, NaN or an
+    infinity is refused."""
+    if isinstance(value, numbers.Number):
+        try:
+            return Fraction(value)
+        except (TypeError, ValueError, OverflowError):  # complex, NaN, infinite
+            pass
+    raise _refused(name, value)
+
+
+def _table(bindings: Sequence[Mapping[str, float | Fraction]], names: Sequence[str]):
+    """The bindings' values over ``names``: each binding's values, as floats
+    and per binding an absolute error floor.
+
+    A binding of Python floats is kept as it is, since each float is an
+    exact dyadic rational.  Any other is made exact (:func:`_exact`) and
+    rounded to floats correctly.  The floor is 0 when every value is 0 or a
     normal float; 2**-1000 when one lies below the normal range, which
     bounds every underflowed product of a coefficient below 2**31; and
     infinite when one does not fit a float, which leaves all of that
-    binding to exact arithmetic."""
+    binding to exact arithmetic.  Pruning takes every symbol nonnegative,
+    so a negative value is refused, judged on the exact value: -0.0 is 0,
+    and a negative rational that rounds to -0.0 is refused."""
     try:
-        exact = [[v if type(v) is Fraction else Fraction(v)
-                  for v in map(binding.__getitem__, names)] for binding in bindings]
+        rows = [list(map(binding.__getitem__, names)) for binding in bindings]
     except KeyError as exc:
         raise ValidationError(f"binding is missing symbol {exc.args[0]}") from None
-    floats, floor, negative = np.zeros((len(exact), len(names))), np.zeros(len(exact)), False
-    for i, values in enumerate(exact):
+    floats, floor = np.zeros((len(rows), len(names))), np.zeros(len(rows))
+    negative = lambda j: ValidationError(f"a binding gives {names[j]} a negative value")
+    for i, values in enumerate(rows):
+        if {*map(type, values)} <= {float}:
+            floats[i] = values
+            continue
+        rows[i] = values = list(map(_exact, names, values))
+        for j, v in enumerate(values):
+            if v < 0:
+                raise negative(j)
         try:
             floats[i] = [v.numerator / v.denominator for v in values]  # correctly rounded
         except OverflowError:
-            floats[i], floor[i] = 0.0, np.inf
-            negative |= min(values) < 0
-    if negative or np.signbit(floats).any():  # pruning takes every symbol nonnegative
-        raise ValidationError("a binding gives a symbol a negative value")
+            floor[i] = np.inf
+    if not np.isfinite(floats).all():  # only a float can be NaN or infinite
+        i, j = np.argwhere(~np.isfinite(floats))[0].tolist()
+        raise _refused(names[j], rows[i][j])
+    if (floats < 0).any():
+        raise negative(np.argwhere(floats < 0)[0, 1])
     for i, j in zip(*np.nonzero(floats < 2.0**-1022)):
-        if exact[i][j]:
+        if rows[i][j]:
             floor[i] = max(floor[i], 2.0**-1000)
-    return exact, floats, floor
+    return rows, floats, floor
 
 
 def _screen(rb: np.ndarray, coef: np.ndarray, x: np.ndarray, floor: np.ndarray):
@@ -454,24 +492,29 @@ def _screen(rb: np.ndarray, coef: np.ndarray, x: np.ndarray, floor: np.ndarray):
 
 def _solve(system: RateSystem, names: Sequence[str], table) -> list[tuple[str, Fraction | None]]:
     """Status and exact maximum of RB on every binding of ``table``, read
-    off the projection, a bounded block of bindings at a time."""
+    off the projection, a bounded block of bindings at a time.  A binding
+    the screen settles builds no Fraction; any other has the values in the
+    columns of its unsure rows made exact, each once."""
     if "RB" not in system.variables:
         raise ValidationError("objective variable 'RB' not in system")
     symbols, rb, coef = system._projection
-    exact, floats, floor = table
+    rows, floats, floor = table
     cols = [names.index(name) for name in symbols]
-    lines, rb_list, bounded = coef.tolist(), rb.tolist(), bool((rb > 0).any())
+    rb_list, bounded = rb.tolist(), bool((rb > 0).any())
     out = []
     step = max(1, prob.BLOCK_ENTRIES // max(1, len(rb)))
-    for start in range(0, len(exact), step):
+    for start in range(0, len(rows), step):
         block = slice(start, start + step)
         screened = _screen(rb, coef, floats[block][:, cols], floor[block])
-        for values, infeasible, unsure in zip(exact[block], *screened):
+        for values, infeasible, unsure in zip(rows[block], *screened):
             if infeasible:
                 out.append((INFEASIBLE, None))
                 continue
-            dot = lambda j: sum((c * values[k] for c, k in zip(lines[j], cols) if c), Fraction(0))
-            check = [(j, dot(j)) for j in np.flatnonzero(unsure).tolist()]
+            lines = coef[unsure]
+            exact = [Fraction(values[k]) if u else None
+                     for k, u in zip(cols, lines.any(axis=0).tolist())]
+            check = [(j, sum((c * x for c, x in zip(line, exact) if c), Fraction(0)))
+                     for j, line in zip(np.flatnonzero(unsure).tolist(), lines.tolist())]
             if any(rb_list[j] == 0 and s > 0 for j, s in check):
                 out.append((INFEASIBLE, None))
             elif not bounded:
@@ -483,7 +526,7 @@ def _solve(system: RateSystem, names: Sequence[str], table) -> list[tuple[str, F
     return out
 
 
-def _simplex(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
+def _simplex(system: RateSystem, binding: Mapping[str, float | Fraction]) -> LpResult:
     """The exact simplex of :mod:`tworelay.lp` on the system's bound rows."""
     n, values = len(system.variables), [Fraction(binding[str(s)]) for s in system.symbols]
     rows = [({v: c for v, c in zip(system.variables, line) if c},
@@ -492,14 +535,17 @@ def _simplex(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
     return maximize({"RB": 1}, rows, system.variables)
 
 
-def max_rate(system: RateSystem, binding: Mapping[str, Fraction]) -> LpResult:
+def max_rate(system: RateSystem, binding: Mapping[str, float | Fraction]) -> LpResult:
     """Exact max of the rate RB over the closure of the system, every
     variable and symbol nonnegative: the simplex's status and value,
     without the point.
 
-    Strict rows are relaxed to non-strict; the closure has the same
-    supremum.  The answer is read off the system's projection onto RB,
-    computed once per system.
+    ``binding`` maps each symbol's name to a finite nonnegative number: a
+    float, taken as the exact rational it is, or any rational (a Fraction
+    or an int); anything else raises :class:`ValidationError`.  Strict rows
+    are relaxed to non-strict; the closure has the same supremum.  The
+    answer is read off the system's projection onto RB, computed once per
+    system.
     """
     names = [str(s) for s in system.symbols]
     return LpResult(*_solve(system, names, _table([binding], names))[0])
@@ -540,12 +586,14 @@ class EquivReport:
 def numeric_equiv(
     sys_a: RateSystem,
     sys_b: RateSystem,
-    bindings: Sequence[Mapping[str, Fraction]],
+    bindings: Sequence[Mapping[str, float | Fraction]],
 ) -> EquivReport:
     """Compare two systems by their exact max rate RB on each binding.
 
     Both systems read every binding off their projections (see
-    :func:`max_rate`).  A disagreement is what a not-equivalent verdict
+    :func:`max_rate`), from one table of the bindings' values: a binding
+    that the floats settle for a system costs that system no exact
+    arithmetic.  A disagreement is what a not-equivalent verdict
     rests on, so each disagreeing binding is solved again by the simplex of
     :mod:`tworelay.lp` on both systems, and a different answer raises.
     An empty binding list is an error: agreement over no bindings says nothing.
@@ -572,23 +620,33 @@ def numeric_equiv(
 # ---------------------------------------------------------------------------
 
 
-def _term(text: str, lineno: int) -> tuple[Fraction, str]:
-    """The coefficient and identifier of one term, as :data:`_TERM` reads it."""
+def _term(text: str, lineno: int) -> tuple[int | Fraction, str]:
+    """The coefficient and identifier of one term, as :data:`_TERM` reads
+    it; an integer coefficient is an int."""
     match = _TERM.fullmatch(text)
     if match:
         try:
-            return Fraction(match[1]), match[2]
+            return (Fraction if "/" in match[1] else int)(match[1]), match[2]
         except ValueError:  # more digits than int() converts
             pass
     raise ValidationError(f"line {lineno}: malformed term {text!r}")
 
 
+def _ratio(c: int, lead: int) -> str:
+    """``c / lead`` for ``lead > 0``, written as ``str(Fraction)`` writes it."""
+    g = math.gcd(c, lead)
+    return str(c // g) if g == lead else f"{c // g}/{lead // g}"
+
+
 def format_system(system: RateSystem) -> str:
-    """Canonical text form: header line, then one normalized row per line."""
+    """Canonical text form: header line, then one normalized row per line,
+    written from the integer rows."""
+    names = [str(k) for k in system.variables + system.symbols]
     lines = ["vars: " + " ".join(system.variables)]
-    for row in system.inequalities:
-        body = " + ".join(f"{c}*{k}" for k, c in row.coeffs.items()) or "0"
-        lines.append(f"{body} {'<' if row.strict else '<='} 0  # {row.provenance}")
+    for line, lead, strict, provenance in zip(system.coef.tolist(), _leads(system.coef).tolist(),
+                                              system.strict.tolist(), system.provenance):
+        body = " + ".join(f"{_ratio(c, lead)}*{names[j]}" for j, c in enumerate(line) if c) or "0"
+        lines.append(f"{body} {'<' if strict else '<='} 0  # {provenance}")
     return "\n".join(lines) + "\n"
 
 
@@ -618,7 +676,7 @@ def parse_system(text: str) -> RateSystem:
                 break
         else:
             raise ValidationError(f"line {lineno}: missing '< 0' or '<= 0'")
-        coeffs: dict[str | InfoQuery, Fraction] = {}
+        coeffs: dict[str | InfoQuery, int | Fraction] = {}
         if body.strip() != "0":
             for term in body.split(" + "):
                 coeff, key = _term(term.strip(), lineno)
@@ -629,7 +687,7 @@ def parse_system(text: str) -> RateSystem:
                         except ValidationError as exc:
                             raise ValidationError(f"line {lineno}: {exc}") from None
                     key = symbols[key]
-                coeffs[key] = coeffs.get(key, 0) + coeff
+                coeffs[key] = coeffs[key] + coeff if key in coeffs else coeff
         rows.append(Inequality(coeffs, strict, provenance))
     if variables is None:
         raise ValidationError("missing 'vars:' header line")

@@ -131,8 +131,9 @@ class _TermPlan:
 
     Evaluation is step 1 of every rate evaluation: :meth:`marginals` turns a
     joint into its marginal stack and :meth:`terms` turns a marginal stack
-    into the query values.  Both work along the trailing axes, so a stack of
-    joints or of marginal vectors is evaluated in one pass.
+    into the query values, by one :func:`entropy` pass and :meth:`signed`.
+    All three work along the trailing axes, so a stack of joints or of
+    marginal vectors is evaluated in one pass.
     """
 
     names: tuple[str, ...]
@@ -158,7 +159,15 @@ class _TermPlan:
     def terms(self, marginals: np.ndarray) -> np.ndarray:
         """Every query's value, in ``names`` order along the last axis, from a
         marginal stack; clamped and checked like :func:`term_values`."""
-        values = entropy(marginals, self.offsets) @ self.signs.T
+        return self.signed(entropy(marginals, self.offsets))
+
+    def signed(self, entropies: np.ndarray) -> np.ndarray:
+        """The query values from subset entropies (:func:`entropy` of the
+        marginal stack at ``offsets``), clamped and checked.  A stack is
+        signed by one matrix product, whose last bits can differ from
+        signing each row alone; a caller that needs one joint's own bits
+        signs its row by itself."""
+        values = entropies @ self.signs.T
         low = values < -ZERO_CLAMP
         if low.any():
             at = tuple(np.argwhere(low)[0])

@@ -7,6 +7,7 @@ the two systems genuinely part ways, to pin down that numeric_equiv reports
 the disagreement instead of papering over it.
 """
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -479,6 +480,26 @@ class TestEliminateAll:
         with pytest.raises(ValidationError):
             fm.eliminate_all(fm.builtin_system("t1"), ["RH1", "nope"])
 
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_projection_leaves_its_last_step_unpruned(self, monkeypatch, which):
+        calls = {"eliminate": 0, "prune": 0}
+        for name in calls:
+            step = getattr(fm, name)
+            monkeypatch.setattr(fm, name, lambda *args, _name=name, _step=step: (
+                calls.__setitem__(_name, calls[_name] + 1) or _step(*args)))
+        raw = fm.builtin_system(which)
+        fresh = fm.RateSystem(raw.coef, raw.strict, raw.provenance, raw.variables, raw.symbols)
+        fresh._projection
+        assert calls["eliminate"] > 1
+        assert calls["prune"] == calls["eliminate"] - 1
+        # eliminate_all still prunes after its last step
+        calls.update(eliminate=0, prune=0)
+        red = fm.eliminate_all(raw, HELPERS[which])
+        assert calls["prune"] == calls["eliminate"] > 1
+        again = fm.prune(red)
+        assert np.array_equal(again.coef, red.coef) and np.array_equal(again.strict, red.strict)
+        assert again.provenance == red.provenance
+
 
 class TestNumericEquiv:
     def test_identical_systems(self):
@@ -644,6 +665,7 @@ class TestSampleBindings:
         want = one_at_a_time(which, count, seed)
         assert got == want
         assert [list(b) for b in got] == [list(b) for b in want]
+        assert all(type(v) is float for b in got for v in b.values())
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
     def test_stacks_fill_the_entry_bound(self, which):
@@ -854,6 +876,96 @@ class TestProjectionOracle:
             fm.numeric_equiv(red, tgt, [binding])
 
 
+def float_value():
+    """Floats a binding may hold: 0, ordinary values, subnormals, 2**-1000
+    and values near 2**1000, where a coefficient times a value overflows."""
+    return st.one_of(
+        st.just(0.0),
+        st.just(2.0**-1000),
+        st.floats(0.0, 4.0),
+        st.floats(5e-324, 2.0**-1022, exclude_max=True),
+        st.floats(2.0**999, 2.0**1001),
+    )
+
+
+class TestFloatBindings:
+    """A binding's floats are exact dyadic rationals: reading them as floats
+    gives what their Fractions give, and only unsure rows pay for Fractions."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_float_binding_matches_its_fractions(self, data):
+        s = six_system(*data.draw(st.sampled_from(SIX)))
+        binding = {str(q): data.draw(float_value()) for q in s.symbols}
+        got = fm.max_rate(s, binding)
+        assert answer(got) == answer(fm.max_rate(s, {k: Fraction(v) for k, v in binding.items()}))
+        assert got.value is None or type(got.value) is Fraction
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_seeded_floats_match_the_simplex(self, which):
+        s = six_system(which, "reduced")
+        for binding in fm.sample_bindings(which, 20, seed=12):
+            exact = {k: Fraction(v) for k, v in binding.items()}
+            assert answer(fm.max_rate(s, binding)) == answer(oracle(s, exact))
+
+    def test_no_fraction_for_bindings_the_screen_settles(self, monkeypatch):
+        red, tgt = six_system("t2", "reduced"), six_system("t2", "target")
+        settled, built = [], []
+        screen = fm._screen
+
+        def spy_screen(*args):
+            infeasible, unsure = screen(*args)
+            settled.append(bool(infeasible.all()))
+            return infeasible, unsure
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return Fraction(*args)
+
+        monkeypatch.setattr(fm, "_screen", spy_screen)
+        monkeypatch.setattr(fm, "Fraction", Counted)
+        # sampled t2 bindings are nearly all settled infeasible; steps of
+        # 1/64, as floats, reach optima
+        names = sorted({str(q) for q in red.symbols + tgt.symbols})
+        steps = rational_bindings(np.random.default_rng(5), names, 20)
+        costs = []
+        for binding in fm.sample_bindings("t2", 60, seed=8) + [
+                {k: float(v) for k, v in b.items()} for b in steps]:
+            settled.clear()
+            built.clear()
+            fm.numeric_equiv(red, tgt, [binding])
+            costs.append((settled == [True, True], len(built)))
+        assert {n for screened, n in costs if screened} == {0}
+        assert any(screened for screened, _ in costs)
+        assert any(n for screened, n in costs if not screened)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+        "0.5", None, 1j, [0.5],
+    ], ids=["nan", "inf", "-inf", "numpy-nan", "str", "none", "complex", "list"])
+    @pytest.mark.parametrize("with_fraction", [False, True])
+    def test_non_number_refused_by_name(self, value, with_fraction):
+        s = system([cap({"RB": 1}, {A: -1}), cap({"RB": 1}, {B: -1})], ("RB",))
+        binding = {str(A): Fraction(1, 3) if with_fraction else 0.25, str(B): value}
+        with pytest.raises(ValidationError, match=r"gives I\(Yh2;Y2\|X2\) the value .*not a finite"):
+            fm.max_rate(s, binding)
+        with pytest.raises(ValidationError, match=r"I\(Yh2;Y2\|X2\)"):
+            fm.numeric_equiv(s, s, [{str(A): 0.5, str(B): 0.5}, binding])
+
+    def test_negative_zero_is_zero(self):
+        s = system([cap({"RB": 1}, {A: -1}), cap({}, {B: 1})], ("RB",))
+        for a in (0.0, -0.0, Fraction(0)):
+            for b in (0.0, -0.0, 0):
+                assert answer(fm.max_rate(s, {str(A): a, str(B): b})) == (OPTIMAL, Fraction(0))
+
+    @pytest.mark.parametrize("value", [-0.5, -5e-324, Fraction(-1, 10**400), np.float64(-1.0)])
+    def test_negative_refused_by_name(self, value):
+        s = system([cap({"RB": 1}, {A: -1}), cap({"RB": 1}, {B: -1})], ("RB",))
+        with pytest.raises(ValidationError, match=r"gives I\(Yh2;Y2\|X2\) a negative value"):
+            fm.max_rate(s, {str(A): 0.25, str(B): value})
+
+
 class TestSchemeReduction:
     """The headline derivations, on seeded real-law bindings."""
 
@@ -1014,6 +1126,20 @@ class TestTextFormat:
         assert fm.format_system(fm.parse_system(text)) == text
         assert sorted(texts) == sorted(set(texts))
         assert len(texts) == len(fm.builtin_system("t2").symbols)
+
+    @pytest.mark.parametrize("which, kind", SIX)
+    def test_integer_rows_need_no_fraction(self, monkeypatch, which, kind):
+        text = fm.format_system(six_system(which, kind))
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                built.append(args)
+                return super().__new__(cls, *args)
+
+        monkeypatch.setattr(fm, "Fraction", Counted)
+        assert fm.format_system(fm.parse_system(text)) == text
+        assert len(built) == len(re.findall(r"[0-9]/[0-9]", text))
 
     def test_zero_row_round_trips(self):
         s = system(
