@@ -31,7 +31,7 @@ print(f"compression-only system: {len(system.inequalities)} rows, "
       f"variables {', '.join(system.variables)}")
 
 for var in ("RH1", "RH2", "RS1", "RS2"):
-    system = fm.prune(fm.eliminate(system, var))
+    system = fm.eliminate_all(system, [var])
     print(f"  after eliminating {var}: {len(system.inequalities)} rows, "
           f"variables {', '.join(system.variables) or '(none)'}")
 

@@ -63,8 +63,6 @@ from .rates import (
     T1Rates,
     T2Rates,
     embed_t1_in_t2,
-    eval_proof_system_t1,
-    eval_proof_system_t2,
     eval_theorem1,
     eval_theorem2,
     solve_df_rates,
@@ -121,8 +119,6 @@ __all__ = [
     "eliminate_all",
     "embed_t1_in_t2",
     "entropy",
-    "eval_proof_system_t1",
-    "eval_proof_system_t2",
     "eval_theorem1",
     "eval_theorem2",
     "format_system",

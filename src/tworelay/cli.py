@@ -12,12 +12,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable
+from dataclasses import fields
+from typing import Callable, get_type_hints
 
 from . import fm, io, sim
-from .optimize import SearchConfig, optimize_t1, optimize_t2
+from .optimize import MODES, SearchConfig, optimize_t1, optimize_t2
 from .prob import InvariantError, ResourceLimitError, ValidationError
-from .rates import T1Rates, eval_theorem1, eval_theorem2
+from .rates import THEOREMS, T1Rates, eval_theorem1, eval_theorem2
 
 LN2 = math.log(2.0)
 
@@ -74,18 +75,7 @@ def cmd_eval(args) -> int:
 
 def cmd_optimize(args) -> int:
     channel = io.load_channel(args.channel)
-    cfg = SearchConfig(
-        mode=args.mode,
-        resolution=args.resolution,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        yh1_size=args.yh1_size,
-        yh2_size=args.yh2_size,
-        v1_size=args.v1_size,
-        v2_size=args.v2_size,
-    )
+    cfg = SearchConfig(**{f.name: getattr(args, f.name) for f in fields(SearchConfig)})
     run = optimize_t1 if args.theorem == "t1" else optimize_t2
     result = run(channel, cfg)
     payload = result.to_dict()
@@ -104,7 +94,7 @@ def cmd_optimize(args) -> int:
 
 def _system_from(source: str, builtin: Callable[[str], fm.RateSystem]) -> fm.RateSystem:
     """``builtin(source)`` for a builtin tag, else the system in that file."""
-    if source in ("t1", "t2"):
+    if source in THEOREMS:
         return builtin(source)
     with open(source, encoding="utf-8") as handle:
         return fm.parse_system(handle.read())
@@ -114,7 +104,7 @@ def cmd_fm(args) -> int:
     system = _system_from(args.which, fm.builtin_system)
     if args.eliminate is not None:
         eliminate = tuple(args.eliminate)
-    elif args.which in ("t1", "t2"):
+    elif args.which in THEOREMS:
         # a builtin system's internal rates: those its target set lacks
         kept = fm.target_system(args.which).variables
         eliminate = tuple(v for v in system.variables if v not in kept)
@@ -126,7 +116,7 @@ def cmd_fm(args) -> int:
     note = f"{len(system.coef)} rows -> {len(reduced.coef)}"
 
     if args.check_against is not None:
-        tags = [s for s in (args.which, args.check_against) if s in ("t1", "t2")]
+        tags = [s for s in (args.which, args.check_against) if s in THEOREMS]
         if not tags:
             raise ValidationError(
                 "numeric check needs a builtin tag (t1 or t2) as the system "
@@ -195,7 +185,7 @@ def cmd_sim(args) -> int:
     cfg = sim.SimConfig(
         n=args.n,
         blocks=args.blocks,
-        rates=T1Rates(args.rbar, args.rh1, args.rh2, args.rs1, args.rs2),
+        rates=T1Rates(**{f.name: getattr(args, f.name) for f in fields(T1Rates)}),
         typicality=sim.TypicalityParams(args.eps),
         trials=args.trials,
         seed=args.seed,
@@ -221,24 +211,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one law on one channel")
     p_eval.add_argument("--channel", required=True, help="channel JSON file")
     p_eval.add_argument("--law", required=True, help="law JSON file")
-    p_eval.add_argument("--theorem", required=True, choices=("t1", "t2"))
+    p_eval.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
     p_eval.add_argument("--nats", action="store_true",
                         help="report information values in nats instead of bits")
     p_eval.set_defaults(func=cmd_eval)
 
     p_opt = sub.add_parser("optimize", help="search for a high-rate law")
     p_opt.add_argument("--channel", required=True, help="channel JSON file")
-    p_opt.add_argument("--theorem", required=True, choices=("t1", "t2"))
-    p_opt.add_argument("--mode", default="grid", choices=("grid", "random-restart"))
-    p_opt.add_argument("--resolution", type=int, default=8)
-    p_opt.add_argument("--restarts", type=int, default=8)
-    p_opt.add_argument("--max-iter", type=int, default=24)
-    p_opt.add_argument("--seed", type=int, default=0)
-    p_opt.add_argument("--tolerance", type=float, default=1e-6)
-    p_opt.add_argument("--yh1-size", type=int, default=2)
-    p_opt.add_argument("--yh2-size", type=int, default=2)
-    p_opt.add_argument("--v1-size", type=int, default=2)
-    p_opt.add_argument("--v2-size", type=int, default=2)
+    p_opt.add_argument("--theorem", required=True, choices=tuple(THEOREMS))
+    types = get_type_hints(SearchConfig)
+    for f in fields(SearchConfig):
+        p_opt.add_argument(f"--{f.name.replace('_', '-')}", type=types[f.name],
+                           default=f.default, choices=MODES if f.name == "mode" else None)
     p_opt.add_argument("--jobs", type=int, default=1,
                        help="accepted for compatibility; restarts run serially")
     p_opt.add_argument("--nats", action="store_true",
@@ -266,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--eps", type=float, default=0.2,
                        help="typicality tolerance")
     p_sim.add_argument("--seed", type=int, default=None)
-    for name in ("rbar", "rh1", "rh2", "rs1", "rs2"):
-        p_sim.add_argument(f"--{name}", type=float, default=0.0)
+    for f in fields(T1Rates):
+        p_sim.add_argument(f"--{f.name}", type=float, default=0.0)
     p_sim.add_argument("--csv", action="store_true",
                        help="emit the one-row CSV instead of JSON")
     p_sim.add_argument("--sweep", nargs=2, default=None,

@@ -174,20 +174,19 @@ def channel_preset(name: str, **options) -> NetworkChannel:
         each output is the sender's bit through an independent symmetric
         flip; ``crossover`` maps output name to its flip probability.
     """
+    given = tuple(Alphabet(v, 2) for v in CHANNEL_INPUTS)
     if name == "identity-direct":
         if options:
             raise ValidationError(f"identity-direct takes no options, got {sorted(options)}")
-        x0, x1, x2 = Alphabet("X0", 2), Alphabet("X1", 2), Alphabet("X2", 2)
-        y0, y1, y2 = Alphabet("Y0", 2), Alphabet("Y1", 1), Alphabet("Y2", 1)
+        target = tuple(map(Alphabet, CHANNEL_OUTPUTS, (2, 1, 1)))
         mass = np.zeros((2, 2, 2, 2, 1, 1))
         for a in range(2):
             mass[a, :, :, a, 0, 0] = 1.0
-        return NetworkChannel(CondPmf((x0, x1, x2), (y0, y1, y2), mass))
+        return NetworkChannel(CondPmf(given, target, mass))
     if name == "all-noise":
         if options:
             raise ValidationError(f"all-noise takes no options, got {sorted(options)}")
-        given = tuple(Alphabet(v, 2) for v in ("X0", "X1", "X2"))
-        target = tuple(Alphabet(v, 2) for v in ("Y0", "Y1", "Y2"))
+        target = tuple(Alphabet(v, 2) for v in CHANNEL_OUTPUTS)
         mass = np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)
         return NetworkChannel(CondPmf(given, target, mass))
     if name == "binary-symmetric-links":
@@ -197,20 +196,19 @@ def channel_preset(name: str, **options) -> NetworkChannel:
                 f"binary-symmetric-links options: {sorted(options)} not understood"
             )
         flips = {}
-        for var in ("Y0", "Y1", "Y2"):
+        for var in CHANNEL_OUTPUTS:
             p = _convert(float, crossover.pop(var, 0.1), f"crossover for {var}")
             if not 0.0 <= p <= 0.5:
                 raise ValidationError(f"crossover for {var} must be in [0, 1/2], got {p}")
             flips[var] = p
         if crossover:
             raise ValidationError(f"unknown crossover keys {sorted(crossover)}")
-        given = tuple(Alphabet(v, 2) for v in ("X0", "X1", "X2"))
-        target = tuple(Alphabet(v, 2) for v in ("Y0", "Y1", "Y2"))
+        target = tuple(Alphabet(v, 2) for v in CHANNEL_OUTPUTS)
         mass = np.zeros((2, 2, 2, 2, 2, 2))
         for x0v in range(2):
             for outs in np.ndindex(2, 2, 2):
                 prob = 1.0
-                for var, out in zip(("Y0", "Y1", "Y2"), outs):
+                for var, out in zip(CHANNEL_OUTPUTS, outs):
                     prob *= (1 - flips[var]) if out == x0v else flips[var]
                 mass[(x0v, slice(None), slice(None)) + outs] = prob
         return NetworkChannel(CondPmf(given, target, mass))

@@ -259,14 +259,6 @@ class NetworkChannel:
                 return a
         raise ValidationError(f"channel has no variable {var_id!r}")
 
-    @property
-    def input_sizes(self) -> tuple[int, int, int]:
-        return tuple(a.size for a in self.transition.given)
-
-    @property
-    def output_sizes(self) -> tuple[int, int, int]:
-        return tuple(a.size for a in self.transition.target)
-
 
 class Factor(NamedTuple):
     """One factor p(target | given) of a law family, by variable ids."""

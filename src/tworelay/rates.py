@@ -11,13 +11,13 @@ Two rate expressions are supported:
   by an inner maximization against upper bounds (6), (7) and (8) (each with
   two min branches) and added to the objective.
 
-Both evaluators also expose the underlying per-stage inequality systems,
-(9)-(19) and (20)-(34), for pointwise rate tuples.  Each constraint set is
-declared once, as row code written with numpy operators only, and
-:mod:`tworelay.fm` evaluates that same code on unit integer vectors, one per
-``InfoQuery`` symbol and rate variable, to build the coefficient matrices its
-polyhedral reduction checks.  The terms themselves are evaluated by
-:func:`tworelay.info.term_values`.
+Both schemes also declare their per-stage proof systems, (9)-(19) and
+(20)-(34), as rows over a rate tuple (``proof_rows_t1``/``_t2``).  Each
+constraint set is declared once, as row code written with numpy operators
+only, and :mod:`tworelay.fm` evaluates that same code on unit integer
+vectors, one per ``InfoQuery`` symbol and rate variable, to build the
+coefficient matrices its polyhedral reduction checks.  The terms themselves
+are evaluated by :func:`tworelay.info.term_values`.
 
 Feasibility policy: the existence conditions are open (strict) and a
 constraint counts as satisfied only when its slack exceeds 1e-9 bits.  Chosen
@@ -35,6 +35,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .info import InfoQuery, term_values
+from .io import FORMAT_VERSION
 from .prob import (
     Alphabet,
     CondPmf,
@@ -145,7 +146,7 @@ class RateReport:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "objective_bits": self.objective_bits,
             "constraints": [
                 {"label": c.label, "lhs": c.lhs, "rhs": c.rhs, "satisfied": c.satisfied}
@@ -383,27 +384,6 @@ def eval_theorem2(
         raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
     t = term_values(assemble_joint(channel, law), T2_QUERIES)
     return _report(channel, law, theorem2_outcome(t, df_rates))
-
-
-# ---------------------------------------------------------------------------
-# pointwise proof systems
-# ---------------------------------------------------------------------------
-
-
-def eval_proof_system_t1(
-    channel: NetworkChannel, law: T1Law, rates: T1Rates
-) -> tuple[ConstraintCheck, ...]:
-    """Check one rate tuple against the per-stage compress-and-forward system."""
-    t = term_values(assemble_joint(channel, law), T1_QUERIES)
-    return tuple(_check(*row) for row in proof_rows_t1(t, rates))
-
-
-def eval_proof_system_t2(
-    channel: NetworkChannel, law: T2Law, rates: T2Rates
-) -> tuple[ConstraintCheck, ...]:
-    """Check one rate tuple against the per-stage hybrid system."""
-    t = term_values(assemble_joint(channel, law), T2_QUERIES)
-    return tuple(_check(*row) for row in proof_rows_t2(t, rates))
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
+from .io import FORMAT_VERSION
 from .prob import (
     CondPmf,
     JointPmf,
@@ -244,8 +245,7 @@ class SimConfig:
             raise ValidationError(f"trials {self.trials} < 1")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} < 0")
-        for name in ("rbar", "rh1", "rh2", "rs1", "rs2"):
-            rate = getattr(self.rates, name)
+        for name, rate in asdict(self.rates).items():
             if not math.isfinite(rate):
                 raise ValidationError(f"rate {name} is {rate}, not a finite number")
             if rate < 0:
@@ -263,9 +263,7 @@ class SimConfig:
             )
 
     def quantized_rates(self) -> T1Rates:
-        q = lambda r: quantize_rate(r, self.n)
-        r = self.rates
-        return T1Rates(q(r.rbar), q(r.rh1), q(r.rh2), q(r.rs1), q(r.rs2))
+        return T1Rates(*(quantize_rate(r, self.n) for r in astuple(self.rates)))
 
     def book_sizes(self) -> dict[str, int]:
         r, n = self.rates, self.n
@@ -325,19 +323,13 @@ class SimStats:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "kind": "simulation",
             "n": self.n,
             "blocks": self.blocks,
             "trials": self.trials,
             "blocks_decoded": self.blocks_decoded,
-            "quantized_rates": {
-                "rbar": self.quantized_rates.rbar,
-                "rh1": self.quantized_rates.rh1,
-                "rh2": self.quantized_rates.rh2,
-                "rs1": self.quantized_rates.rs1,
-                "rs2": self.quantized_rates.rs2,
-            },
+            "quantized_rates": asdict(self.quantized_rates),
             "stage_errors": {stage: self.stage_errors[stage] for stage in STAGES},
         }
 
@@ -379,11 +371,9 @@ def _lookup(cdf: np.ndarray, cells: np.ndarray, u: np.ndarray) -> np.ndarray:
     entries at or below the uniform, as ``searchsorted(..., side="right")``
     does.  This is what one ``rng.choice(targets, p=row)`` call per position
     draws.  ``cells`` broadcasts against the uniforms, which lie in [0, 1).
-    A one-row table is searched directly; otherwise the row entries are
-    gathered, and the last one, exactly 1, is never at or below a uniform.
+    The row entries are gathered and all but the last are counted: the last,
+    exactly 1, is never at or below a uniform.
     """
-    if len(cdf) == 1:
-        return cdf[0].searchsorted(u, side="right")
     rows = cdf[cells]
     drawn = np.zeros(u.shape, dtype=np.int64)
     for target in range(cdf.shape[1] - 1):

@@ -1,5 +1,6 @@
 """End-to-end behavior of the command line front end."""
 
+import argparse
 import csv
 import io as stdio
 import json
@@ -8,7 +9,9 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import tworelay
 from tworelay import cli, fm
 from tworelay import io as tio
 from tworelay.io import channel_preset
+from tworelay.optimize import MODES, SearchConfig
 from tworelay.prob import (
     Alphabet,
     MAX_JOINT_ENTRIES,
@@ -31,7 +35,7 @@ from tworelay.prob import (
     uniform_pmf,
     uniform_t1_law,
 )
-from tworelay.rates import T1_QUERIES, T2_QUERIES
+from tworelay.rates import T1_QUERIES, T2_QUERIES, T1Rates
 
 GOLDEN = Path(__file__).parent / "golden"
 T2_SIZES = {"V1": 2, "V2": 2, "Yh1": 2, "Yh2": 2}
@@ -632,6 +636,77 @@ class TestSim:
         assert code == 2
         assert err.startswith("error: ")
         assert out == ""
+
+
+def subcommand(name):
+    """The ``tworelay name`` parser of a freshly built command line."""
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[name]
+
+
+class Captured(Exception):
+    """Carries what a stubbed library call was given out of ``cli.main``."""
+
+
+class TestRunSurface:
+    """Each run option is declared once, in the library: the command line
+    derives its flags, defaults and choices from ``SearchConfig``, ``MODES``
+    and ``T1Rates``, and its help text stays as captured."""
+
+    @pytest.mark.parametrize("command", ["tworelay", "eval", "optimize", "fm", "sim"])
+    def test_help_golden(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+        argv = [] if command == "tworelay" else [command]
+        with pytest.raises(SystemExit) as done:
+            cli.build_parser().parse_args(argv + ["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out == (GOLDEN / f"help_{command}.out").read_text(encoding="utf-8")
+
+    def test_one_optimize_flag_per_search_setting(self):
+        actions = subcommand("optimize")._actions
+        types = get_type_hints(SearchConfig)
+        for f in fields(SearchConfig):
+            (action,) = [a for a in actions if a.dest == f.name]
+            assert action.option_strings == [f"--{f.name.replace('_', '-')}"]
+            assert action.type is types[f.name]
+            assert action.default == f.default and type(action.default) is type(f.default)
+        (mode,) = [a for a in actions if a.dest == "mode"]
+        assert tuple(mode.choices) == MODES
+
+    def test_optimize_passes_every_setting_by_name(self, files, monkeypatch):
+        def stop(channel, cfg):
+            raise Captured(cfg)
+        monkeypatch.setattr(cli, "optimize_t1", stop)
+        types = get_type_hints(SearchConfig)
+        given, argv = {}, ["optimize", "--channel", files["chan"], "--theorem", "t1"]
+        for f in fields(SearchConfig):
+            if f.name == "mode":
+                value = next(m for m in MODES if m != f.default)
+            else:
+                value = types[f.name](f.default * 3 + 1)  # differs from the default
+            given[f.name] = value
+            argv += [f"--{f.name.replace('_', '-')}", str(value)]
+        with pytest.raises(Captured) as caught:
+            cli.main(argv)
+        assert caught.value.args[0] == SearchConfig(**given)
+
+    def test_one_sim_flag_per_rate(self):
+        actions = subcommand("sim")._actions
+        for f in fields(T1Rates):
+            (action,) = [a for a in actions if a.dest == f.name]
+            assert action.option_strings == [f"--{f.name}"]
+            assert action.type is float and action.default == 0.0
+
+    def test_sim_rates_reach_the_run_in_field_order(self, files, capsys):
+        # distinct multiples of 1/n, so quantization keeps each one
+        rates = {f.name: (k + 1) / 4 for k, f in enumerate(fields(T1Rates))}
+        argv = ["sim", "--channel", files["chan_noiseless"], "--law", files["law_pinned"],
+                "--n", "4", "--blocks", "2", "--trials", "1", "--seed", "0"]
+        argv += [arg for name, rate in rates.items() for arg in (f"--{name}", str(rate))]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(out)["quantized_rates"] == rates
 
 
 def _entry_point_wrapper(bindir):

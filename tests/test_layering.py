@@ -41,9 +41,7 @@ PERFBENCH_LAYERS = ROOT / "perfbench" / "layers.py"
 
 # exports with no caller yet, each awaiting one the roadmap names
 UNCALLED_EXPORTS = {
-    "embed_t1_in_t2",  # the t1-t2 gap search (roadmap item 3)
-    "eval_proof_system_t1",  # per-stage checks of a reported tuple (item 9)
-    "eval_proof_system_t2",
+    "embed_t1_in_t2",  # warm starts of an alphabet-size sweep (roadmap item 9)
 }
 
 

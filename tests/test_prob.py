@@ -70,10 +70,11 @@ def brute_force_joint_t1(channel, law):
 
 def brute_force_joint_t2(channel, law):
     """Scalar-loop product of the seven law factors and the channel factor."""
+    channel_shape = channel.transition.mass.shape
     shape = (
-        channel.input_sizes
+        channel_shape[:3]
         + (law.pv1_given_x1.target[0].size, law.pv2_given_x2.target[0].size)
-        + channel.output_sizes
+        + channel_shape[3:]
         + (law.pyh1_given_x1v1y1.target[0].size, law.pyh2_given_x2v2y2.target[0].size)
     )
     out = np.zeros(shape)

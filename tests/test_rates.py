@@ -15,12 +15,14 @@ Two hand-analyzed channels carry most of the load:
 import numpy as np
 import pytest
 
+from tworelay.info import term_values
 from tworelay.prob import (
     Alphabet,
     CondPmf,
     NetworkChannel,
     T1Law,
     ValidationError,
+    assemble_joint,
     deterministic_cond,
     random_channel,
     random_t1_law,
@@ -28,11 +30,11 @@ from tworelay.prob import (
     uniform_pmf,
 )
 from tworelay.rates import (
+    THEOREMS,
     T1Rates,
     T2Rates,
+    _check,
     embed_t1_in_t2,
-    eval_proof_system_t1,
-    eval_proof_system_t2,
     eval_theorem1,
     eval_theorem2,
     solve_df_rates,
@@ -211,12 +213,20 @@ class TestTheorem2:
         ]
 
 
+def proof_checks(ch, law, rates):
+    """Every per-stage proof row of ``law``'s theorem at one rate tuple,
+    checked under the same feasibility policy as the theorem rows."""
+    scheme = THEOREMS[law.theorem]
+    t = term_values(assemble_joint(ch, law), scheme.queries)
+    return tuple(_check(*row) for row in scheme.proof_rows(t, rates))
+
+
 class TestProofSystemT1:
     def test_interior_point_all_satisfied(self):
         ch = parity_pair_channel()
         law = constant_relay_law(ch, [0.9, 0.1])
         rates = T1Rates(rbar=0.2, rh1=0.05, rh2=0.05, rs1=0.6, rs2=0.6)
-        checks = eval_proof_system_t1(ch, law, rates)
+        checks = proof_checks(ch, law, rates)
         assert len(checks) == 11
         assert all(c.satisfied for c in checks), [
             (c.label, c.lhs, c.rhs) for c in checks if not c.satisfied
@@ -231,7 +241,7 @@ class TestProofSystemT1:
         from tworelay.rates import T1_QUERIES
         t = term_values(assemble_joint_t1(ch, law), T1_QUERIES)
         rates = T1Rates(rbar=0.0, rh1=t["cover1"], rh2=1.0, rs1=0.0, rs2=0.0)
-        checks = {c.label: c for c in eval_proof_system_t1(ch, law, rates)}
+        checks = {c.label: c for c in proof_checks(ch, law, rates)}
         assert not checks["(9)"].satisfied
 
     def test_zero_rates_sign_pattern(self):
@@ -239,7 +249,7 @@ class TestProofSystemT1:
         ch = random_channel(rng, BINARY_SIZES)
         law = random_t1_law(rng, ch)
         zero = T1Rates(0.0, 0.0, 0.0, 0.0, 0.0)
-        checks = {c.label: c for c in eval_proof_system_t1(ch, law, zero)}
+        checks = {c.label: c for c in proof_checks(ch, law, zero)}
         # covering needs positive rate against positive cost
         for label in ("(9)", "(10)", "(11)", "(12)", "(13)"):
             assert not checks[label].satisfied
@@ -250,9 +260,9 @@ class TestProofSystemT1:
     def test_raising_rs1_relaxes_ambiguity_row(self):
         ch = parity_pair_channel()
         law = constant_relay_law(ch, [0.9, 0.1])
-        lo = {c.label: c for c in eval_proof_system_t1(
+        lo = {c.label: c for c in proof_checks(
             ch, law, T1Rates(0.1, 0.05, 0.05, 0.2, 0.2))}
-        hi = {c.label: c for c in eval_proof_system_t1(
+        hi = {c.label: c for c in proof_checks(
             ch, law, T1Rates(0.1, 0.05, 0.05, 0.4, 0.2))}
         assert hi["(17)"].rhs > lo["(17)"].rhs
         assert hi["(14)"].lhs > lo["(14)"].lhs
@@ -262,7 +272,7 @@ class TestProofSystemT2:
     def test_row_count_and_labels(self):
         ch = parity_pair_channel()
         law = embed_t1_in_t2(constant_relay_law(ch, [0.9, 0.1]))
-        checks = eval_proof_system_t2(ch, law, T2Rates(*([0.01] * 9)))
+        checks = proof_checks(ch, law, T2Rates(*([0.01] * 9)))
         assert [c.label for c in checks] == [f"({k})" for k in range(20, 35)]
 
     def test_interior_point_all_satisfied(self):
@@ -274,7 +284,7 @@ class TestProofSystemT2:
             r1=0.2, r21=0.0, r22=0.0, rh1=0.05, rh2=0.05,
             r011=0.3, r012=0.3, r021=0.3, r022=0.3,
         )
-        checks = {c.label: c for c in eval_proof_system_t2(ch, law, rates)}
+        checks = {c.label: c for c in proof_checks(ch, law, rates)}
         failing = [k for k, c in checks.items() if not c.satisfied]
         # (20) and (22) compare 0 < 0 on this law and stay boundary-violated
         assert failing == ["(20)", "(22)"]
@@ -284,9 +294,9 @@ class TestProofSystemT2:
         ch = random_channel(rng, BINARY_SIZES)
         law1 = random_t1_law(rng, ch)
         law2 = embed_t1_in_t2(law1)
-        t1 = {c.label: c for c in eval_proof_system_t1(
+        t1 = {c.label: c for c in proof_checks(
             ch, law1, T1Rates(0.1, 0.2, 0.2, 0.1, 0.1))}
-        t2 = {c.label: c for c in eval_proof_system_t2(
+        t2 = {c.label: c for c in proof_checks(
             ch, law2, T2Rates(0.1, 0.0, 0.0, 0.2, 0.2, 0.05, 0.05, 0.05, 0.05))}
         # covering and ambiguity MI terms coincide under the identity embedding
         assert t2["(21)"].rhs == pytest.approx(t1["(9)"].rhs, abs=1e-9)
