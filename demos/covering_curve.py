@@ -9,7 +9,7 @@ scheme.
 
 import numpy as np
 
-from tworelay import sim
+from tworelay import channel_preset, sim
 from tworelay.info import binary_entropy
 from tworelay.prob import (
     Alphabet,
@@ -83,14 +83,8 @@ cfg = sim.SimConfig(
     trials=25,
     seed=1,
 )
-axs = {v: Alphabet(v, 2) for v in ("X0", "X1", "X2", "Y0", "Y1", "Y2")}
-clean = np.zeros((2, 2, 2, 2, 2, 2))
-for a in range(2):
-    clean[a, :, :, a, a, a] = 1.0
-noiseless = NetworkChannel(
-    CondPmf((axs["X0"], axs["X1"], axs["X2"]),
-            (axs["Y0"], axs["Y1"], axs["Y2"]), clean)
-)
+axs = {v: Alphabet(v, 2) for v in ("X0", "X1", "X2", "Y1", "Y2")}
+noiseless = channel_preset("binary-symmetric-links", crossover={"Y0": 0, "Y1": 0, "Y2": 0})
 copy = np.arange(2)[None, :].repeat(2, axis=0)
 pinned = T1Law(
     point_mass(axs["X1"], 0),

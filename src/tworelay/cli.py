@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--n", type=int, default=8, help="block length")
     p_sim.add_argument("--blocks", type=int, default=3)
     p_sim.add_argument("--trials", type=int, default=20)
-    p_sim.add_argument("--eps", type=float, default=0.2,
+    p_sim.add_argument("--eps", type=float, default=sim.COVERING_EPSILON,
                        help="typicality tolerance")
     p_sim.add_argument("--seed", type=int, default=None)
     for f in fields(T1Rates):

@@ -162,8 +162,26 @@ def channel_from_dict(payload: dict) -> NetworkChannel:
         raise ValidationError(f"channel.transition: {exc}") from None
 
 
+# each output's binary-symmetric flip of X0, in CHANNEL_OUTPUTS order; None
+# is a one-letter output
+_FLIPS = {"identity-direct": (0.0, None, None), "all-noise": (0.5, 0.5, 0.5)}
+
+
+def _flip_channel(flips) -> NetworkChannel:
+    """Binary inputs, each output X0 through its own flip whatever X1 and X2.
+    The links multiply in output order, which fixes each entry's last bits."""
+    y0, y1, y2 = (np.ones((2, 1)) if p is None else np.array([[1 - p, p], [p, 1 - p]])
+                  for p in flips)
+    mass = y0[:, :, None, None] * y1[:, None, :, None] * y2[:, None, None, :]
+    given = tuple(Alphabet(v, 2) for v in CHANNEL_INPUTS)
+    target = tuple(map(Alphabet, CHANNEL_OUTPUTS, mass.shape[1:]))
+    mass = np.broadcast_to(mass[:, None, None], (2, 2, 2) + mass.shape[1:])
+    return NetworkChannel(CondPmf(given, target, mass))
+
+
 def channel_preset(name: str, **options) -> NetworkChannel:
-    """Small family of ready-made channels.
+    """Small family of ready-made channels, each a row of ``_FLIPS`` or, for
+    binary-symmetric-links, its ``crossover`` values.
 
     identity-direct:
         the receiver sees the sender's symbol verbatim; the relays observe
@@ -174,45 +192,26 @@ def channel_preset(name: str, **options) -> NetworkChannel:
         each output is the sender's bit through an independent symmetric
         flip; ``crossover`` maps output name to its flip probability.
     """
-    given = tuple(Alphabet(v, 2) for v in CHANNEL_INPUTS)
-    if name == "identity-direct":
-        if options:
-            raise ValidationError(f"identity-direct takes no options, got {sorted(options)}")
-        target = tuple(map(Alphabet, CHANNEL_OUTPUTS, (2, 1, 1)))
-        mass = np.zeros((2, 2, 2, 2, 1, 1))
-        for a in range(2):
-            mass[a, :, :, a, 0, 0] = 1.0
-        return NetworkChannel(CondPmf(given, target, mass))
-    if name == "all-noise":
-        if options:
-            raise ValidationError(f"all-noise takes no options, got {sorted(options)}")
-        target = tuple(Alphabet(v, 2) for v in CHANNEL_OUTPUTS)
-        mass = np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)
-        return NetworkChannel(CondPmf(given, target, mass))
     if name == "binary-symmetric-links":
         crossover = _convert(dict, options.pop("crossover", {}), "crossover")
         if options:
             raise ValidationError(
                 f"binary-symmetric-links options: {sorted(options)} not understood"
             )
-        flips = {}
+        flips = []
         for var in CHANNEL_OUTPUTS:
             p = _convert(float, crossover.pop(var, 0.1), f"crossover for {var}")
             if not 0.0 <= p <= 0.5:
                 raise ValidationError(f"crossover for {var} must be in [0, 1/2], got {p}")
-            flips[var] = p
+            flips.append(p)
         if crossover:
             raise ValidationError(f"unknown crossover keys {sorted(crossover)}")
-        target = tuple(Alphabet(v, 2) for v in CHANNEL_OUTPUTS)
-        mass = np.zeros((2, 2, 2, 2, 2, 2))
-        for x0v in range(2):
-            for outs in np.ndindex(2, 2, 2):
-                prob = 1.0
-                for var, out in zip(CHANNEL_OUTPUTS, outs):
-                    prob *= (1 - flips[var]) if out == x0v else flips[var]
-                mass[(x0v, slice(None), slice(None)) + outs] = prob
-        return NetworkChannel(CondPmf(given, target, mass))
-    raise ValidationError(f"unknown channel preset {name!r}")
+        return _flip_channel(flips)
+    if not isinstance(name, str) or name not in _FLIPS:  # a file's name may be unhashable
+        raise ValidationError(f"unknown channel preset {name!r}")
+    if options:
+        raise ValidationError(f"{name} takes no options, got {sorted(options)}")
+    return _flip_channel(_FLIPS[name])
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,11 @@ def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> boo
     ``sequences`` holds one integer array per joint axis, in axis order.
     True iff every cell's empirical frequency is within relative deviation
     epsilon of the cell mass, and exactly zero on zero-mass cells: every
-    cell count lies in its ``_count_windows`` window.
+    cell count lies in its ``_count_windows`` window.  A float ``params``
+    is the epsilon, checked as ``TypicalityParams`` checks it.
     """
-    eps = params.epsilon if isinstance(params, TypicalityParams) else float(params)
+    if not isinstance(params, TypicalityParams):
+        params = TypicalityParams(float(params))
     if len(sequences) != len(joint.axes):
         raise ValidationError(
             f"{len(sequences)} sequences for {len(joint.axes)} joint axes"
@@ -209,7 +211,8 @@ def typical(sequences, joint: JointPmf, params: TypicalityParams | float) -> boo
     n = len(seqs[0])
     if any(len(s) != n for s in seqs):
         raise ValidationError("sequences differ in length")
-    return bool(_typical_mask([s[None] for s in seqs], *_count_windows(joint.mass, n, eps))[0])
+    windows = _count_windows(joint.mass, n, params.epsilon)
+    return bool(_typical_mask([s[None] for s in seqs], *windows)[0])
 
 
 def quantize_rate(rate: float, n: int) -> float:
@@ -220,11 +223,30 @@ def quantize_rate(rate: float, n: int) -> float:
 def _book_size(rate: float, n: int) -> int:
     # every book size is a factor of the codeword total, so one book past the
     # cap is refused before 1 << exponent builds an arbitrarily large integer
-    if rate * n >= MAX_TOTAL_CODEWORDS.bit_length():
+    exponent = round(rate * n)
+    if exponent >= MAX_TOTAL_CODEWORDS.bit_length():
         raise ResourceLimitError(
-            f"a book of 2^{rate * n:.6g} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS}"
+            f"a book of 2^{exponent} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS}"
         )
-    return 1 << round(rate * n)
+    return 1 << exponent
+
+
+def _check_run(n: int, trials: int, seed: int, rates: dict[str, float]) -> None:
+    """Every run's checks: n, trials and seed in range, and each named rate
+    finite and nonnegative with a finite book exponent ``rate * n``."""
+    if n < 1:
+        raise ValidationError(f"block length {n} < 1")
+    if trials < 1:
+        raise ValidationError(f"trials {trials} < 1")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} < 0")
+    for name, rate in rates.items():
+        if not math.isfinite(rate):
+            raise ValidationError(f"rate {name} is {rate}, not a finite number")
+        if rate < 0:
+            raise ValidationError(f"rate {name} is negative")
+        if not math.isfinite(rate * n):
+            raise ValidationError(f"rate {name} at block length {n} overflows the book exponent")
 
 
 @dataclass(frozen=True)
@@ -237,19 +259,9 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValidationError(f"block length {self.n} < 1")
+        _check_run(self.n, self.trials, self.seed, asdict(self.rates))
         if self.blocks < 2:
             raise ValidationError(f"need at least 2 blocks, got {self.blocks}")
-        if self.trials < 1:
-            raise ValidationError(f"trials {self.trials} < 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed {self.seed} < 0")
-        for name, rate in asdict(self.rates).items():
-            if not math.isfinite(rate):
-                raise ValidationError(f"rate {name} is {rate}, not a finite number")
-            if rate < 0:
-                raise ValidationError(f"rate {name} is negative")
         total = self.total_codewords()
         if total > MAX_TOTAL_CODEWORDS:
             raise ResourceLimitError(
@@ -412,23 +424,21 @@ def build(joint: JointPmf, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMa
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
 
-    (x1,) = _draw(rng, _table(law.px1), (), sizes["s1"], n)
-    (x2,) = _draw(rng, _table(law.px2), (), sizes["s2"], n)
+    def book(pmf, count, *given_books):
+        # (count, *cells, n) codewords of ``pmf``, one draw of ``count`` per
+        # cell of the given books' indices, the cells in row-major order
+        table = _table(pmf)
+        out = np.empty((count, *map(len, given_books), n), dtype=np.int64)
+        for cell in np.ndindex(out.shape[1:-1]):
+            given = [b[c] for b, c in zip(given_books, cell)]
+            (out[(slice(None), *cell)],) = _draw(rng, table, given, count, n)
+        return out
 
-    x0 = np.empty((sizes["w"], sizes["s1"], sizes["s2"], n), dtype=np.int64)
-    x0_table = _table(law.px0_given_x1x2)
-    for s1 in range(sizes["s1"]):
-        for s2 in range(sizes["s2"]):
-            (x0[:, s1, s2],) = _draw(rng, x0_table, (x1[s1], x2[s2]), sizes["w"], n)
-
-    yh1_table = _table(conditional(joint, ("Yh1",), ("X1",)))
-    yh2_table = _table(conditional(joint, ("Yh2",), ("X2",)))
-    yh1 = np.empty((sizes["z1"], sizes["s1"], n), dtype=np.int64)
-    for s1 in range(sizes["s1"]):
-        (yh1[:, s1],) = _draw(rng, yh1_table, (x1[s1],), sizes["z1"], n)
-    yh2 = np.empty((sizes["z2"], sizes["s2"], n), dtype=np.int64)
-    for s2 in range(sizes["s2"]):
-        (yh2[:, s2],) = _draw(rng, yh2_table, (x2[s2],), sizes["z2"], n)
+    x1 = book(law.px1, sizes["s1"])
+    x2 = book(law.px2, sizes["s2"])
+    x0 = book(law.px0_given_x1x2, sizes["w"], x1, x2)
+    yh1 = book(conditional(joint, ("Yh1",), ("X1",)), sizes["z1"], x1)
+    yh2 = book(conditional(joint, ("Yh2",), ("X2",)), sizes["z2"], x2)
 
     bins = BinMaps(
         bin1=rng.integers(0, sizes["s1"], size=sizes["z1"]),
@@ -638,22 +648,11 @@ def covering_experiment(
     analytic path scores a slice of trials at a time; each trial keeps its
     own seeded draws, the pair and then one uniform.
     """
-    if n < 1:
-        raise ValidationError(f"block length {n} < 1")
+    _check_run(n, trials, seed, {"rh1": rh1})
     if n > MAX_SYMBOLS:
         raise ResourceLimitError(
             f"block length {n} exceeds the cap of {MAX_SYMBOLS} symbols"
         )
-    if trials < 1:
-        raise ValidationError(f"trials {trials} < 1")
-    if seed < 0:
-        raise ValidationError(f"seed {seed} < 0")
-    if not math.isfinite(rh1):
-        raise ValidationError(f"rate {rh1} is not a finite number")
-    if rh1 < 0:
-        raise ValidationError(f"negative rate {rh1}")
-    if not math.isfinite(rh1 * n):
-        raise ValidationError(f"rate {rh1} at block length {n} overflows the book exponent")
     eps = TypicalityParams(epsilon).epsilon
     joint = assemble_joint(channel, law)
     p_pair = marginalize(joint, ("X1", "Y1"))

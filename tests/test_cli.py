@@ -585,6 +585,33 @@ class TestSim:
         _, parallel, _ = run_cli(base + ["--jobs", "2"], capsys)
         assert serial == parallel
 
+    def test_sweep_default_eps_is_the_library_default(self, files, capsys):
+        # without --eps a sweep point is the library's own covering experiment,
+        # literal (n = 20) and analytic (n = 400) alike
+        ch, law = covering_pair()
+        for n, ranges in (("20", "0.1:0.3:0.1"), ("400", "0.15:0.25:0.05")):
+            code, out, _ = run_cli(
+                ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
+                 "--n", n, "--trials", "40", "--seed", "2", "--sweep", "rh1", ranges], capsys)
+            assert code == 0
+            rates = cli._parse_sweep_range(ranges)
+            fractions = [tworelay.sim.covering_experiment(law, ch, r, int(n), 40, 2)
+                         for r in rates]
+            assert out == "rh1,success_fraction\n" + "".join(
+                f"{r:.10g},{f:.10g}\n" for r, f in zip(rates, fractions))
+        assert cli.build_parser().parse_args(
+            ["sim", "--channel", "c", "--law", "l"]).eps == tworelay.sim.COVERING_EPSILON
+
+    def test_overflowing_book_exponent_exits_2(self, files, capsys):
+        # rate * n is infinite: an input error, as in a sweep, not a cap
+        for sweep in ([], ["--sweep", "rh1", "1e308:1e308:1e308"]):
+            code, out, err = run_cli(
+                ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
+                 "--n", "4", "--trials", "1", "--seed", "0", "--rh1", "1e308", *sweep], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == "error: rate rh1 at block length 4 overflows the book exponent\n"
+
     def test_sweep_validation(self, files, capsys):
         base = ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"],
                 "--n", "50", "--seed", "0", "--sweep"]

@@ -1,6 +1,7 @@
 """File format round-trips, channel presets, and loader error reporting."""
 
 import dataclasses
+import itertools
 import json
 import re
 from pathlib import Path
@@ -119,7 +120,49 @@ class TestChannelFiles:
             tio.channel_from_dict(payload)
 
 
+def reference_preset_mass(name, crossover=None):
+    """A preset's transition tensor filled cell by cell, one product over
+    the outputs per (x0, outputs) cell, as the presets were first written."""
+    if name == "identity-direct":
+        mass = np.zeros((2, 2, 2, 2, 1, 1))
+        for a in range(2):
+            mass[a, :, :, a, 0, 0] = 1.0
+        return mass
+    if name == "all-noise":
+        return np.full((2, 2, 2, 2, 2, 2), 1.0 / 8.0)
+    flips = {var: float((crossover or {}).get(var, 0.1)) for var in ("Y0", "Y1", "Y2")}
+    mass = np.zeros((2, 2, 2, 2, 2, 2))
+    for x0v in range(2):
+        for outs in np.ndindex(2, 2, 2):
+            prob = 1.0
+            for var, out in zip(("Y0", "Y1", "Y2"), outs):
+                prob *= (1 - flips[var]) if out == x0v else flips[var]
+            mass[(x0v, slice(None), slice(None)) + outs] = prob
+    return mass
+
+
 class TestPresets:
+    @pytest.mark.parametrize("name", ["identity-direct", "all-noise", "binary-symmetric-links"])
+    def test_no_option_presets_match_cell_reference_bytes(self, name):
+        got = channel_preset(name).transition.mass
+        want = reference_preset_mass(name)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_crossover_grid_matches_cell_reference_bytes(self):
+        grid = [0, 0.0, 0.05, 0.1, 0.25, 1 / 3, 0.4, 0.5]
+        for y0, y1, y2 in itertools.product(grid, repeat=3):
+            crossover = {"Y0": y0, "Y1": y1, "Y2": y2}
+            got = channel_preset("binary-symmetric-links", crossover=crossover).transition.mass
+            want = reference_preset_mass("binary-symmetric-links", crossover)
+            assert got.tobytes() == want.tobytes(), crossover
+            assert np.array_equal(np.signbit(got), np.signbit(want)), crossover
+        # an output left out takes the default flip
+        got = channel_preset("binary-symmetric-links", crossover={"Y1": 0.25}).transition.mass
+        want = reference_preset_mass("binary-symmetric-links", {"Y1": 0.25})
+        assert got.tobytes() == want.tobytes()
+
     def test_identity_direct_shape(self):
         channel = channel_preset("identity-direct")
         t = channel.transition
@@ -185,6 +228,10 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValidationError, match="unknown channel preset 'erasure'"):
             channel_preset("erasure")
+        for name in (["identity-direct"], {"all-noise": 1}, None):
+            payload = {"format_version": 1, "kind": "channel", "preset": name}
+            with pytest.raises(ValidationError, match="unknown channel preset"):
+                tio.channel_from_dict(payload)
 
     def test_dict_dispatch(self):
         """A file may name a preset instead of spelling out the tensor."""

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -440,6 +441,14 @@ class TestTypical:
             hits += typical([s[0] for s in sim._draw(rng, sim._table(j), (), 1, 10_000)], j, 0.1)
         assert hits == 100
 
+    @pytest.mark.parametrize("eps", [1.5, 0.0, 1.0, -0.1, float("nan")])
+    def test_epsilon_outside_the_open_unit_interval_rejected(self, eps):
+        # checked as TypicalityParams checks it, before any window is built:
+        # 1.5 and 0.0 would answer, and NaN would reach an integer cast
+        j = uniform_pmf(Alphabet("X0", 2))
+        with pytest.raises(ValidationError, match="epsilon must be in"):
+            typical((np.array([0, 1, 0, 1]),), j, eps)
+
     def test_arity_mismatch_rejected(self):
         j = uniform_pmf((Alphabet("X1", 2), Alphabet("Y1", 2)))
         with pytest.raises(ValidationError):
@@ -547,6 +556,43 @@ class TestSimConfig:
         with pytest.raises(ResourceLimitError):
             self.good(n=20, rates=T1Rates(1.0, 1.0, 1.0, 0.5, 0.5))
 
+    @pytest.mark.parametrize("exponent", [19.6, 20.0, 20.4])
+    def test_book_cap_decided_on_the_rounded_exponent(self, exponent):
+        # a book is sized by round(rate * n), so the cap reads the same number
+        with pytest.raises(ResourceLimitError, match=r"a book of 2\^20 codewords"):
+            self.good(n=10, rates=T1Rates(0, exponent / 10, 0, 0, 0))
+
+
+class TestRunChecks:
+    """``SimConfig`` and ``covering_experiment`` share one set of run checks
+    and refuse each bad input with the same message."""
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(n=0), "block length 0 < 1"),
+            (dict(trials=0), "trials 0 < 1"),
+            (dict(seed=-1), "seed -1 < 0"),
+            (dict(rate=float("nan")), "rate rh1 is nan, not a finite number"),
+            (dict(rate=float("inf")), "rate rh1 is inf, not a finite number"),
+            (dict(rate=-0.1), "rate rh1 is negative"),
+            (dict(n=4, rate=1e308), "rate rh1 at block length 4 overflows the book exponent"),
+        ],
+    )
+    def test_one_message_per_bad_input(self, kw, message):
+        run = dict(n=10, trials=2, seed=0, rate=0.1)
+        run.update(kw)
+        ch, law = covering_fixture(0.25)
+        refusals = []
+        with pytest.raises(ValidationError) as caught:
+            SimConfig(n=run["n"], blocks=2, rates=T1Rates(0, run["rate"], 0, 0, 0),
+                      typicality=TypicalityParams(0.2), trials=run["trials"], seed=run["seed"])
+        refusals.append(str(caught.value))
+        with pytest.raises(ValidationError) as caught:
+            covering_experiment(law, ch, run["rate"], run["n"], run["trials"], run["seed"])
+        refusals.append(str(caught.value))
+        assert refusals == [message, message]
+
 
 class TestBuild:
     def cfg(self, n=16, seed=0):
@@ -642,6 +688,35 @@ class TestBuild:
                 assert np.array_equal(got[name], array), name
         if seed % 2 and sizes["X1"] > 1:
             assert not np.any(books.x1 == 0)
+
+    @pytest.mark.parametrize(
+        "crossover, n, bits, seed, digest",
+        [
+            ((.05, .05, .05), 16, (2, 2, 2, 2, 2), 0,
+             "e94c0fe7f2b79cc0169ae27cc24bdbd0b08c1f9cafc3b5634474ee73f26425eb"),
+            (None, 8, (1, 2, 1, 1, 0), 9,
+             "6602cb495115069bd5baa18a9cc24f1439b880d5c5db7ae5d0addef68df5c7b2"),
+            ((.25, .1, .3), 5, (1, 1, 2, 2, 1), 3,
+             "32eda8823a5c6ade067d1ac3b06e44f24e90f9f8d46182e6357b6bfd206a0ddd"),
+        ],
+    )
+    def test_books_match_captured_bytes(self, crossover, n, bits, seed, digest):
+        # sha256 of every book and bin map (dtype, shape, bytes, in Codebooks
+        # field order, then bin1 and bin2): any change of draw order moves it
+        if crossover is None:
+            ch = channel_preset("identity-direct")
+        else:
+            ch = channel_preset("binary-symmetric-links",
+                                crossover=dict(zip(("Y0", "Y1", "Y2"), crossover)))
+        law = uniform_t1_law(ch)
+        cfg = SimConfig(n=n, blocks=2, rates=T1Rates(*(b / n for b in bits)),
+                        typicality=TypicalityParams(0.2), trials=1, seed=seed)
+        books, bins = build(assemble_joint_t1(ch, law), law, cfg)
+        h = hashlib.sha256()
+        for arr in (books.x1, books.x2, books.x0, books.yh1, books.yh2, bins.bin1, bins.bin2):
+            h.update(str((arr.dtype.str, arr.shape)).encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert h.hexdigest() == digest
 
     def test_pinned_law_gives_constant_codewords(self):
         ch = broadcast_channel()
