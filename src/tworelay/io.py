@@ -179,7 +179,7 @@ def _flip_channel(flips) -> NetworkChannel:
     return NetworkChannel(CondPmf(given, target, mass))
 
 
-def channel_preset(name: str, **options) -> NetworkChannel:
+def channel_preset(name: str, /, **options) -> NetworkChannel:
     """Small family of ready-made channels, each a row of ``_FLIPS`` or, for
     binary-symmetric-links, its ``crossover`` values.
 
@@ -190,17 +190,20 @@ def channel_preset(name: str, **options) -> NetworkChannel:
         every output is uniform regardless of all inputs.
     binary-symmetric-links:
         each output is the sender's bit through an independent symmetric
-        flip; ``crossover`` maps output name to its flip probability.
+        flip; ``crossover`` maps output name to its flip probability, a number.
     """
     if name == "binary-symmetric-links":
-        crossover = _convert(dict, options.pop("crossover", {}), "crossover")
+        crossover = dict(_object(options.pop("crossover", {}), "crossover"))
         if options:
             raise ValidationError(
                 f"binary-symmetric-links options: {sorted(options)} not understood"
             )
         flips = []
         for var in CHANNEL_OUTPUTS:
-            p = _convert(float, crossover.pop(var, 0.1), f"crossover for {var}")
+            p = crossover.pop(var, 0.1)
+            if isinstance(p, (bool, str)):
+                raise ValidationError(f"crossover for {var}: {p!r} is not a number")
+            p = _convert(float, p, f"crossover for {var}")
             if not 0.0 <= p <= 0.5:
                 raise ValidationError(f"crossover for {var} must be in [0, 1/2], got {p}")
             flips.append(p)

@@ -60,6 +60,7 @@ from . import io
 from .info import slab_cells, term_plan
 from .prob import (
     LAW_FAMILIES,
+    Alphabet,
     InvariantError,
     NetworkChannel,
     ResourceLimitError,
@@ -109,9 +110,8 @@ class SearchConfig:
             raise ValidationError(f"seed {self.seed} < 0")
         if not self.tolerance > 0:
             raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
-        for name in ("yh1_size", "yh2_size", "v1_size", "v2_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
+        for vid in ("Yh1", "Yh2", "V1", "V2"):  # each size by the one alphabet rule
+            Alphabet(vid, getattr(self, f"{vid.lower()}_size"))
 
 
 @dataclass(frozen=True)

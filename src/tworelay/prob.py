@@ -340,6 +340,14 @@ class T2Law(_Law):
 LAW_FAMILIES = {family.theorem: family for family in (T1Law, T2Law)}
 
 
+def check_family(law: Any, theorem: str) -> None:
+    """Refuse ``law`` unless it is of ``theorem``'s family: each scheme is
+    stated, evaluated and simulated for its own input-law family only."""
+    if not isinstance(law, LAW_FAMILIES[theorem]):
+        held = f"a {law.theorem} law" if isinstance(law, _Law) else f"a {type(law).__name__}"
+        raise ValidationError(f"the input holds {held}, but the requested theorem is {theorem}")
+
+
 @functools.cache
 def _product_plan(family: type):
     """The joint's product for a law family: its operands as factor names
@@ -490,17 +498,17 @@ def uniform_cond(
 
 
 def deterministic_cond(given: Sequence[Alphabet], target: Alphabet, table: np.ndarray) -> CondPmf:
-    """Conditional that maps each conditioning cell to one target letter."""
+    """Conditional that maps each conditioning cell to the letter its integer table entry names."""
     g = tuple(given)
-    table = np.asarray(table, dtype=int)
+    table = np.asarray(table)
     shape = tuple(a.size for a in g)
+    if table.dtype.kind not in "iu":
+        raise ValidationError(f"deterministic table of {table.dtype}, expected integers")
     if table.shape != shape:
         raise ValidationError(f"deterministic table shape {table.shape}, expected {shape}")
-    mass = np.zeros(shape + (target.size,))
-    it = np.nditer(table, flags=["multi_index"])
-    for val in it:
-        mass[it.multi_index + (int(val),)] = 1.0
-    return CondPmf(g, (target,), mass)
+    if table.min() < 0 or table.max() >= target.size:
+        raise ValidationError(f"deterministic table entries outside [0, {target.size})")
+    return CondPmf(g, (target,), np.eye(target.size)[table])
 
 
 def _normalize_rows(draws: np.ndarray) -> np.ndarray:

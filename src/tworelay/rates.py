@@ -44,6 +44,7 @@ from .prob import (
     T2Law,
     ValidationError,
     assemble_joint,
+    check_family,
 )
 
 STRICT_MARGIN = 1e-9
@@ -365,6 +366,7 @@ def _report(channel: NetworkChannel, law: T1Law | T2Law, outcome: Outcome) -> Ra
 
 def eval_theorem1(channel: NetworkChannel, law: T1Law) -> RateReport:
     """Compress-and-forward rate and its existence conditions for one law."""
+    check_family(law, "t1")
     t = term_values(assemble_joint(channel, law), T1_QUERIES)
     return _report(channel, law, theorem1_outcome(t))
 
@@ -380,6 +382,7 @@ def eval_theorem2(
     inner maximization; forcing (0, 0) reduces the scheme to pure
     compress-and-forward on the embedded family.
     """
+    check_family(law, "t2")
     if df_rates is not None and (df_rates[0] < 0.0 or df_rates[1] < 0.0):
         raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
     t = term_values(assemble_joint(channel, law), T2_QUERIES)
@@ -398,6 +401,7 @@ def embed_t1_in_t2(law: T1Law) -> T2Law:
     V2 = X2) and every other factor ignores them.  With the partial rates
     forced to zero the hybrid evaluation degenerates to the original scheme.
     """
+    check_family(law, "t1")
     t1 = {f.target: getattr(law, f.name) for f in law.factors}
     alphabet = {a.id: a for pmf in t1.values() for a in pmf.given + pmf.target}
     alphabet["V1"] = Alphabet("V1", alphabet["X1"].size)

@@ -62,6 +62,7 @@ from .prob import (
     T1Law,
     ValidationError,
     assemble_joint,
+    check_family,
     conditional,
     marginalize,
 )
@@ -232,8 +233,9 @@ def _book_size(rate: float, n: int) -> int:
 
 
 def _check_run(n: int, trials: int, seed: int, rates: dict[str, float]) -> None:
-    """Every run's checks: n, trials and seed in range, and each named rate
-    finite and nonnegative with a finite book exponent ``rate * n``."""
+    """Every run's checks: n, trials and seed in range, each named rate
+    finite and nonnegative with a finite book exponent ``rate * n``, and n
+    within the symbol cap."""
     if n < 1:
         raise ValidationError(f"block length {n} < 1")
     if trials < 1:
@@ -247,6 +249,8 @@ def _check_run(n: int, trials: int, seed: int, rates: dict[str, float]) -> None:
             raise ValidationError(f"rate {name} is negative")
         if not math.isfinite(rate * n):
             raise ValidationError(f"rate {name} at block length {n} overflows the book exponent")
+    if n > MAX_SYMBOLS:
+        raise ResourceLimitError(f"block length {n} exceeds the cap of {MAX_SYMBOLS} symbols")
 
 
 @dataclass(frozen=True)
@@ -420,6 +424,7 @@ def build(joint: JointPmf, law: T1Law, cfg: SimConfig) -> tuple[Codebooks, BinMa
     quantization books follow the compression variable's law given the relay
     input, the exact conditional of that joint.
     """
+    check_family(law, "t1")
     sizes = cfg.book_sizes()
     rng = np.random.default_rng([cfg.seed, 0])
     n = cfg.n
@@ -464,6 +469,7 @@ def run_cf(channel: NetworkChannel, law: T1Law, cfg: SimConfig) -> SimStats:
     """Run ``cfg.trials`` trials, a slice at a time in lockstep.  A covering
     miss is its trial's first failure, so the placeholder index it carries
     into the later stages never decides a count."""
+    check_family(law, "t1")
     joint = assemble_joint(channel, law)
     books, bins = build(joint, law, cfg)
     eps, n = cfg.typicality.epsilon, cfg.n
@@ -648,11 +654,8 @@ def covering_experiment(
     analytic path scores a slice of trials at a time; each trial keeps its
     own seeded draws, the pair and then one uniform.
     """
+    check_family(law, "t1")
     _check_run(n, trials, seed, {"rh1": rh1})
-    if n > MAX_SYMBOLS:
-        raise ResourceLimitError(
-            f"block length {n} exceeds the cap of {MAX_SYMBOLS} symbols"
-        )
     eps = TypicalityParams(epsilon).epsilon
     joint = assemble_joint(channel, law)
     p_pair = marginalize(joint, ("X1", "Y1"))
@@ -662,15 +665,10 @@ def covering_experiment(
     # 2^e <= c exactly when e < c.bit_length()
     exponent = round(rh1 * n)
     binary_book = p_triple.axes[-1].size == 2
-    literal = exponent < SMALL_BOOK_CUTOFF.bit_length() or not binary_book
-    if literal and exponent >= MAX_TOTAL_CODEWORDS.bit_length():
-        raise ResourceLimitError(
-            f"book of 2^{exponent} codewords exceeds the cap of {MAX_TOTAL_CODEWORDS} "
-            "and no analytic path exists for this quantization alphabet"
-        )
-
     successes, pair_table = 0, _table(p_pair)
-    if literal:
+    if exponent < SMALL_BOOK_CUTOFF.bit_length() or not binary_book:
+        # a small book, or one with no analytic path, is built within the codeword cap
+        size, step = _book_size(rh1, n), max(1, _SLICE // n)
         window = _count_windows(p_triple.mass, n, eps)
         book_table = _table(p_book)
         for trial in range(trials):
@@ -678,7 +676,6 @@ def covering_experiment(
             x1_seq, y1_seq = _draw(rng, pair_table, (), 1, n)
             # the book is drawn in entry order, a slice at a time, and the
             # search stops at the first slice holding a typical entry
-            size, step = 1 << exponent, max(1, _SLICE // n)
             for start in range(0, size, step):
                 (book,) = _draw(rng, book_table, (x1_seq,), min(step, size - start), n)
                 if _typical_mask((x1_seq, y1_seq, book), *window).any():

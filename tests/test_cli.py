@@ -201,12 +201,14 @@ class TestEval:
             assert row_n["satisfied"] == row_b["satisfied"]
 
     def test_law_kind_mismatch_exits_2(self, files, capsys):
-        code, out, err = run_cli(
-            ["eval", "--channel", files["chan"], "--law", files["law_t1"],
-             "--theorem", "t2"], capsys)
-        assert code == 2
-        assert out == ""
-        assert "holds a t1 law" in err
+        for held, theorem in (("t1", "t2"), ("t2", "t1")):
+            code, out, err = run_cli(
+                ["eval", "--channel", files["chan"], "--law", files[f"law_{held}"],
+                 "--theorem", theorem], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == (f"error: the input holds a {held} law, "
+                           f"but the requested theorem is {theorem}\n")
 
     def test_broken_file_exits_2(self, files, capsys):
         for channel, law, fragment in (
@@ -245,6 +247,13 @@ class TestEntryCap:
 
 
 class TestOptimize:
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_oversized_alphabet_exits_2_for_either_theorem(self, files, theorem, capsys):
+        code, out, err = run_cli(
+            ["optimize", "--channel", files["chan"], "--theorem", theorem,
+             "--resolution", "2", "--v1-size", "9"], capsys)
+        assert (code, out, err) == (2, "", "error: alphabet V1: size 9 outside [1, 8]\n")
+
     def test_grid_json_shape(self, files, capsys):
         code, out, err = run_cli(
             ["optimize", "--channel", files["chan"], "--theorem", "t1",
@@ -519,11 +528,14 @@ class TestSim:
             assert row[head.index(stage)] == "0"
 
     def test_t2_law_rejected(self, files, capsys):
-        code, _, err = run_cli(
-            ["sim", "--channel", files["chan"], "--law", files["law_t2"],
-             "--n", "4"], capsys)
-        assert code == 2
-        assert "holds a t2 law" in err
+        # a run and a sweep alike
+        for sweep in ([], ["--sweep", "rh1", "0:1:0.5"]):
+            code, out, err = run_cli(
+                ["sim", "--channel", files["chan"], "--law", files["law_t2"],
+                 "--n", "4", "--seed", "0", *sweep], capsys)
+            assert code == 2
+            assert out == ""
+            assert err == "error: the input holds a t2 law, but the requested theorem is t1\n"
 
     def test_codeword_cap_exits_3(self, files, capsys):
         for rates in (
@@ -634,6 +646,60 @@ class TestSim:
         assert code == 2
         assert out == ""
         assert err == "error: seed -1 < 0\n"
+
+    def test_sweep_points_match_the_counting_loop(self):
+        # the count is computed once; a test-local copy of the loop it
+        # replaced gives the same values on ranges as a user would type them
+        # and on stops one rounding off the grid
+        def counted(start, stop, step):
+            values, k = [], 0
+            while start + k * step <= stop + 1e-12:
+                if k == cli.MAX_SWEEP_POINTS:
+                    return None
+                values.append(start + k * step)
+                k += 1
+            return values
+
+        checked = 0
+        for start in (0.0, 0.05, 0.1, 0.15, 0.3, 1.0, 7.5, 100.0, 999.9):
+            for step in (0.001, 0.01, 0.05, 0.1, 0.15, 0.25, 0.3, 1.0, 2.0):
+                for k in (0, 1, 2, 3, 6, 7, 10, 33, 999, 1000):
+                    grid = start + k * step
+                    for stop in (float(f"{grid:.10g}"), grid, grid - 1e-15, grid + 1e-15):
+                        if stop < start:
+                            continue
+                        text = f"{start!r}:{stop!r}:{step!r}"
+                        want = counted(start, stop, step)
+                        if want is None:
+                            with pytest.raises(tworelay.ValidationError, match="more than"):
+                                cli._parse_sweep_range(text)
+                        else:
+                            assert cli._parse_sweep_range(text) == want, text
+                        checked += 1
+        assert checked > 2500
+
+    def test_sweep_below_float_spacing_is_one_point(self, files, capsys):
+        # a step too small to move the start gives the start alone
+        for text in ("0.5:0.5:1e-20", "1e308:1e308:1"):
+            assert cli._parse_sweep_range(text) == [float(text.split(":")[0])]
+        code, out, err = run_cli(
+            ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"], "--n", "20",
+             "--trials", "2", "--seed", "0", "--sweep", "rh1", "0.5:0.5:1e-20"], capsys)
+        assert (code, out) == (0, "rh1,success_fraction\n0.5,0\n")
+
+    @pytest.mark.parametrize("extra, expected", [
+        # the README's sweep: analytic books at n = 1000
+        (["--n", "1000", "--trials", "200"],
+         "0.05,0\n0.1,0\n0.15,0.03\n0.2,0.97\n0.25,0.97\n0.3,0.97\n0.35,0.97\n"),
+        # literal books, every exponent below the analytic cutoff
+        (["--n", "32", "--eps", "0.3", "--trials", "40"],
+         "0.05,0\n0.1,0\n0.15,0\n0.2,0\n0.25,0\n0.3,0.075\n0.35,0.1\n"),
+    ])
+    def test_readme_sweep_csv_is_pinned(self, files, extra, expected, capsys):
+        code, out, _ = run_cli(
+            ["sim", "--channel", files["chan_cov"], "--law", files["law_cov"], "--seed", "0",
+             *extra, "--sweep", "rh1", "0.05:0.35:0.05", "--csv"], capsys)
+        assert (code, out) == (0, "rh1,success_fraction\n" + expected)
 
     def test_sweep_point_cap(self, files, capsys):
         # looked up first: without a cap the non-finite ranges below never end

@@ -215,6 +215,26 @@ class TestPresets:
         with pytest.raises(ValidationError, match="^crossover: "):
             tio.channel_from_dict(payload)
 
+    @pytest.mark.parametrize("crossover, message", [
+        ({"Y0": True}, "crossover for Y0: True is not a number"),
+        ({"Y1": False}, "crossover for Y1: False is not a number"),
+        ({"Y2": "0.1"}, "crossover for Y2: '0.1' is not a number"),
+        ([["Y0", 0.1]], "crossover: expected an object, got list"),
+    ])
+    def test_crossover_read_strictly(self, crossover, message, tmp_path, capsys):
+        with pytest.raises(ValidationError) as caught:
+            channel_preset("binary-symmetric-links", crossover=crossover)
+        assert str(caught.value) == message
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"format_version": 1, "kind": "channel",
+                                       "preset": "binary-symmetric-links",
+                                       "crossover": crossover}))
+        law = tmp_path / "law.json"
+        law.write_text(tio.dumps(tio.law_to_dict(uniform_t1_law(channel_preset("all-noise")))))
+        code = cli.main(["eval", "--channel", str(channel), "--law", str(law), "--theorem", "t1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_crossover_keys(self):
         with pytest.raises(ValidationError, match="unknown crossover keys \\['Yh1'\\]"):
             channel_preset("binary-symmetric-links", crossover={"Yh1": 0.1})
@@ -250,6 +270,23 @@ class TestPresets:
                    "preset": "identity-direct", "extra": 1}
         with pytest.raises(ValidationError, match="identity-direct takes no options"):
             tio.channel_from_dict(payload)
+
+    @pytest.mark.parametrize("preset, message", [
+        ("all-noise", "all-noise takes no options, got ['name']"),
+        ("binary-symmetric-links", "binary-symmetric-links options: ['name'] not understood"),
+    ])
+    def test_name_key_is_an_option(self, preset, message, tmp_path, capsys):
+        # the preset's own name is positional, so a file's "name" key is an option
+        payload = {"format_version": 1, "kind": "channel", "preset": preset, "name": "x"}
+        with pytest.raises(ValidationError) as caught:
+            tio.channel_from_dict(payload)
+        assert str(caught.value) == message
+        channel, law = tmp_path / "channel.json", tmp_path / "law.json"
+        channel.write_text(json.dumps(payload))
+        law.write_text(tio.dumps(tio.law_to_dict(uniform_t1_law(channel_preset("all-noise")))))
+        code = cli.main(["eval", "--channel", str(channel), "--law", str(law), "--theorem", "t1"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestLawFiles:

@@ -24,6 +24,7 @@ from tworelay.optimize import (
 )
 from tworelay.prob import (
     LAW_FAMILIES,
+    MAX_ALPHABET_SIZE,
     Alphabet,
     CondPmf,
     InvariantError,
@@ -98,6 +99,18 @@ class TestSearchConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValidationError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["yh1_size", "yh2_size", "v1_size", "v2_size"])
+    def test_each_size_checked_as_an_alphabet(self, name):
+        # a size is checked by the one alphabet rule, whichever family the
+        # search runs, so a t1 search refuses an auxiliary size a t2 one would
+        vid = {"yh1_size": "Yh1", "yh2_size": "Yh2", "v1_size": "V1", "v2_size": "V2"}[name]
+        for size in (0, MAX_ALPHABET_SIZE + 1):
+            with pytest.raises(ValidationError) as caught:
+                SearchConfig(**{name: size})
+            assert str(caught.value) == (
+                f"alphabet {vid}: size {size} outside [1, {MAX_ALPHABET_SIZE}]")
+        SearchConfig(**{name: MAX_ALPHABET_SIZE})
 
 
 class TestOptResult:

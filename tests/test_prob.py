@@ -370,6 +370,41 @@ def test_deterministic_cond_one_hot():
     assert cond.mass.sum() == 2.0
 
 
+def cell_loop_deterministic_mass(shape, size, table):
+    """One-hot mass set cell by cell, as an explicit loop over the table."""
+    mass = np.zeros(shape + (size,))
+    for cell in np.ndindex(shape):
+        mass[cell + (int(table[cell]),)] = 1.0
+    return mass
+
+
+def test_deterministic_cond_matches_cell_loop_bytes():
+    rng = np.random.default_rng(3)
+    for shape in [(), (1,), (2,), (2, 3), (3, 1, 2)]:
+        given = tuple(Alphabet(v, k) for v, k in zip(("X0", "X1", "X2"), shape))
+        for size in (1, 2, 3):
+            table = rng.integers(0, size, size=shape)
+            got = deterministic_cond(given, Alphabet("Y0", size), table).mass
+            want = cell_loop_deterministic_mass(shape, size, table)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "table, match",
+    [
+        ([-1, 0], r"entries outside \[0, 3\)"),
+        ([3, 0], r"entries outside \[0, 3\)"),
+        ([0.7, 0], "of float64, expected integers"),
+        ([0.0, 1.0], "of float64, expected integers"),
+        ([True, False], "of bool, expected integers"),
+        ([[0, 1]], r"shape \(1, 2\), expected \(2,\)"),
+    ],
+)
+def test_deterministic_cond_refuses_bad_tables(table, match):
+    with pytest.raises(ValidationError, match=match):
+        deterministic_cond((Alphabet("X1", 2),), Alphabet("Y1", 3), np.array(table))
+
+
 def test_random_channel_rows_normalized():
     ch = random_channel(np.random.default_rng(0), BINARY_SIZES)
     sums = ch.transition.mass.sum(axis=(3, 4, 5))

@@ -12,9 +12,12 @@ Two hand-analyzed channels carry most of the load:
   is strictly feasible.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from tworelay import rates
 from tworelay.info import term_values
 from tworelay.prob import (
     Alphabet,
@@ -211,6 +214,26 @@ class TestTheorem2:
         assert [c.label for c in report.constraints] == [
             "(6a)", "(6b)", "(7a)", "(7b)", "(8a)", "(8b)"
         ]
+
+
+def test_each_theorem_refuses_the_other_family_first():
+    # each check runs before any joint is assembled or any input is read
+    ch = parity_pair_channel()
+    t1 = constant_relay_law(ch, [0.9, 0.1])
+    t2 = embed_t1_in_t2(t1)
+    calls = (
+        (lambda: eval_theorem1(ch, t2), "t2", "t1"),
+        (lambda: eval_theorem2(ch, t1, df_rates=(-1.0, 0.0)), "t1", "t2"),
+        (lambda: embed_t1_in_t2(t2), "t2", "t1"),
+        (lambda: eval_theorem1(ch, None), "NoneType", "t1"),
+    )
+    with mock.patch.object(rates, "assemble_joint", side_effect=AssertionError):
+        for call, held, theorem in calls:
+            with pytest.raises(ValidationError) as caught:
+                call()
+            law = f"a {held} law" if held in THEOREMS else f"a {held}"
+            assert str(caught.value) == (
+                f"the input holds {law}, but the requested theorem is {theorem}")
 
 
 def proof_checks(ch, law, rates):

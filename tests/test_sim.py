@@ -26,6 +26,7 @@ from tworelay.prob import (
     NetworkChannel,
     ResourceLimitError,
     T1Law,
+    T2Law,
     ValidationError,
     assemble_joint_t1,
     conditional,
@@ -35,6 +36,7 @@ from tworelay.prob import (
     random_channel,
     random_t1_law,
     uniform_cond,
+    uniform_law,
     uniform_pmf,
     uniform_t1_law,
 )
@@ -593,6 +595,45 @@ class TestRunChecks:
         refusals.append(str(caught.value))
         assert refusals == [message, message]
 
+    def test_one_block_length_cap(self):
+        # the covering experiment takes the cap from the same check as a run
+        ch, law = covering_fixture(0.25)
+        n = sim.MAX_SYMBOLS + 1
+        refusals = []
+        with pytest.raises(ResourceLimitError) as caught:
+            SimConfig(n=n, blocks=2, rates=zero_rates(), typicality=TypicalityParams(0.2),
+                      trials=1, seed=0)
+        refusals.append(str(caught.value))
+        with pytest.raises(ResourceLimitError) as caught:
+            covering_experiment(law, ch, 0.0, n, 1, 0)
+        refusals.append(str(caught.value))
+        message = f"block length {n} exceeds the cap of {sim.MAX_SYMBOLS} symbols"
+        assert refusals == [message, message]
+
+
+class TestLawFamily:
+    """Every simulator entry point takes a theorem-1 law only, and refuses
+    another family before it does any other work."""
+
+    def test_t2_law_refused_first(self):
+        ch = channel_preset("identity-direct")
+        law = uniform_law(T2Law, ch, {"V1": 2, "V2": 2, "Yh1": 2, "Yh2": 2})
+        cfg = SimConfig(n=4, blocks=2, rates=zero_rates(), typicality=TypicalityParams(0.2),
+                        trials=1, seed=0)
+        calls = (
+            lambda: run_cf(ch, law, cfg),
+            # no joint: anything past the check would fail on it
+            lambda: build(None, law, cfg),
+            # a block length the run checks would refuse
+            lambda: covering_experiment(law, ch, 0.1, 0, 1, 0),
+        )
+        with mock.patch.object(sim, "assemble_joint", side_effect=AssertionError):
+            for call in calls:
+                with pytest.raises(ValidationError) as caught:
+                    call()
+                assert str(caught.value) == (
+                    "the input holds a t2 law, but the requested theorem is t1")
+
 
 class TestBuild:
     def cfg(self, n=16, seed=0):
@@ -1128,8 +1169,16 @@ class TestCoveringExperiment:
             CondPmf((two["X1"], two["Y1"]), (three,), np.full((2, 2, 3), 1 / 3)),
             deterministic_cond((one["X2"], one["Y2"]), one["Yh2"], np.zeros((1, 1), dtype=np.int64)),
         )
-        with pytest.raises(ResourceLimitError):
-            covering_experiment(law, NetworkChannel(tr), 2.0, n=30, trials=1, seed=0)
+        # a literal book is sized by the one book rule, with its message,
+        # from the first exponent past the cap on
+        for exponent in (20, 60):
+            with pytest.raises(ResourceLimitError) as sized:
+                sim._book_size(exponent / 30, 30)
+            with pytest.raises(ResourceLimitError) as caught:
+                covering_experiment(law, NetworkChannel(tr), exponent / 30, n=30, trials=1, seed=0)
+            assert str(caught.value) == str(sized.value)
+            assert str(caught.value) == (
+                f"a book of 2^{exponent} codewords exceeds the cap of 1000000")
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
