@@ -57,6 +57,7 @@ from .info import InfoQuery, entropy, term_plan
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult, maximize
 from .prob import (
     LAW_FAMILIES,
+    InvariantError,
     ResourceLimitError,
     ValidationError,
     random_joints,
@@ -72,8 +73,8 @@ MAX_BINDINGS = 100_000
 # rows one elimination step may form; the builtin reductions peak at 173,
 # their projections onto RB at 462, all of which the projection keeps
 MAX_FM_ROWS = 1000
-# every stored row coefficient is below this in magnitude, so that a sum of
-# two products of coefficients stays inside int64
+# every stored row coefficient is below this in magnitude, so that eliminate's
+# sums of two products and prune's cross products of two stay inside int64
 MAX_COEFF = 2**31
 # one term of a row: a coefficient written as str(Fraction) writes it (an
 # integer or an integer ratio), then "*" and a rate variable or I(...)
@@ -288,8 +289,7 @@ def eliminate(system: RateSystem, var: str) -> RateSystem:
 
 
 def prune(system: RateSystem) -> RateSystem:
-    """Drop every row that another row implies, keeping the first of equal
-    rows.
+    """Drop every row that another row implies; of equal rows the first stays.
 
     For nonnegative symbols, normalized ``e' < 0`` (or ``<= 0``) implies
     ``e < 0`` (or ``<= 0``) when the two have the same rate part, no symbol
@@ -298,7 +298,9 @@ def prune(system: RateSystem) -> RateSystem:
     non-strict row without a positive symbol coefficient goes.  Rows have
     equal normalized rate parts exactly when their rate parts over their gcd
     are equal, so a row is tested against the rows of its group only, a
-    bounded block at a time.
+    bounded block at a time.  The symbol parts over the leads are compared
+    cross-multiplied, ``sym[j] * lead[i] >= sym[i] * lead[j]``: every
+    factor is below 2**31, so every product fits in int64.
     """
     seen: dict[bytes, int] = {}
     for i, key in enumerate(map(bytes, np.column_stack([system.coef, system.strict]))):
@@ -311,19 +313,12 @@ def prune(system: RateSystem) -> RateSystem:
     for i, key in enumerate(map(bytes, _primitive(rate))):
         groups.setdefault(key, []).append(i)
     for members in (np.array(m) for m in groups.values() if len(m) > 1):
-        # normalized symbol parts times the lcm of the group's leads, in
-        # the narrowest integer type that holds them
-        scale = math.lcm(*lead[members].tolist())
-        most = scale * max(1, int(np.abs(sym[members]).max(initial=0)))
-        if most >= 2**63:
-            raise ResourceLimitError("pruning: rows brought to one scale would pass int64")
-        scaled = (sym[members] * (scale // lead[members])[:, None]).astype(
-            np.result_type(np.min_scalar_type(-most), np.min_scalar_type(most)))
+        s, d = sym[members], lead[members]
         step = max(1, prob.BLOCK_ENTRIES // (len(members) * max(1, sym.shape[1])))
         for k in range(0, len(members), step):
             block = slice(k, k + step)  # these members as the implying rows
             implies = (strict[members[block], None] >= strict[members]) & (
-                scaled[block, None] >= scaled).all(axis=2)
+                s[block, None] * d[:, None] >= s * d[block, None, None]).all(axis=2)
             implies[np.arange(implies.shape[0]), np.arange(k, k + implies.shape[0])] = False
             dropped[members] |= implies.any(axis=0)
     kept = first[~dropped]
@@ -385,13 +380,11 @@ def sample_bindings(which: str, count: int, seed: int) -> list[dict[str, float]]
     :func:`binding_of` gives for its joint, bit for bit.  Returns one
     mapping from symbol name to float value per draw.
     """
-    if which not in LAW_FAMILIES:
-        raise ValidationError(f"unknown binding family {which!r}")
+    queries = _scheme(which, "binding family").queries
     if seed < 0:
         raise ValidationError(f"seed {seed} < 0")
     if count > MAX_BINDINGS:
         raise ResourceLimitError(f"{count} bindings exceed the cap of {MAX_BINDINGS}")
-    queries = _scheme(which, "binding family").queries
     rngs = (np.random.default_rng([seed, i]) for i in range(count))
     out = []
     for ids, stack in random_joints(LAW_FAMILIES[which], rngs):
@@ -593,9 +586,10 @@ def numeric_equiv(
     Both systems read every binding off their projections (see
     :func:`max_rate`), from one table of the bindings' values: a binding
     that the floats settle for a system costs that system no exact
-    arithmetic.  A disagreement is what a not-equivalent verdict
-    rests on, so each disagreeing binding is solved again by the simplex of
-    :mod:`tworelay.lp` on both systems, and a different answer raises.
+    arithmetic.  A disagreement is what a not-equivalent verdict rests on,
+    so each disagreeing binding is solved again by the simplex of
+    :mod:`tworelay.lp` on both systems; a different answer is a broken
+    invariant and raises :class:`tworelay.prob.InvariantError`.
     An empty binding list is an error: agreement over no bindings says nothing.
     """
     if not bindings:
@@ -610,7 +604,7 @@ def numeric_equiv(
             for system, answer in zip((sys_a, sys_b), answers):
                 check = _simplex(system, binding)
                 if (check.status, check.value) != answer:
-                    raise RuntimeError(f"projection gives {answer}, simplex {check}")
+                    raise InvariantError(f"projection gives {answer}, simplex {check}")
         comparisons.append(c)
     return EquivReport(all(c.agree for c in comparisons), tuple(comparisons))
 

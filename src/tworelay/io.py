@@ -9,6 +9,7 @@ tensors.  Serialization is deterministic: sorted keys, fixed indentation.
 from __future__ import annotations
 
 import json
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -54,7 +55,8 @@ def _axes_from_meta(meta: Any, where: str) -> tuple[Alphabet, ...]:
 
 def _convert(convert, value: Any, where: str) -> Any:
     """``convert(value)``, with a malformed value reported as a ValidationError
-    naming ``where`` instead of a TypeError or ValueError."""
+    naming ``where`` instead of a TypeError or ValueError (a ValidationError
+    is a ValueError, so a refusal by the constructed type is named too)."""
     try:
         return convert(value)
     except (TypeError, ValueError) as exc:
@@ -62,6 +64,11 @@ def _convert(convert, value: Any, where: str) -> Any:
 
 
 def _floats(value: Any) -> np.ndarray:
+    """Tensor entries as floats: a bool or a string entry is refused by type,
+    as in _size, where numpy would read ``true`` as 1.0 and ``"0.5"`` as 0.5."""
+    for x in np.asarray(value, dtype=object).flat:
+        if name := {bool: "bool", str: "string"}.get(type(x)):
+            raise ValueError(f"could not convert {name} to float: {x!r}")
     return np.asarray(value, dtype=float)
 
 
@@ -85,11 +92,14 @@ def _require(payload: dict, key: str, where: str) -> Any:
     return payload[key]
 
 
-def _check_version(payload: dict, where: str) -> None:
-    version = _require(payload, "format_version", where)
+def _check_header(payload: dict, kind: str) -> None:
+    """Refuse a file of another format version or of another kind."""
+    version = _require(payload, "format_version", kind)
     # by type as in _size: True == 1 and 1.0 == 1 would pass a plain !=
     if type(version) is not int or version != FORMAT_VERSION:
-        raise ValidationError(f"{where}: format_version {version!r}, expected {FORMAT_VERSION}")
+        raise ValidationError(f"{kind}: format_version {version!r}, expected {FORMAT_VERSION}")
+    if (tag := _require(payload, "kind", kind)) != kind:
+        raise ValidationError(f"{kind}: kind {tag!r}, expected {kind!r}")
 
 
 def cond_to_dict(pmf: CondPmf) -> dict:
@@ -105,10 +115,7 @@ def cond_from_dict(payload: dict, where: str) -> CondPmf:
     given = _axes_from_meta(_require(payload, "given", where), where)
     target = _axes_from_meta(_require(payload, "target", where), where)
     data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
-    try:
-        return CondPmf(given, target, data)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    return _convert(partial(CondPmf, given, target), data, where)
 
 
 def joint_to_dict(pmf: JointPmf) -> dict:
@@ -119,10 +126,7 @@ def joint_from_dict(payload: dict, where: str) -> JointPmf:
     _known(payload, ("axes", "data"), where)
     axes = _axes_from_meta(_require(payload, "axes", where), where)
     data = _convert(_floats, _require(payload, "data", where), f"{where}.data")
-    try:
-        return JointPmf(axes, data)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    return _convert(partial(JointPmf, axes), data, where)
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +145,23 @@ def channel_to_dict(channel: NetworkChannel) -> dict:
 
 
 def channel_from_dict(payload: dict) -> NetworkChannel:
-    _check_version(payload, "channel")
+    _check_header(payload, "channel")
     if "preset" in payload:
         name = payload["preset"]
         options = {k: v for k, v in payload.items()
                    if k not in ("preset", "format_version", "kind")}
         return channel_preset(name, **options)
     _known(payload, ("format_version", "kind", "sizes", "transition"), "channel")
-    sizes = _object(_require(payload, "sizes", "channel"), "channel.sizes")
+    sizes = _require(payload, "sizes", "channel")
+    _known(sizes, CHANNEL_INPUTS + CHANNEL_OUTPUTS, "channel.sizes")
     for var in CHANNEL_INPUTS + CHANNEL_OUTPUTS:
         if var not in sizes:
             raise ValidationError(f"channel: sizes is missing {var!r}")
     alphabet = lambda v: Alphabet(v, _size(sizes[v], f"channel.sizes.{v}"))
     given = tuple(map(alphabet, CHANNEL_INPUTS))
     target = tuple(map(alphabet, CHANNEL_OUTPUTS))
-    data = _convert(_floats, _require(payload, "transition", "channel"), "channel.transition")
-    try:
-        return NetworkChannel(CondPmf(given, target, data))
-    except ValidationError as exc:
-        raise ValidationError(f"channel.transition: {exc}") from None
+    make = lambda data: NetworkChannel(CondPmf(given, target, _floats(data)))
+    return _convert(make, _require(payload, "transition", "channel"), "channel.transition")
 
 
 # each output's binary-symmetric flip of X0, in CHANNEL_OUTPUTS order; None
@@ -238,7 +240,7 @@ def law_to_dict(law: T1Law | T2Law) -> dict:
 
 
 def law_from_dict(payload: dict) -> T1Law | T2Law:
-    _check_version(payload, "law")
+    _check_header(payload, "law")
     _known(payload, ("format_version", "kind", "theorem", "components"), "law")
     theorem = _require(payload, "theorem", "law")
     if not isinstance(theorem, str) or theorem not in LAW_FAMILIES:

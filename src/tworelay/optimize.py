@@ -4,8 +4,8 @@ Both laws factor into conditional-pmf components, and every conditioning cell
 of every component is an independent point on a probability simplex.  Both
 search modes run one loop on those slices, cyclic coordinate ascent
 (``_ascend``): each sweep walks the slices in declaration order and tries
-each slice's moves in turn, and sweeps repeat until one gains at most the
-configured tolerance.  The modes differ only in their moves:
+each slice's moves in turn, and sweeps repeat until one gains at most
+``TOLERANCE``.  The modes differ only in their moves:
 
 grid
     one move per slice: every composition of ``resolution`` over its
@@ -75,6 +75,8 @@ from .prob import (
 from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2
 
 MODES = ("grid", "random-restart")
+# a sweep that gains at most this many bits ends the ascent; max_iter caps sweeps
+TOLERANCE = 1e-6
 
 # grid candidates of one slice, comb(resolution + k - 1, k - 1); the largest
 # grid in use (resolution 32 over two letters) has 33
@@ -90,7 +92,6 @@ class SearchConfig:
     restarts: int = 8
     max_iter: int = 24
     seed: int = 0
-    tolerance: float = 1e-6
     # law alphabet sizes not fixed by the channel
     yh1_size: int = 2
     yh2_size: int = 2
@@ -108,8 +109,6 @@ class SearchConfig:
             raise ValidationError(f"max_iter {self.max_iter} < 1")
         if self.seed < 0:
             raise ValidationError(f"seed {self.seed} < 0")
-        if not self.tolerance > 0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
         for vid in ("Yh1", "Yh2", "V1", "V2"):  # each size by the one alphabet rule
             Alphabet(vid, getattr(self, f"{vid.lower()}_size"))
 
@@ -310,7 +309,7 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     current point, whose batch score can beat the incumbent only by
     rounding; it is kept, with that stack, only if this full score also
     wins.  Sweeps stop after ``max_iter``, or once one gains at most
-    ``tolerance``.  Returns the law, its value, the candidates scored, and
+    ``TOLERANCE``.  Returns the law, its value, the candidates scored, and
     the value after each acceptance.
     """
     joint = assemble_joint(channel, law)
@@ -337,7 +336,7 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
                     if value > best:
                         law, best, current = cand, value, stack
                         trace.append(best)
-        if best == -math.inf or best - sweep_start <= cfg.tolerance:
+        if best == -math.inf or best - sweep_start <= TOLERANCE:
             break
     return law, best, evals, trace
 

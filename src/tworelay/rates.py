@@ -383,8 +383,8 @@ def eval_theorem2(
     compress-and-forward on the embedded family.
     """
     check_family(law, "t2")
-    if df_rates is not None and (df_rates[0] < 0.0 or df_rates[1] < 0.0):
-        raise ValidationError(f"forced DF rates must be nonnegative, got {df_rates}")
+    if df_rates is not None and not all(0.0 <= r < np.inf for r in df_rates):
+        raise ValidationError(f"forced DF rates must be finite and nonnegative, got {df_rates}")
     t = term_values(assemble_joint(channel, law), T2_QUERIES)
     return _report(channel, law, theorem2_outcome(t, df_rates))
 

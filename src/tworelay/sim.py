@@ -33,7 +33,8 @@ belong to a typical pair, which leaves the pair mask of a full search
 unchanged bit for bit.
 
 Codebooks are materialized, so ``SimConfig`` caps their codewords and the
-symbols they and the sender's candidate pairs hold.  The covering experiment
+symbols they hold, and the sender's candidate pairs times n, which bounds
+the pair search's work: the pairs are scored a slice at a time.  The covering experiment
 alone also has an analytic path for books far past the cap: conditioned on
 the drawn observation pair, the number of typical book entries is binomial,
 so the hit probability of an astronomically large book is computable

@@ -20,6 +20,7 @@ import tworelay
 from tworelay import cli, fm
 from tworelay import io as tio
 from tworelay.io import channel_preset
+from tworelay.lp import UNBOUNDED, LpResult
 from tworelay.optimize import MODES, SearchConfig
 from tworelay.prob import (
     Alphabet,
@@ -373,6 +374,29 @@ class TestFm:
         assert code == 3
         assert out == ""
         assert err == f"resource limit: {count} bindings exceed the cap of {fm.MAX_BINDINGS}\n"
+
+    def test_unconfirmed_disagreement_exits_4(self, monkeypatch, capsys):
+        # this check's one binding disagrees, so the simplex re-checks it;
+        # a simplex answer other than the projection's is a broken invariant
+        monkeypatch.setattr(fm, "maximize", lambda *args: LpResult(UNBOUNDED))
+        code, out, err = run_cli(
+            ["fm", "t2", "--check-against", "t2", "--bindings", "1", "--seed", "41"], capsys)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("invariant violated: ")
+
+    def test_rows_on_many_scales_exit_0(self, tmp_path, capsys):
+        # rate-free rows leading with the primes 2 to 53: the lcm of their
+        # leads passes int64, which once refused the file with exit 3
+        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+        path = tmp_path / "system.txt"
+        path.write_text("vars: RB RA\n1*RB + -1*RA < 0\n1*RA + -1*I(X0;Y0) < 0\n"
+                        + "".join(f"{p}*I(X0;Y0) + -1*I(X1;Y0) < 0\n" for p in primes))
+        code, out, err = run_cli(["fm", str(path), "--eliminate", "RA"], capsys)
+        assert code == 0
+        assert out == ("vars: RB\n1*I(X0;Y0) + -1/53*I(X1;Y0) < 0  # \n"
+                       "1*RB + -1*I(X0;Y0) < 0  # +\n")
+        assert err == "18 rows -> 2\n"
 
     def test_system_file_input(self, tmp_path, capsys):
         path = tmp_path / "system.txt"

@@ -24,6 +24,7 @@ from tworelay.prob import (
     LAW_FAMILIES,
     Alphabet,
     CondPmf,
+    InvariantError,
     JointPmf,
     NetworkChannel,
     ResourceLimitError,
@@ -396,6 +397,27 @@ class TestPruneOracle:
             rows.append(fm.Inequality(scaled, strict, f"{row.provenance}*"))
         variables = [v for v in ("RB", "RA") if v in used_rates(rows)]
         same_system(fm.prune(system(rows, variables)), *pairwise_prune(rows, variables))
+
+    def test_matches_pairwise_rule_on_full_width_rows(self):
+        # primitive rows with entries up to 2**31 - 1, the most a system
+        # stores: their leads share no common scale inside int64, so the
+        # rows are compared cross-multiplied
+        top = 2**31 - 1
+        dropped = 0
+        for seed in range(40):
+            rng = np.random.default_rng([seed, 33])
+            rows = []
+            for k in range(12):
+                size = lambda: int(rng.integers(1, top, endpoint=True))
+                rate = {"RB": size()} if k % 3 else {}
+                syms = {s: size() * int(rng.choice([-1, 1])) for s in (A, B)}
+                rows.append(fm.Inequality(expr(rate, syms), bool(rng.integers(2)), f"r{k}"))
+            rows.append(fm.Inequality(expr({"RB": top}, {A: -top, B: top - 1}), True, "edge"))
+            got = fm.prune(system(rows, ["RB"]))
+            assert np.abs(got.coef).max() >= 2**30
+            same_system(got, *pairwise_prune(rows, ["RB"]))
+            dropped += len(rows) - len(got.coef)
+        assert dropped > 0
 
 
 def used_rates(rows):
@@ -872,7 +894,7 @@ class TestProjectionOracle:
         assert calls == [red, tgt]
         # an answer the simplex does not confirm raises
         monkeypatch.setattr(fm, "_simplex", lambda s, b: LpResult(UNBOUNDED))
-        with pytest.raises(RuntimeError, match="simplex"):
+        with pytest.raises(InvariantError, match="simplex"):
             fm.numeric_equiv(red, tgt, [binding])
 
 

@@ -113,6 +113,13 @@ class TestChannelFiles:
         with pytest.raises(ValidationError, match="^channel.sizes: expected an object"):
             tio.channel_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["Q", "V1"])  # V1 is a law's variable
+    def test_unknown_size_key_refused(self, key):
+        payload = tio.channel_to_dict(noisy_channel())
+        payload["sizes"][key] = 2
+        with pytest.raises(ValidationError, match=f"^channel.sizes: unknown keys '{key}'$"):
+            tio.channel_from_dict(payload)
+
     def test_bad_transition_wrapped(self):
         payload = tio.channel_to_dict(noisy_channel())
         payload["transition"] = np.zeros((2, 2, 2, 2, 2, 2)).tolist()
@@ -443,6 +450,71 @@ class TestLoading:
         assert code == 2
         assert captured.out == ""
         assert captured.err == f"error: {where}: unknown keys '{key}'\n"
+
+    @pytest.mark.parametrize("kind, tag, message", [
+        ("channel", "law", "channel: kind 'law', expected 'channel'"),
+        ("law", "channel", "law: kind 'channel', expected 'law'"),
+        ("law", ["x"], "law: kind ['x'], expected 'law'"),
+        ("channel", None, "channel: missing field 'kind'"),
+        ("law", None, "law: missing field 'kind'"),
+    ])
+    def test_wrong_kind_exits_2(self, kind, tag, message, tmp_path, capsys):
+        channel = channel_preset("identity-direct")
+        payloads = {"channel": tio.channel_to_dict(channel),
+                    "law": tio.law_to_dict(uniform_t1_law(channel))}
+        if tag is None:
+            del payloads[kind]["kind"]
+        else:
+            payloads[kind]["kind"] = tag
+        paths = {}
+        for name, payload in payloads.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(tio.dumps(payload))
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            (load_law if kind == "law" else load_channel)(str(paths[kind]))
+        code = cli.main(["eval", "--channel", str(paths["channel"]),
+                         "--law", str(paths["law"]), "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_preset_kind_checked(self):
+        with pytest.raises(ValidationError, match="^channel: kind 'law', expected 'channel'$"):
+            tio.channel_from_dict(
+                {"format_version": 1, "kind": "law", "preset": "identity-direct"})
+
+    @pytest.mark.parametrize("kind, where", [
+        ("channel", "channel.transition"),
+        ("law", "law.components.px1.data"),  # a joint component
+        ("law", "law.components.px0_given_x1x2.data"),  # a conditional one
+    ])
+    @pytest.mark.parametrize("spoil", ["bool", "string"])
+    def test_bool_or_string_entry_exits_2(self, kind, where, spoil, tmp_path, capsys):
+        # numpy reads true as 1.0 and "0.5" as 0.5, so the channel's first
+        # entry, 1.0, as true and any entry as its string load without a
+        # check by type
+        channel = channel_preset("identity-direct")
+        payloads = {"channel": tio.channel_to_dict(channel),
+                    "law": tio.law_to_dict(uniform_t1_law(channel))}
+        data = (payloads["channel"]["transition"] if kind == "channel" else
+                payloads["law"]["components"][where.split(".")[2]]["data"])
+        while isinstance(data[0], list):
+            data = data[0]
+        data[0] = data[0] == 1.0 if spoil == "bool" else str(data[0])
+        message = f"could not convert {spoil} to float: {data[0]!r}"
+        paths = {}
+        for name, payload in payloads.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(tio.dumps(payload))
+        with pytest.raises(ValidationError, match=f"^{re.escape(where)}: {re.escape(message)}$"):
+            (load_law if kind == "law" else load_channel)(str(paths[kind]))
+        code = cli.main(["eval", "--channel", str(paths["channel"]),
+                         "--law", str(paths["law"]), "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {where}: {message}\n"
 
     def test_readme_examples_load(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

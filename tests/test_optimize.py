@@ -16,6 +16,7 @@ import pytest
 from tworelay import io, optimize, prob
 from tworelay.info import binary_entropy, term_plan
 from tworelay.optimize import (
+    TOLERANCE,
     OptResult,
     SearchConfig,
     _grid_vectors,
@@ -90,8 +91,6 @@ class TestSearchConfig:
             {"resolution": 1},
             {"restarts": -1},
             {"max_iter": 0},
-            {"tolerance": 0.0},
-            {"tolerance": -1e-9},
             {"yh1_size": 0},
             {"v2_size": 0},
         ],
@@ -365,7 +364,7 @@ class TestLocalRefine:
         a = eval_theorem2(chan, once).objective_bits
         b = eval_theorem2(chan, twice).objective_bits
         assert b >= a - 1e-12
-        assert b == pytest.approx(a, abs=cfg.tolerance)
+        assert b == pytest.approx(a, abs=TOLERANCE)
 
     def test_each_move_starts_from_the_current_point(self, monkeypatch):
         # a slice's next line search starts where an accepted one ended, and

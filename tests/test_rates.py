@@ -208,6 +208,16 @@ class TestTheorem2:
         with pytest.raises(ValidationError):
             eval_theorem2(ch, law, df_rates=(-0.1, 0.0))
 
+    @pytest.mark.parametrize("forced", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0),
+                                        (0.0, np.inf)])
+    def test_non_finite_forced_rates_rejected(self, forced):
+        # NaN passes a plain "< 0" test and gave a NaN objective, which
+        # io.dumps writes as the non-JSON token NaN; infinity gave inf
+        ch = parity_pair_channel()
+        law = embed_t1_in_t2(constant_relay_law(ch, [0.9, 0.1]))
+        with pytest.raises(ValidationError, match="forced DF rates must be finite and nonnegative"):
+            eval_theorem2(ch, law, df_rates=forced)
+
     def test_six_constraint_rows(self):
         ch = parity_pair_channel()
         report = eval_theorem2(ch, embed_t1_in_t2(constant_relay_law(ch, [0.9, 0.1])))
