@@ -91,6 +91,8 @@ class TestSearchConfig:
             {"resolution": 1},
             {"restarts": -1},
             {"max_iter": 0},
+            {"seed": -1},
+            {"mode": ""},
             {"yh1_size": 0},
             {"v2_size": 0},
         ],
