@@ -26,13 +26,15 @@ every marginal the rate terms need is a mix of the marginals at the slice's
 k simplex vertices.  Only the slab of the joint where the factor's given
 variables equal the slice's cell depends on the row, so the ascent keeps
 the incumbent's marginals and each slice swaps in its slab's marginals at
-the k vertices, from one product for that slab.  Every move then scores
-its candidates in batches, as matrix products and entropy passes with no
-law built: a grid in one call, a line search in two.  Only a move's best
-candidate becomes a law, and only when its batch score beats the
-incumbent: its joint is assembled once and its own marginal stack scored
-in full.  It replaces the incumbent, stack and all, only when that full
-score wins, so the objective and trace are full scores.  One function,
+the k vertices.  The slab leaves the factor out, so no move inside the
+factor changes it: each visit to a factor builds the slabs of all its
+cells in one product and takes their marginals in one pass.  Every move
+then scores its candidates in batches, as matrix products and entropy
+passes with no law built: a grid in one call, a line search in two.  Only
+a move's best candidate becomes a law, and only when its batch score beats
+the incumbent: its joint is assembled once and its own marginal stack
+scored in full.  It replaces the incumbent, stack and all, only when that
+full score wins, so the objective and trace are full scores.  One function,
 ``_merits``, scores both: it runs the theorem's term plan and outcome rows,
 the steps ``eval_theorem1``/``eval_theorem2`` run, on a batch or on one
 law's stack, so a full score equals the merit of the evaluator's report.
@@ -68,8 +70,8 @@ from .prob import (
     T2Law,
     ValidationError,
     assemble_joint,
+    factor_slabs,
     random_law,
-    slice_slab,
     uniform_law,
 )
 from .rates import THEOREMS, RateReport, eval_theorem1, eval_theorem2
@@ -198,9 +200,11 @@ def _check_grid(law, resolution: int) -> None:
             )
 
 
-def _slice_marginals(channel: NetworkChannel, law, plan, current, name: str, cell, k: int):
+def _slice_marginals(law, plan, current, name: str, cell, slab):
     """The marginal stacks of the joints at the k vertices of one slice's
-    simplex, built from the law's own stack ``current`` (of ``plan``).
+    simplex, built from the law's own stack ``current`` (of ``plan``) and
+    the slice's ``(k, slab cells)`` slab marginals ``slab``: the slice's row
+    of ``plan.marginals`` of :func:`tworelay.prob.factor_slabs`.
 
     The joint is linear in each factor row, so with the slice at ``w`` (a
     point of the simplex) every subset marginal is ``w @ V`` for the
@@ -208,15 +212,15 @@ def _slice_marginals(channel: NetworkChannel, law, plan, current, name: str, cel
     to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  Only the slab
     of the joint where the factor's given variables equal ``cell`` depends
     on the row, so vertex v's stack is ``current`` with the law's slab
-    marginals swapped for those of the slab at v, from one product for
-    the slab (:func:`tworelay.prob.slice_slab`); no law is built.
+    marginals swapped for those of the slab at v; no law is built.
     """
     pmf = getattr(law, name)
+    k = len(slab)
     letters = np.unravel_index(np.arange(k), tuple(a.size for a in pmf.target))
     at = np.column_stack([np.full(k, c) for c in cell] + list(letters))
     cells = slab_cells(plan, tuple(a.id for a in pmf.given + pmf.target), at)
     stack = np.zeros((k, current.size))
-    np.put_along_axis(stack, cells, plan.marginals(slice_slab(channel, law, name, cell)), axis=1)
+    np.put_along_axis(stack, cells, slab, axis=1)
     stack += current - _get_slice(law, name, cell) @ stack
     return stack
 
@@ -320,22 +324,25 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     trace = [] if best == -math.inf else [best]
     for _ in range(cfg.max_iter):
         sweep_start = best
-        for name, cell, k in _slice_index(law):
-            if k == 1:
+        for name in (f.name for f in law.factors):
+            if all(a.size == 1 for a in getattr(law, name).target):
                 continue
-            vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
-            slice_value = _slice_scorer(theorem, plan, vertices)
-            for move in moves(k):
-                point = _get_slice(law, name, cell)
-                vec, value, count = move(slice_value, point)
-                evals += count
-                if value > best and not np.array_equal(vec, point):
-                    cand = _set_slice(law, name, cell, vec)
-                    stack = plan.marginals(assemble_joint(channel, cand).mass)
-                    value = float(_merits(theorem, plan, stack))
-                    if value > best:
-                        law, best, current = cand, value, stack
-                        trace.append(best)
+            # no move inside the factor changes its slabs: one pass per visit
+            slabs = plan.marginals(factor_slabs(channel, law, name))
+            for cell in np.ndindex(slabs.shape[:-2]):
+                vertices = _slice_marginals(law, plan, current, name, cell, slabs[cell])
+                slice_value = _slice_scorer(theorem, plan, vertices)
+                for move in moves(len(vertices)):
+                    point = _get_slice(law, name, cell)
+                    vec, value, count = move(slice_value, point)
+                    evals += count
+                    if value > best and not np.array_equal(vec, point):
+                        cand = _set_slice(law, name, cell, vec)
+                        stack = plan.marginals(assemble_joint(channel, cand).mass)
+                        value = float(_merits(theorem, plan, stack))
+                        if value > best:
+                            law, best, current = cand, value, stack
+                            trace.append(best)
         if best == -math.inf or best - sweep_start <= TOLERANCE:
             break
     return law, best, evals, trace

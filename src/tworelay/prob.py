@@ -430,34 +430,32 @@ def assemble_joint(channel: NetworkChannel, law: T1Law | T2Law) -> JointPmf:
     return JointPmf(axes, _product(operands, terms, out_ids, tuple(a.size for a in axes)))
 
 
-def slice_slab(channel: NetworkChannel, law: T1Law | T2Law, name: str, cell) -> np.ndarray:
-    """The joint's slab where factor ``name``'s given variables equal ``cell``,
-    with that factor's row left out: a ``(k, ...)`` stack, one entry per
-    letter of the factor's (flattened) target.
+def factor_slabs(channel: NetworkChannel, law: T1Law | T2Law, name: str) -> np.ndarray:
+    """The joint's slabs at every conditioning cell of factor ``name``, with
+    that factor left out: a ``(given..., k, ...)`` stack whose row at a
+    cell holds one slab per letter of the factor's (flattened) target.
 
-    The joint is linear in the row: with the row at ``w``, the slab's entries
-    at target letter v are ``w[v] * out[v]``.  The trailing axes are the
-    joint's, with the factor's given and target axes at size 1.  This is the
-    product of :func:`assemble_joint` with every operand indexed at ``cell``
-    and the factor itself left out, under the same cap: leaving out a
-    factor of ones changes no bit.
+    The joint is linear in each factor row: with the row at cell ``c`` set
+    to ``w``, the joint's entries where the given variables equal ``c`` are
+    ``w[v] * slabs[c][v]`` at target letter v.  The trailing axes are the
+    joint's, with the factor's given and target axes at size 1.  This is
+    :func:`assemble_joint`'s product with the factor left out and its given
+    and target axes first, under the same cap: every entry is the same
+    left-to-right product of the same operands, and leaving out a factor of
+    ones changes no bit.
     """
     names, terms, out_ids = _product_plan(type(law))
     alphabets = _alphabets(channel, law)
     factor = next(f for f in law.factors if f.name == name)
-    at = dict(zip(factor.given, cell))
-    operands, kept = [], []
-    for n, ids in zip(names, terms):
-        if n != name:
-            mass = channel.transition.mass if n is None else getattr(law, n).mass
-            index = tuple(slice(at[v], at[v] + 1) if v in at else slice(None) for v in ids)
-            operands.append(mass[index])
-            kept.append(ids)
-    size = lambda v: 1 if v in at else alphabets[v].size
-    out = factor.target + tuple(v for v in out_ids if v not in factor.target)
-    slab = _product(operands, kept, out, tuple(map(size, out)))
-    k = math.prod(alphabets[v].size for v in factor.target)
-    return slab.reshape((k,) + tuple(1 if v in factor.target else size(v) for v in out_ids))
+    kept = [(n, ids) for n, ids in zip(names, terms) if n != name]
+    operands = [channel.transition.mass if n is None else getattr(law, n).mass for n, _ in kept]
+    lead = factor.given + factor.target
+    out = lead + tuple(v for v in out_ids if v not in lead)
+    size = lambda v: alphabets[v].size
+    slabs = _product(operands, [ids for _, ids in kept], out, tuple(map(size, out)))
+    rest = tuple(1 if v in lead else size(v) for v in out_ids)
+    k = math.prod(map(size, factor.target))
+    return slabs.reshape(tuple(map(size, factor.given)) + (k,) + rest)
 
 
 # per-family names, for callers that name the family they assemble

@@ -6,6 +6,7 @@ no feasible first-theorem law at all.
 """
 
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -483,6 +484,27 @@ class TestSearchWork:
         hashes = [law_hash(law) for law, _ in assembled]
         assert [h for h in hashes if h in map(law_hash, starts)] == list(map(law_hash, starts))
 
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_one_slab_product_per_factor_visit(self, theorem, monkeypatch):
+        # one grid sweep on the README channel, Yh2 a single letter: every
+        # factor with k > 1 letters gets one product for the slabs of all its
+        # cells, and the one-letter factor none
+        chan = io.channel_preset("binary-symmetric-links",
+                                 crossover={"Y0": 0.25, "Y1": 0.05, "Y2": 0.05})
+        cfg = SearchConfig(mode="grid", resolution=4, max_iter=1, yh2_size=1)
+        names, terms, _ = prob._product_plan(LAW_FAMILIES[theorem])
+        left_out, product = [], prob._product
+
+        def spy(operands, kept, out_ids, shape):
+            if len(kept) < len(terms):
+                left_out.append([n for n, ids in zip(names, terms) if ids not in kept])
+            return product(operands, kept, out_ids, shape)
+
+        monkeypatch.setattr(prob, "_product", spy)
+        {"t1": optimize_t1, "t2": optimize_t2}[theorem](chan, cfg)
+        factors = LAW_FAMILIES[theorem].factors
+        assert left_out == [[f.name] for f in factors if f.target != ("Yh2",)]
+        assert len(left_out) == len(factors) - 1
 
     def test_no_assembled_candidate_is_its_incumbent(self, monkeypatch):
         # a line move's best point can be its own base point, whose batch
@@ -521,6 +543,31 @@ class TestBlockBudget:
         want = self.searches()
         monkeypatch.setattr(prob, "BLOCK_ENTRIES", budget)
         assert self.searches() == want
+
+
+class TestNonBinaryBits:
+    """sha256 of the ``to_dict()`` JSON of searches over ternary alphabets,
+    which the goldens in ``tests/golden`` (all binary) do not reach."""
+
+    @pytest.mark.parametrize("theorem, channel, options, digest", [
+        ("t2", lambda: random_channel(np.random.default_rng(2026)),
+         dict(mode="grid", resolution=4, v1_size=3, v2_size=3, yh1_size=3, yh2_size=3),
+         "1300de5c85184b13961671a70b9991574bde22187ac0697c698104528740f42e"),
+        ("t2", lambda: random_channel(np.random.default_rng(7), {"X0": 3, "Y1": 3}),
+         dict(mode="grid", resolution=8),
+         "5b7c287dbe351bcd36aedf2c292ae1724071a93b2522bc540d7190a03a781614"),
+        ("t1", lambda: io.channel_preset("binary-symmetric-links",
+                                         crossover={"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}),
+         dict(mode="random-restart", restarts=3, max_iter=4, seed=2, v1_size=3, yh1_size=3),
+         "b53161c409406e85e0cbd254de5622c64e20abef74b473655f3cc06f4b24f6dd"),
+        ("t2", lambda: io.channel_preset("identity-direct"),
+         dict(mode="random-restart", restarts=3, max_iter=4, seed=1, v1_size=3, yh1_size=3),
+         "834429705c86cfd7e9a65fb13c99038b515c174d9b920a301eed492645ce9fba"),
+    ], ids=["t2-grid-aux3", "t2-grid-ternary-channel", "t1-restart", "t2-restart"])
+    def test_search_output_is_pinned(self, theorem, channel, options, digest):
+        run = {"t1": optimize_t1, "t2": optimize_t2}[theorem]
+        text = io.dumps(run(channel(), SearchConfig(**options)).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestRandomRestart:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from tworelay import prob
+from tworelay.info import term_plan
 from tworelay.prob import (
     CANONICAL_ORDER,
     Alphabet,
@@ -40,6 +41,7 @@ from tworelay.prob import (
     uniform_cond,
     uniform_pmf,
 )
+from tworelay.rates import THEOREMS
 
 
 def brute_force_joint_t1(channel, law):
@@ -551,7 +553,10 @@ def random_pair(family, seed):
 
 
 def einsum_slab(channel, law, name, cell):
-    """:func:`slice_slab` as an einsum with the factor replaced by ones."""
+    """One cell's row of :func:`tworelay.prob.factor_slabs`, as an einsum of
+    the operands indexed at the cell, with the factor replaced by ones.  In
+    C order, as the product allocates it: einsum may lay its output out
+    otherwise, and a sum's last bits follow the layout it walks."""
     names, terms, out_ids = prob._product_plan(type(law))
     factor = next(f for f in law.factors if f.name == name)
     at = dict(zip(factor.given, cell))
@@ -563,7 +568,7 @@ def einsum_slab(channel, law, name, cell):
     slab = np.einsum(einsum_spec(terms, out), *operands)
     k = int(np.prod([a.size for a in getattr(law, name).target]))
     shape = tuple(1 if v in at or v in factor.target else slab.shape[out.index(v)] for v in out_ids)
-    return slab.reshape((k,) + shape)
+    return np.ascontiguousarray(slab.reshape((k,) + shape))
 
 
 class TestProduct:
@@ -577,13 +582,30 @@ class TestProduct:
 
     @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
     def test_slabs_are_einsum_bit_for_bit(self, family):
+        """Every cell's row of a factor's slab stack is that cell's slab."""
         for seed in range(40):
             channel, law = random_pair(family, seed)
             for f in law.factors:
+                slabs = prob.factor_slabs(channel, law, f.name)
                 given = tuple(a.size for a in getattr(law, f.name).given)
+                assert slabs.shape[:len(given)] == given
                 for cell in np.ndindex(given):
-                    got = prob.slice_slab(channel, law, f.name, cell)
-                    assert same_bits(got, einsum_slab(channel, law, f.name, cell)), (seed, f.name)
+                    want = einsum_slab(channel, law, f.name, cell)
+                    assert same_bits(slabs[cell], want), (seed, f.name, cell)
+
+    @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
+    def test_slab_marginal_rows_are_per_cell_bit_for_bit(self, family):
+        """One marginal pass over a factor's slab stack gives, row by row,
+        the marginals of each cell's slab alone."""
+        for seed in range(40):
+            channel, law = random_pair(family, seed)
+            joint = assemble_joint(channel, law)
+            plan = term_plan(THEOREMS[family.theorem].queries, joint.ids, joint.mass.shape)
+            for f in law.factors:
+                rows = plan.marginals(prob.factor_slabs(channel, law, f.name))
+                for cell in np.ndindex(tuple(a.size for a in getattr(law, f.name).given)):
+                    want = plan.marginals(einsum_slab(channel, law, f.name, cell))
+                    assert same_bits(rows[cell], want), (seed, f.name, cell)
 
     @pytest.mark.parametrize("family", [T1Law, T2Law], ids=["t1", "t2"])
     @pytest.mark.parametrize("n", [1, 5])

@@ -24,6 +24,7 @@ from tworelay.prob import (
     NetworkChannel,
     ValidationError,
     assemble_joint,
+    factor_slabs,
     point_mass,
     random_channel,
     random_t1_law,
@@ -137,6 +138,12 @@ def _current_stack(channel, law, queries):
     return plan, plan.marginals(joint.mass)
 
 
+def _vertices(channel, law, plan, current, name, cell):
+    """One slice's vertex stack, from its row of the factor's slab marginals."""
+    slabs = plan.marginals(factor_slabs(channel, law, name))
+    return _slice_marginals(law, plan, current, name, cell, slabs[cell])
+
+
 def _sparse_rows(factor, rng):
     """The same factor with every slice's first letter at zero mass."""
     if isinstance(factor, JointPmf):
@@ -158,7 +165,7 @@ class TestSliceLinearTerms:
         channel, law = data.draw(pairs(family))
         name, cell, k = data.draw(st.sampled_from(_slice_index(law)))
         plan, current = _current_stack(channel, law, queries)
-        vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
+        vertices = _vertices(channel, law, plan, current, name, cell)
         assert list(plan.names) == list(queries)
         base = _get_slice(law, name, cell)
         weights = SEGMENT_WEIGHTS + (data.draw(st.floats(0.0, 1.0)),)
@@ -190,7 +197,7 @@ class TestSliceLinearTerms:
                 law = type(law)(*(_sparse_rows(f, rng) for f in factors))
             plan, current = _current_stack(channel, law, queries)
             for name, cell, k in _slice_index(law):
-                vertices = _slice_marginals(channel, law, plan, current, name, cell, k)
+                vertices = _vertices(channel, law, plan, current, name, cell)
                 sparse = rng.dirichlet(np.ones(k))
                 sparse[rng.integers(k)] = 0.0
                 points = [rng.dirichlet(np.ones(k)), sparse / sparse.sum(), np.eye(k)[-1]]
