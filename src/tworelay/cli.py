@@ -85,8 +85,7 @@ def _system_from(source: str, builtin: Callable[[str], fm.RateSystem]) -> fm.Rat
     """``builtin(source)`` for a builtin tag, else the system in that file."""
     if source in THEOREMS:
         return builtin(source)
-    with open(source, encoding="utf-8") as handle:
-        return fm.parse_system(handle.read())
+    return fm.parse_system(io.read_text(source, "system"))
 
 
 def cmd_fm(args) -> int:

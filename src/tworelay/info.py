@@ -233,35 +233,29 @@ def term_plan(queries: dict[str, InfoQuery], ids: tuple[str, ...], shape: tuple[
     return _compile_terms(tuple(queries.items()), ids, shape)
 
 
-@functools.lru_cache(maxsize=64)
-def _slab_index(plan: _TermPlan, fixed: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    size = dict(zip(plan.ids, plan.shape))
-    base, strides = [], []
-    for subset, offset in zip(plan.subsets, plan.offsets):
-        sizes = [size[v] for v in subset]
-        cells = offset + np.arange(math.prod(sizes)).reshape(sizes)
-        base.append(cells[tuple(slice(0, 1) if v in fixed else slice(None) for v in subset)].ravel())
-        step = {v: math.prod(sizes[i + 1:]) for i, v in enumerate(subset)}
-        strides.append(np.tile([step.get(v, 0) for v in fixed], (base[-1].size, 1)))
-    base, strides = np.concatenate(base), np.concatenate(strides)
-    base.setflags(write=False)
-    strides.setflags(write=False)
-    return base, strides
-
-
-def slab_cells(plan: _TermPlan, fixed: tuple[str, ...], at) -> np.ndarray:
-    """Where a slab's marginals sit in its joint's marginal stack.
+@functools.lru_cache(maxsize=16)  # a search revisits one plan's factors, at most 7
+def slab_cells(plan: _TermPlan, fixed: tuple[str, ...]) -> np.ndarray:
+    """Where every slab's marginals sit in its joint's marginal stack.
 
     A slab is a joint of ``plan``'s ids restricted to one value of each
     variable in ``fixed``, with those axes kept at size 1;
     :meth:`_TermPlan.marginals` gives its concatenated subset marginals.
-    Returns the index of each of them in the full joint's stack, with the
-    fixed variables' values along the last axis of ``at``: shape
-    ``(..., slab cells)``.  The index is linear in those values; its offset
-    and slopes are cached per plan and ``fixed``, in a bounded cache.
+    Returns their indices in the full joint's stack for every value of the
+    fixed variables at once, shape ``(*fixed sizes, slab cells)``: the law
+    search reads one table per factor visit.  Read-only, and cached per plan
+    and ``fixed`` in a bounded cache.
     """
-    base, strides = _slab_index(plan, tuple(fixed))
-    return base + np.asarray(at, dtype=np.intp) @ strides.T
+    size = dict(zip(plan.ids, plan.shape))
+    lead = tuple(size[v] for v in fixed)
+    rows = []
+    for subset, offset in zip(plan.subsets, plan.offsets):
+        cells = offset + np.arange(math.prod(size[v] for v in subset))
+        cells = cells.reshape([size[v] if v in subset else 1 for v in plan.ids])
+        cells = np.moveaxis(cells, [plan.ids.index(v) for v in fixed], range(len(fixed)))
+        rows.append(np.broadcast_to(cells, lead + cells.shape[len(fixed):]).reshape(lead + (-1,)))
+    table = np.concatenate(rows, axis=-1)
+    table.setflags(write=False)
+    return table
 
 
 def term_values(joint: JointPmf, queries: dict[str, InfoQuery]) -> dict[str, float]:

@@ -55,18 +55,21 @@ def _axes_from_meta(meta: Any, where: str) -> tuple[Alphabet, ...]:
 
 def _convert(convert, value: Any, where: str) -> Any:
     """``convert(value)``, with a malformed value reported as a ValidationError
-    naming ``where`` instead of a TypeError or ValueError (a ValidationError
-    is a ValueError, so a refusal by the constructed type is named too)."""
+    naming ``where`` instead of a TypeError, ValueError or OverflowError (an
+    integer beyond float range; a ValidationError is a ValueError, so a
+    refusal by the constructed type is named too)."""
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
 def _floats(value: Any) -> np.ndarray:
     """Tensor entries as floats: a bool or a string entry is refused by type,
-    as in _size, where numpy would read ``true`` as 1.0 and ``"0.5"`` as 0.5."""
-    for x in np.asarray(value, dtype=object).flat:
+    as in _size, where numpy would read ``true`` as 1.0 and ``"0.5"`` as 0.5.
+    The entries are read flat by ``reshape``, which, unlike ``flat``, takes
+    an array of more than 32 dimensions."""
+    for x in np.asarray(value, dtype=object).reshape(-1):
         if name := {bool: "bool", str: "string"}.get(type(x)):
             raise ValueError(f"could not convert {name} to float: {x!r}")
     return np.asarray(value, dtype=float)
@@ -268,14 +271,22 @@ def load_law(path: str) -> T1Law | T2Law:
     return law_from_dict(_load(path, "law"))
 
 
-def _load(path: str, kind: str) -> dict:
+def read_text(path: str, kind: str) -> str:
+    """The text of a UTF-8 file; a file that cannot be read or is not UTF-8
+    is a ValidationError naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{kind} file {path}: invalid JSON ({exc})") from None
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{kind} file {path}: {exc}") from None
+
+
+def _load(path: str, kind: str) -> dict:
+    text = read_text(path, kind)
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, over 4300 digits, or too deep
+        raise ValidationError(f"{kind} file {path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise ValidationError(f"{kind} file {path}: top level must be an object")
     return payload

@@ -28,13 +28,15 @@ variables equal the slice's cell depends on the row, so the ascent keeps
 the incumbent's marginals and each slice swaps in its slab's marginals at
 the k vertices.  The slab leaves the factor out, so no move inside the
 factor changes it: each visit to a factor builds the slabs of all its
-cells in one product and takes their marginals in one pass.  Every move
-then scores its candidates in batches, as matrix products and entropy
-passes with no law built: a grid in one call, a line search in two.  Only
-a move's best candidate becomes a law, and only when its batch score beats
-the incumbent: its joint is assembled once and its own marginal stack
-scored in full.  It replaces the incumbent, stack and all, only when that
-full score wins, so the objective and trace are full scores.  One function,
+cells in one product, takes their marginals in one pass and reads where
+they sit in the incumbent's stack off one table (``info.slab_cells``),
+and each slice takes its row of each.  Every move then scores its
+candidates in batches, as matrix products and entropy passes with no law
+built: a grid in one call, a line search in two.  Only a move's best
+candidate becomes a law, and only when its batch score beats the
+incumbent: its joint is assembled once and its own marginal stack scored
+in full.  It replaces the incumbent, stack and all, only when that full
+score wins, so the objective and trace are full scores.  One function,
 ``_merits``, scores both: it runs the theorem's term plan and outcome rows,
 the steps ``eval_theorem1``/``eval_theorem2`` run, on a batch or on one
 law's stack, so a full score equals the merit of the evaluator's report.
@@ -151,17 +153,6 @@ class OptResult:
 # slice plumbing
 # ---------------------------------------------------------------------------
 
-def _slice_index(law) -> list[tuple[str, tuple[int, ...], int]]:
-    """Every (factor, conditioning cell, alphabet size) of a law."""
-    out = []
-    for f in law.factors:
-        pmf = getattr(law, f.name)
-        k = math.prod(a.size for a in pmf.target)
-        for cell in np.ndindex(tuple(a.size for a in pmf.given)):
-            out.append((f.name, cell, k))
-    return out
-
-
 def _get_slice(law, name: str, cell: tuple[int, ...]) -> np.ndarray:
     return getattr(law, name).mass[cell].reshape(-1).copy()
 
@@ -190,38 +181,37 @@ def _grid_vectors(k: int, resolution: int) -> np.ndarray:
 
 
 def _check_grid(law, resolution: int) -> None:
-    """Refuse a grid whose per-slice enumeration would not fit in memory."""
-    for name, cell, k in _slice_index(law):
+    """Refuse a grid whose per-slice enumeration would not fit in memory.
+    Every slice of a factor has the same k, so its first slice is named."""
+    for name, given, _ in law.factors:
+        k = math.prod(a.size for a in getattr(law, name).target)
         count = math.comb(resolution + k - 1, k - 1)
         if count > MAX_GRID_VECTORS:
             raise ResourceLimitError(
-                f"grid slice {name}{list(cell)} with k={k} letters has {count} candidates "
+                f"grid slice {name}{[0] * len(given)} with k={k} letters has {count} candidates "
                 f"at resolution {resolution}, above the cap of {MAX_GRID_VECTORS}"
             )
 
 
-def _slice_marginals(law, plan, current, name: str, cell, slab):
+def _slice_marginals(current, point, cells, slab):
     """The marginal stacks of the joints at the k vertices of one slice's
-    simplex, built from the law's own stack ``current`` (of ``plan``) and
-    the slice's ``(k, slab cells)`` slab marginals ``slab``: the slice's row
-    of ``plan.marginals`` of :func:`tworelay.prob.factor_slabs`.
+    simplex, built from the law's own stack ``current``, the slice's current
+    ``point`` and its rows of the factor's two per-visit tables: the
+    ``(k, slab cells)`` slab marginals ``slab`` (of ``plan.marginals`` of
+    :func:`tworelay.prob.factor_slabs`) and where they sit in ``current``,
+    ``cells`` (of :func:`tworelay.info.slab_cells`).
 
     The joint is linear in each factor row, so with the slice at ``w`` (a
     point of the simplex) every subset marginal is ``w @ V`` for the
     returned ``(k, cells)`` stack V: along the segment from a point ``base``
     to a vertex they are ``(1 - t) * m_base + t * m_vertex``.  Only the slab
-    of the joint where the factor's given variables equal ``cell`` depends
-    on the row, so vertex v's stack is ``current`` with the law's slab
-    marginals swapped for those of the slab at v; no law is built.
+    of the joint where the factor's given variables equal the slice's cell
+    depends on the row, so vertex v's stack is ``current`` with the law's
+    slab marginals swapped for those of the slab at v; no law is built.
     """
-    pmf = getattr(law, name)
-    k = len(slab)
-    letters = np.unravel_index(np.arange(k), tuple(a.size for a in pmf.target))
-    at = np.column_stack([np.full(k, c) for c in cell] + list(letters))
-    cells = slab_cells(plan, tuple(a.id for a in pmf.given + pmf.target), at)
-    stack = np.zeros((k, current.size))
+    stack = np.zeros((len(slab), current.size))
     np.put_along_axis(stack, cells, slab, axis=1)
-    stack += current - _get_slice(law, name, cell) @ stack
+    stack += current - point @ stack
     return stack
 
 
@@ -324,16 +314,18 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
     trace = [] if best == -math.inf else [best]
     for _ in range(cfg.max_iter):
         sweep_start = best
-        for name in (f.name for f in law.factors):
+        for name, given, target in law.factors:
             if all(a.size == 1 for a in getattr(law, name).target):
                 continue
-            # no move inside the factor changes its slabs: one pass per visit
+            # no move inside the factor changes its slabs, nor where their
+            # marginals sit: one product, one pass and one table per visit
             slabs = plan.marginals(factor_slabs(channel, law, name))
+            cells = slab_cells(plan, given + target).reshape(slabs.shape)
             for cell in np.ndindex(slabs.shape[:-2]):
-                vertices = _slice_marginals(law, plan, current, name, cell, slabs[cell])
+                point = _get_slice(law, name, cell)
+                vertices = _slice_marginals(current, point, cells[cell], slabs[cell])
                 slice_value = _slice_scorer(theorem, plan, vertices)
                 for move in moves(len(vertices)):
-                    point = _get_slice(law, name, cell)
                     vec, value, count = move(slice_value, point)
                     evals += count
                     if value > best and not np.array_equal(vec, point):
@@ -341,7 +333,7 @@ def _ascend(law, channel: NetworkChannel, theorem: str, cfg: SearchConfig,
                         stack = plan.marginals(assemble_joint(channel, cand).mass)
                         value = float(_merits(theorem, plan, stack))
                         if value > best:
-                            law, best, current = cand, value, stack
+                            law, best, current, point = cand, value, stack, vec
                             trace.append(best)
         if best == -math.inf or best - sweep_start <= TOLERANCE:
             break

@@ -429,6 +429,14 @@ class TestFm:
         assert code == 2
         assert err.startswith("error: ")
 
+    def test_system_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "system.txt"
+        path.write_bytes(b"\xff\xfevars: RB\nRB <= 1\n")
+        code, out, err = run_cli(["fm", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: system file {path}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+
     def test_zero_denominator_exits_2(self, tmp_path, capsys):
         path = tmp_path / "system.txt"
         path.write_text("vars: RB\n1/0*RB < 0\n")

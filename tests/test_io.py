@@ -8,11 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tworelay import ValidationError, channel_preset, cli, load_channel, load_law
 from tworelay import io as tio
 from tworelay.prob import (
     Alphabet,
+    ResourceLimitError,
     T1Law,
     T2Law,
     random_channel,
@@ -530,3 +533,165 @@ class TestLoading:
         path.write_text("[1, 2]\n")
         with pytest.raises(ValidationError, match="top level must be an object"):
             load_channel(str(path))
+
+
+# an integer that json reads exactly and float() refuses
+HUGE = int("9" * 400)
+
+
+def _write_pair(tmp_path, channel_payload, law_payload):
+    """A channel file and a first-theorem law file, as text or as payloads."""
+    paths = {}
+    for name, payload in (("channel", channel_payload), ("law", law_payload)):
+        paths[name] = tmp_path / f"{name}.json"
+        text = payload if isinstance(payload, (str, bytes)) else tio.dumps(payload)
+        (paths[name].write_bytes if isinstance(text, bytes) else paths[name].write_text)(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+def _good_payloads():
+    channel = channel_preset("identity-direct")
+    return tio.channel_to_dict(channel), tio.law_to_dict(uniform_t1_law(channel))
+
+
+class TestUnreadableInput:
+    """Input that the JSON or text reader, or a float conversion, cannot take
+    exits 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize("field, where", [
+        ("law", "law.components.px1.data"),
+        ("channel", "channel.transition"),
+        ("preset", "crossover for Y0"),
+    ])
+    def test_integer_beyond_float_range_exits_2(self, field, where, tmp_path, capsys):
+        channel, law = _good_payloads()
+        if field == "law":
+            law["components"]["px1"]["data"] = [HUGE, 0]
+        elif field == "channel":
+            entries = channel["transition"]
+            while isinstance(entries[0], list):
+                entries = entries[0]
+            entries[0] = HUGE
+        else:
+            channel = {"format_version": 1, "kind": "channel",
+                       "preset": "binary-symmetric-links", "crossover": {"Y0": HUGE}}
+        message = f"{where}: int too large to convert to float"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            (tio.law_from_dict if field == "law" else tio.channel_from_dict)(
+                law if field == "law" else channel)
+        paths = _write_pair(tmp_path, channel, law)
+        files = ["--channel", paths["channel"], "--law", paths["law"]]
+        commands = {"law": [["eval", *files, "--theorem", "t1"],
+                            ["sim", *files, "--sweep", "rh1", "0:0.1:0.05"]],
+                    "channel": [["eval", *files, "--theorem", "t1"]],
+                    "preset": [["optimize", "--channel", paths["channel"], "--theorem", "t1"]]}
+        for argv in commands[field]:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("depth", [
+        200_000,  # past the JSON reader's recursion
+        40,  # an array of 40 dimensions, past the 32 of numpy's flat iterator
+    ])
+    def test_deep_nesting_exits_2(self, depth, tmp_path, capsys):
+        channel, law = _good_payloads()
+        nested = "[" * depth + "]" * depth
+        law = tio.dumps(law).replace('"data": [\n        0.5,\n        0.5\n      ]',
+                                     f'"data": {nested}', 1)
+        assert nested in law
+        paths = _write_pair(tmp_path, channel, law)
+        with pytest.raises(ValidationError):
+            load_law(paths["law"])
+        code = cli.main(["eval", "--channel", paths["channel"], "--law", paths["law"],
+                         "--theorem", "t1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: law")
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python refuses to read an integer of more than 4300 digits
+        channel, law = _good_payloads()
+        law = tio.dumps(law).replace("0.5", "9" * 5000, 1)
+        paths = _write_pair(tmp_path, channel, law)
+        prefix = f"law file {paths['law']}: invalid JSON (Exceeds the limit"
+        with pytest.raises(ValidationError, match=f"^{re.escape(prefix)}"):
+            load_law(paths["law"])
+        code = cli.main(["eval", "--channel", paths["channel"], "--law", paths["law"],
+                         "--theorem", "t1"])
+        assert (code, capsys.readouterr().err.startswith(f"error: {prefix}")) == (2, True)
+
+    @pytest.mark.parametrize("kind", ["channel", "law"])
+    def test_file_that_is_not_utf8_exits_2(self, kind, tmp_path, capsys):
+        channel, law = _good_payloads()
+        spoiled = b"\xff\xfe" + tio.dumps(channel if kind == "channel" else law).encode()
+        paths = _write_pair(tmp_path, *((spoiled, law) if kind == "channel" else (channel, spoiled)))
+        message = (f"{kind} file {paths[kind]}: 'utf-8' codec can't decode byte 0xff "
+                   "in position 0: invalid start byte")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            (load_law if kind == "law" else load_channel)(paths[kind])
+        commands = [["eval", "--channel", paths["channel"], "--law", paths["law"],
+                     "--theorem", "t1"]]
+        if kind == "channel":
+            commands.append(["optimize", "--channel", paths["channel"], "--theorem", "t1"])
+        for argv in commands:
+            assert cli.main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+# any JSON value, integers beyond float range and non-finite floats included
+# (json reads NaN and Infinity)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4)
+    | st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+def _paths(node, path=()):
+    """The path to every value inside a JSON payload, the payload's own first."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _base_payloads():
+    channel = noisy_channel()
+    return [
+        (tio.law_from_dict, tio.law_to_dict(uniform_t1_law(channel))),
+        (tio.law_from_dict, tio.law_to_dict(uniform_law(T2Law, channel, T2_SIZES))),
+        (tio.channel_from_dict, tio.channel_to_dict(channel)),
+        (tio.channel_from_dict, {"format_version": 1, "kind": "channel",
+                                 "preset": "binary-symmetric-links",
+                                 "crossover": {"Y0": 0.25, "Y1": 0.05, "Y2": 0.05}}),
+        (tio.channel_from_dict, {"format_version": 1, "kind": "channel",
+                                 "preset": "identity-direct"}),
+    ]
+
+
+class TestLoaderInputs:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_only_input_errors_escape(self, data):
+        # a valid payload with up to three of its values, at any depth,
+        # replaced by arbitrary JSON values
+        load, payload = data.draw(st.sampled_from(_base_payloads()))
+        for path in data.draw(st.lists(st.sampled_from(list(_paths(payload))), max_size=3)):
+            value = data.draw(JSON_VALUES)
+            if not path:
+                payload = value
+                continue
+            node = payload
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+            except (IndexError, KeyError, TypeError):
+                pass  # an earlier replacement took this path away
+        try:
+            load(payload)
+        except (ValidationError, ResourceLimitError):
+            pass

@@ -506,6 +506,25 @@ class TestSearchWork:
         assert left_out == [[f.name] for f in factors if f.target != ("Yh2",)]
         assert len(left_out) == len(factors) - 1
 
+    @pytest.mark.parametrize("theorem", ["t1", "t2"])
+    def test_one_slab_cell_table_per_factor_visit(self, theorem, monkeypatch):
+        # the same sweep: every factor with k > 1 letters asks once for the
+        # table of where its slabs' marginals sit, its given and target ids
+        # fixed, not once per conditioning cell
+        chan = io.channel_preset("binary-symmetric-links",
+                                 crossover={"Y0": 0.25, "Y1": 0.05, "Y2": 0.05})
+        cfg = SearchConfig(mode="grid", resolution=4, max_iter=1, yh2_size=1)
+        asked, slab_cells = [], optimize.slab_cells
+
+        def spy(plan, fixed, *rest):
+            asked.append(fixed)
+            return slab_cells(plan, fixed, *rest)
+
+        monkeypatch.setattr(optimize, "slab_cells", spy)
+        {"t1": optimize_t1, "t2": optimize_t2}[theorem](chan, cfg)
+        factors = LAW_FAMILIES[theorem].factors
+        assert asked == [f.given + f.target for f in factors if f.target != ("Yh2",)]
+
     def test_no_assembled_candidate_is_its_incumbent(self, monkeypatch):
         # a line move's best point can be its own base point, whose batch
         # score beats the incumbent only by rounding; the search workload's

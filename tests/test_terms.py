@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tworelay.info import InfoQuery, mutual_info, term_plan, term_values
-from tworelay.optimize import _get_slice, _grid_vectors, _set_slice, _slice_index, _slice_marginals
+from tworelay.info import InfoQuery, mutual_info, slab_cells, term_plan, term_values
+from tworelay.optimize import _get_slice, _grid_vectors, _set_slice, _slice_marginals
 from tworelay.prob import (
     Alphabet,
     CondPmf,
@@ -138,10 +138,23 @@ def _current_stack(channel, law, queries):
     return plan, plan.marginals(joint.mass)
 
 
+def _slices(law):
+    """Every (factor, conditioning cell, alphabet size) of a law."""
+    out = []
+    for f in law.factors:
+        pmf = getattr(law, f.name)
+        k = int(np.prod([a.size for a in pmf.target]))
+        out += [(f.name, cell, k) for cell in np.ndindex(tuple(a.size for a in pmf.given))]
+    return out
+
+
 def _vertices(channel, law, plan, current, name, cell):
-    """One slice's vertex stack, from its row of the factor's slab marginals."""
+    """One slice's vertex stack, from its rows of the factor's slab
+    marginals and of its slab-cell table."""
+    _, given, target = next(f for f in law.factors if f.name == name)
     slabs = plan.marginals(factor_slabs(channel, law, name))
-    return _slice_marginals(law, plan, current, name, cell, slabs[cell])
+    cells = slab_cells(plan, given + target).reshape(slabs.shape)
+    return _slice_marginals(current, _get_slice(law, name, cell), cells[cell], slabs[cell])
 
 
 def _sparse_rows(factor, rng):
@@ -163,7 +176,7 @@ class TestSliceLinearTerms:
     @given(data=st.data())
     def test_every_candidate_matches_materialized_law(self, family, queries, data):
         channel, law = data.draw(pairs(family))
-        name, cell, k = data.draw(st.sampled_from(_slice_index(law)))
+        name, cell, k = data.draw(st.sampled_from(_slices(law)))
         plan, current = _current_stack(channel, law, queries)
         vertices = _vertices(channel, law, plan, current, name, cell)
         assert list(plan.names) == list(queries)
@@ -196,7 +209,7 @@ class TestSliceLinearTerms:
                 factors = [getattr(law, f.name) for f in dataclasses.fields(law)]
                 law = type(law)(*(_sparse_rows(f, rng) for f in factors))
             plan, current = _current_stack(channel, law, queries)
-            for name, cell, k in _slice_index(law):
+            for name, cell, k in _slices(law):
                 vertices = _vertices(channel, law, plan, current, name, cell)
                 sparse = rng.dirichlet(np.ones(k))
                 sparse[rng.integers(k)] = 0.0
